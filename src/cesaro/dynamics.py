@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .operators import CesaroOperator, apply, cesaro_coefficients
+from .operators import bidiagonal_solve, cesaro_coefficients, inverse_coefficients
 from .series import TaylorSeries, geometric_series
 from .weights import Weight, frechet_norm, weighted_sup_norm
 
@@ -71,28 +70,19 @@ def ergodic_limit_projection(t: float, f: TaylorSeries) -> TaylorSeries:
 def range_preimage(t: float, g: TaylorSeries) -> TaylorSeries:
     """Solve (C - I) f = g for g with g(0) = 0, returning the f with f(0) = 0.
 
-    Constructive inversion of the range description: with h = (z g)' the
-    solution is f(z) = (1/(t z - 1)) * integral_0^z (1 - t u) h(u)/u du,
-    realized coefficientwise (shift, bidiagonal multiply, termwise integral,
-    geometric-series product).  Exact on the prefix of degree deg(g).
+    Multiplied through by the inverse BN of C = N^{-1} (I - tS)^{-1} this is
+    (I - BN) f = BN g, the resolvent system at nu = 1: lower bidiagonal with
+    diagonal -n and subdiagonal t n.  Its row 0 reads 0 = g(0) and is replaced
+    by f[0] = 0.  Exact on the prefix of degree deg(g).
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("range preimage is defined for t in [0, 1)")
     c = g.coeffs
     if abs(c[0]) > 1e-14 * max(1.0, float(np.max(np.abs(c)))):
         raise ValueError("g is not in the range of (C - I): g(0) must vanish")
-    deg = g.degree
-    n = np.arange(deg + 1)
-    h = (n + 1.0) * c                      # h = (z g)' coefficients
-    q = h[1:]                              # h(z)/z, degree deg-1
-    m = np.zeros(deg + 1, dtype=complex)   # (1 - t z) * (h/z)
-    m[: len(q)] = q
-    m[1 : len(q) + 1] -= t * q
-    integ = np.zeros(deg + 1, dtype=complex)
-    integ[1:] = m[:-1] / n[1:]             # termwise integral, truncated back to deg
-    # product with 1/(t z - 1) = -(1 + t z + t^2 z^2 + ...): geometric prefix filter
-    f = -lfilter([1.0], [1.0, -t], integ)
-    return TaylorSeries(f)
+    n = np.arange(g.degree + 1)
+    rhs = (n > 0) * inverse_coefficients(t, c)  # row 0 becomes f[0] = 0
+    return TaylorSeries(bidiagonal_solve(np.where(n > 0, -n, 1), t * n[1:], rhs))
 
 
 # -- traces and certificates ----------------------------------------------------

@@ -13,8 +13,9 @@ and the two realizations agree coefficient by coefficient.  Because the
 coefficient matrix is lower triangular, applying the operator to a degree-N
 truncation reproduces the first N+1 coefficients of the exact image.
 
-For ``t < 1`` the operator is invertible on coefficient space; the inverse
-acts as ``f -> (1 - t z) (z f)'`` and is also lower triangular (bidiagonal).
+For ``t < 1`` the operator is invertible on coefficient space: the inverse
+``f -> (1 - t z) (z f)'`` is the lower-bidiagonal product BN with B = I - tS
+(S the shift) and N = diag(n + 1), so C_t = N^{-1} (I - tS)^{-1}.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import ztbtrs
 from scipy.signal import lfilter
 
 from .series import TaylorSeries, cauchy_product, evaluate_many, log_one_minus_series
@@ -137,17 +139,32 @@ def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: 
     return complex(np.sum(0.5 * wts * values))
 
 
-def apply_inverse(inv: InverseOperator, f: TaylorSeries) -> TaylorSeries:
-    """Coefficients of ``(1 - t z)(z f)'``: out[n] = (n+1) f[n] - t n f[n-1].
-
-    Exact on the truncation prefix; the convention f[-1] = 0 makes row 0 read
-    out[0] = f[0].
-    """
-    c = f.coeffs
+def inverse_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
+    """Raw-array inverse ``BN c``: out[n] = (n+1) c[n] - t n c[n-1], with c[-1] = 0."""
+    c = np.asarray(coeffs, dtype=complex)
     n = np.arange(len(c))
     out = (n + 1.0) * c
-    out[1:] -= inv.t * n[1:] * c[:-1]
-    return TaylorSeries(out)
+    out[1:] -= t * n[1:] * c[:-1]
+    return out
+
+
+def bidiagonal_solve(diag, sub, rhs) -> np.ndarray:
+    """Forward substitution for the lower-bidiagonal system ``L x = rhs``.
+
+    ``L[n, n] = diag[n]`` and ``L[n, n-1] = sub[n-1]``.  One LAPACK ``ztbtrs``
+    call, O(N) and without pivoting: x[n] = (rhs[n] - sub[n-1] x[n-1]) / diag[n].
+    Overflow is not trapped; it shows as non-finite entries of the result.
+    """
+    ab = np.array([diag, np.append(sub, 0.0)], dtype=complex)  # LAPACK band storage
+    x, info = ztbtrs(ab, np.asarray(rhs, dtype=complex), uplo="L")
+    if info > 0:
+        raise ValueError(f"bidiagonal system is singular: diagonal entry {info - 1} is zero")
+    return x
+
+
+def apply_inverse(inv: InverseOperator, f: TaylorSeries) -> TaylorSeries:
+    """Coefficients of ``(1 - t z)(z f)'``, exact on the truncation prefix."""
+    return TaylorSeries(inverse_coefficients(inv.t, f.coeffs))
 
 
 def classical_c1_log_image(n: int, truncation: int) -> tuple[TaylorSeries, TaylorSeries]:

@@ -6,18 +6,12 @@ regardless of t, and the full operator's point spectrum is the ladder
 Lambda = {1/(m+1)}.  Its closure Lambda_0 = Lambda + {0} is where resolvent
 computations break down; everything here measures distances to that set.
 
-The eigenvector recurrence x[n] (n - m) = t n x[n-1] (with x[m] = 1) is the
-authoritative construction; the binomial closed form C(n, m) t**(n-m) is
-validated against it in the tests, never assumed.
-
-The resolvent solve uses the coefficientwise closed form
-
-    a[0] = c[0] / (1 - nu),
-    a[n] = c[n] / (1/(n+1) - nu)
-           - (1/nu**2) sum_h t**h c[n-h] / ((n+1) prod_{j=n-h+1}^{n+1} (1 - 1/(j nu))),
-
-evaluated through running prefix ratios in O(N) total.  An independent
-triangular forward-substitution oracle cross-checks it in the tests.
+Both solves multiply through by the inverse BN of C_t = N^{-1} (I - tS)^{-1}
+and run the one lower-bidiagonal kernel :func:`cesaro.operators.bidiagonal_solve`:
+the resolvent as (I - nu BN) a = BN c, an eigenvector as the null vector of
+(m+1) I - BN.  The binomial closed form C(n, m) t**(n-m) of the eigenvectors
+and the displayed closed form of the resolvent are validated against these
+solves in the tests, never used by them.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import operator_matrix
+from .operators import bidiagonal_solve, inverse_coefficients, operator_matrix
 from .series import TaylorSeries, random_series
 from .weights import frechet_norm
 
@@ -74,11 +68,12 @@ class EigenPair:
 
 
 def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
-    """Solve the kernel recurrence for the index-m eigenfunction.
+    """The index-m eigenfunction: the null vector of (m+1) I - BN with x[m] = 1.
 
-    x[n] = 0 below n = m, x[m] = 1, and x[n] = t n x[n-1] / (n - m) above.
-    The pair satisfies ``operator(x) = x / (m+1)`` exactly on the truncation
-    prefix.  For t = 0 this collapses to the basis vector e_m.
+    Rows n > m read (m - n) x[n] + t n x[n-1] = 0: x[n] = t n x[n-1] / (n - m).
+    ``operator(x) = x / (m+1)`` holds exactly on the truncation prefix; for
+    t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double precision
+    the call is refused with a ValueError.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("eigenpairs are computed for t in [0, 1)")
@@ -86,10 +81,12 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
         raise ValueError("eigenvalue index must be >= 0")
     if m >= truncation:
         raise ValueError(f"index m={m} must be smaller than the truncation {truncation}")
+    n = np.arange(m, truncation + 1)
     x = np.zeros(truncation + 1, dtype=complex)
-    x[m] = 1.0
-    for n in range(m + 1, truncation + 1):
-        x[n] = t * n * x[n - 1] / (n - m)
+    # row m, singular in (m+1) I - BN, is replaced by the normalization x[m] = 1
+    x[m:] = bidiagonal_solve(np.where(n > m, m - n, 1), t * n[1:], n == m)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"eigenvector of index m={m} overflows double precision at truncation {truncation}")
     return EigenPair(m, 1.0 / (m + 1.0), TaylorSeries(x))
 
 
@@ -112,6 +109,8 @@ class ResolventQuery:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if not np.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         dist = spectrum_distance(self.nu)
         if dist < self.tol:
             raise ValueError(
@@ -127,26 +126,17 @@ class ResolventQuery:
 def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
     """The unique coefficient solution ``a`` of (operator - nu I) a = rhs.
 
-    Implements the closed form through the running ratio
-    V[n] = sum_k t**(n-k) c[k] Q[k]/Q[n] with Q[n] = prod_{j<=n} (1 - 1/(j nu)),
-    updated as V[n] = t (V[n-1] + c[n-1]) / (1 - 1/(n nu)); then
-
-        a[n] = c[n]/(1/(n+1) - nu) - V[n] / (nu**2 (n+1) (1 - 1/((n+1) nu))).
-
-    O(1) work per coefficient and no raw products that could under/overflow.
+    Multiplied through by the inverse BN the system is (I - nu BN) a = BN c:
+    lower bidiagonal with diagonal 1 - nu (n+1) and subdiagonal nu t n, one
+    O(N) forward substitution.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("resolvent is computed for t in [0, 1)")
     nu = complex(query.nu)
     deg = query.degree
     c = query.rhs.padded(deg).coeffs if query.rhs.degree < deg else query.rhs.coeffs[: deg + 1]
-    a = np.empty(deg + 1, dtype=complex)
-    a[0] = c[0] / (1.0 - nu)
-    v = 0.0 + 0.0j
-    for n in range(1, deg + 1):
-        v = t * (v + c[n - 1]) / (1.0 - 1.0 / (n * nu))
-        a[n] = c[n] / (1.0 / (n + 1.0) - nu) - v / (nu * nu * (n + 1.0) * (1.0 - 1.0 / ((n + 1.0) * nu)))
-    return TaylorSeries(a)
+    n = np.arange(deg + 1)
+    return TaylorSeries(bidiagonal_solve(1.0 - nu * (n + 1.0), nu * t * n[1:], inverse_coefficients(t, c)))
 
 
 # -- finite sections ------------------------------------------------------------
@@ -219,7 +209,9 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     d_hat = float(np.min(scaled[window]))
     big_d = float(np.max(scaled[window]))
     tail = k >= max(10, n_max // 10)
-    slope = float(np.polyfit(np.log(k[tail]), log_scaled[tail], 1)[0])
+    x = np.log(k[tail])
+    x -= x.mean()  # centred, so x @ y is the least-squares x @ (y - mean(y))
+    slope = float(x @ log_scaled[tail] / (x @ x))
     return ProductBoundReport(nu, alpha, k.astype(int), p, scaled, d_hat, big_d, slope)
 
 

@@ -6,6 +6,7 @@ paths it checks: the library may vectorize, filter or rearrange, the oracle
 never does.
 """
 
+import mpmath
 import numpy as np
 import scipy.linalg
 from scipy.special import comb
@@ -83,6 +84,52 @@ def literal_resolvent_coefficients(nu, t, rhs):
             total += (-1) ** h * nu ** (h - 1) * t**h * c[n - h] / ((n + 1) * prod)
         a[n] = total
     return a
+
+
+def prefix_ratio_resolvent(nu, t, rhs):
+    """The closed form above evaluated in O(N) through running prefix ratios.
+
+    V[n] = sum_k t**(n-k) c[k] Q[k]/Q[n] with Q[n] = prod_{j<=n} (1 - 1/(j nu))
+    is updated as V[n] = t (V[n-1] + c[n-1]) / (1 - 1/(n nu)); then
+
+        a[n] = c[n]/(1/(n+1) - nu) - V[n] / (nu**2 (n+1) (1 - 1/((n+1) nu))).
+    """
+    c = np.asarray(rhs, dtype=complex)
+    nu = complex(nu)
+    a = np.empty(len(c), dtype=complex)
+    a[0] = c[0] / (1.0 - nu)
+    v = 0.0 + 0.0j
+    for n in range(1, len(c)):
+        v = t * (v + c[n - 1]) / (1.0 - 1.0 / (n * nu))
+        a[n] = c[n] / (1.0 / (n + 1.0) - nu) - v / (nu * nu * (n + 1.0) * (1.0 - 1.0 / ((n + 1.0) * nu)))
+    return a
+
+
+def mp_resolvent(nu, t, rhs, dps=60):
+    """Forward substitution of (section - nu I) a = rhs in ``dps``-digit arithmetic.
+
+    Row n reads (t S[n-1] + a[n])/(n+1) - nu a[n] = c[n] with the running sum
+    S[n] = sum_{k<=n} t**(n-k) a[k]; the inputs are taken as exact binary values.
+    """
+    with mpmath.workdps(dps):
+        nu = mpmath.mpc(complex(nu))
+        t = mpmath.mpf(float(t))
+        prefix = mpmath.mpc(0)
+        out = []
+        for n, c in enumerate(np.asarray(rhs, dtype=complex)):
+            a = (mpmath.mpc(complex(c)) - t * prefix / (n + 1)) / (mpmath.mpf(1) / (n + 1) - nu)
+            prefix = t * prefix + a
+            out.append(complex(a))
+    return np.array(out)
+
+
+def recurrence_eigenvector(t, m, truncation):
+    """The kernel recurrence x[m] = 1, x[n] = t n x[n-1] / (n - m), one step at a time."""
+    x = np.zeros(truncation + 1, dtype=complex)
+    x[m] = 1.0
+    for n in range(m + 1, truncation + 1):
+        x[n] = t * n * x[n - 1] / (n - m)
+    return x
 
 
 def binomial_eigenvector(t, m, truncation):

@@ -106,6 +106,10 @@ def test_preimage_of_zero_is_zero():
     assert range_preimage(0.5, zero_series(10)) == zero_series(10)
 
 
+def test_preimage_of_a_degree_zero_series():
+    assert range_preimage(0.5, TaylorSeries([0.0])) == TaylorSeries([0.0])
+
+
 def test_preimage_diagonal_case():
     got = range_preimage(0.0, TaylorSeries([0.0, 1.0]))
     assert got == TaylorSeries([0.0, -2.0])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cesaro import (
     CesaroOperator,
@@ -22,6 +23,7 @@ from cesaro import (
     q_r_norm,
     weighted_sup_norm,
 )
+from cesaro.operators import bidiagonal_solve
 from oracles import harmonic_number, naive_cesaro_apply, naive_convolution
 
 
@@ -167,6 +169,25 @@ def test_fixed_point_is_its_own_preimage():
     n = np.arange(1, 201)
     identity = (n + 1) * t**n - t * n * t ** (n - 1)
     np.testing.assert_allclose(identity, t ** n.astype(float), rtol=1e-12)
+
+
+# --- the bidiagonal kernel ----------------------------------------------------------------
+
+
+def test_bidiagonal_solve_matches_a_dense_triangular_solve():
+    rng = np.random.default_rng(47)
+    for size in (1, 2, 300):
+        diag = rng.normal(size=size) + 1j * rng.normal(size=size) + 3.0
+        sub = rng.normal(size=size - 1) + 1j * rng.normal(size=size - 1)
+        rhs = rng.normal(size=size) + 1j * rng.normal(size=size)
+        dense = np.diag(diag) + np.diag(sub, -1)
+        want = scipy.linalg.solve_triangular(dense, rhs, lower=True)
+        np.testing.assert_allclose(bidiagonal_solve(diag, sub, rhs), want, rtol=1e-13)
+
+
+def test_bidiagonal_solve_refuses_a_zero_diagonal():
+    with pytest.raises(ValueError, match="singular"):
+        bidiagonal_solve([1.0, 0.0, 2.0], [1.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_inverse_rejects_t_one():

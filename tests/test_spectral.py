@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,9 @@ from cesaro import (
 from oracles import (
     binomial_eigenvector,
     literal_resolvent_coefficients,
+    mp_resolvent,
+    prefix_ratio_resolvent,
+    recurrence_eigenvector,
     triangular_resolvent_solve,
 )
 
@@ -93,6 +98,27 @@ def test_recurrence_matches_exact_binomial_closed_form():
             assert np.max(np.abs(got - want) / scale) < 1e-12
 
 
+def test_eigenpair_reproduces_the_recurrence_bitwise():
+    # same operations in the same order as the one-step recurrence, so the
+    # overflow point (and the benchmark's prediction of it) does not move
+    for t in (0.3, 0.9, 0.99):
+        for m in (0, 5, 200):
+            got = eigenpair(t, m, 512).series.coeffs
+            np.testing.assert_array_equal(got, recurrence_eigenvector(t, m, 512))
+
+
+def test_eigenpair_at_the_last_index():
+    pair = eigenpair(0.5, 7, 8)
+    assert pair.series == TaylorSeries(np.r_[np.zeros(7), 1.0, 4.0])
+
+
+def test_eigenpair_overflow_is_refused_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            eigenpair(0.9, 1000, 8192)
+
+
 def test_eigenpair_preconditions():
     with pytest.raises(ValueError):
         eigenpair(0.5, 8, 8)
@@ -140,6 +166,33 @@ def test_resolvent_matches_literal_formula():
             assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_resolvent_matches_prefix_ratio_closed_form():
+    rng = np.random.default_rng(79)
+    for _ in range(10):
+        nu = _random_nu(rng)
+        t = float(rng.random() * 0.99)
+        rhs = random_series(int(rng.integers(1, 2000)), rng)
+        got = resolvent_apply(ResolventQuery(nu, rhs), t).coeffs
+        want = prefix_ratio_resolvent(nu, t, rhs.coeffs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_resolvent_near_the_ladder_against_high_precision(m):
+    # distance 1e-8 to the eigenvalue 1/(m+1): the bidiagonal solve stays at
+    # roundoff, where the prefix-ratio closed form loses about 1e-9
+    rhs = random_series(200, np.random.default_rng(83 + m))
+    nu = 1.0 / (m + 1) + 1e-8
+    got = resolvent_apply(ResolventQuery(nu, rhs, tol=1e-9), 0.9).coeffs
+    want = mp_resolvent(nu, 0.9, rhs.coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_resolvent_of_a_constant():
+    a = resolvent_apply(ResolventQuery(2.0, TaylorSeries([3.0])), 0.5)
+    assert a == TaylorSeries([-3.0])
+
+
 def test_resolvent_cross_check_against_triangular_solve():
     # the module's master cross-check: closed form vs dense forward substitution
     rng = np.random.default_rng(71)
@@ -162,6 +215,12 @@ def test_resolvent_round_trip_residual():
         back = apply(CesaroOperator(t), a) - TaylorSeries(nu * a.coeffs)
         residual = max_coeff_diff(back, rhs)
         assert residual <= 1e-9 * float(np.max(np.abs(rhs.coeffs)))
+
+
+@pytest.mark.parametrize("nu", [float("nan"), float("inf"), complex(float("nan"), 0.0)])
+def test_resolvent_refuses_non_finite_nu(nu):
+    with pytest.raises(ValueError, match="finite"):
+        ResolventQuery(nu, TaylorSeries([1.0, 2.0]))
 
 
 def test_resolvent_refuses_near_spectral_points():
@@ -219,6 +278,14 @@ def test_product_scan_is_bounded_with_half_exponent(nu):
     assert 0.0 < report.d_hat <= report.D_hat < np.inf
     assert report.D_hat / report.d_hat < 20.0
     assert abs(report.tail_slope) < 0.02
+
+
+def test_product_scan_slope_is_the_least_squares_fit():
+    for nu in (2.0, 0.4 + 0.8j):
+        report = product_bound_scan(nu, 5000)
+        tail = report.n_values >= 500
+        want = np.polyfit(np.log(report.n_values[tail]), np.log(report.scaled[tail]), 1)[0]
+        assert abs(report.tail_slope - want) <= 1e-14
 
 
 def test_product_scan_preconditions():
