@@ -54,6 +54,7 @@ from .spectral import (
 from .weights import (
     Weight,
     frechet_norm,
+    log_norm_bound,
     norm_upper_bound,
     operator_norm_witness,
     weighted_sup_norm,
@@ -69,10 +70,6 @@ class CheckResult:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"{tag}  {self.name}: {self.detail}"
-
-
-def _upper_log_bound(t: float) -> float:
-    return 1.0 if t == 0.0 else -math.log1p(-t) / t
 
 
 # -- 1 & 2: the sup-norm formula and its strict sandwich -----------------------
@@ -95,7 +92,7 @@ def check_operator_norm_formula(
         start = time.perf_counter()
         est = operator_norm_witness(t, unit, [witness], radii=radii, angles=angles)
         elapsed = time.perf_counter() - start
-        target = _upper_log_bound(t)
+        target = log_norm_bound(t)
         worst_rel = max(worst_rel, abs(est.value - target) / target)
         worst_time = max(worst_time, elapsed)
     passed = worst_rel <= rel_tol and worst_time < budget_seconds
@@ -265,7 +262,7 @@ def check_resolvent(
         )
     passed = worst_formula <= formula_tol and worst_residual <= residual_tol
     return CheckResult(
-        "resolvent-closed-form",
+        "resolvent-forward-substitution",
         passed,
         f"vs forward substitution {worst_formula:.2e} (tol {formula_tol:.0e}), "
         f"round-trip residual {worst_residual:.2e} (tol {residual_tol:.0e})",
@@ -340,9 +337,8 @@ def check_mean_ergodicity(
     checkpoints = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, horizon]
     worst_decay = 0.0
     monotone = True
-    for _ in range(trials):
-        f = random_series(degree, rng).padded(truncation)
-        trace = ergodic_trace(t, f, checkpoints, "ksup:2")
+    pool = [random_series(degree, rng).padded(truncation) for _ in range(trials)]
+    for trace in ergodic_trace(t, pool, checkpoints, "ksup:2"):
         d = np.array(trace.distances)
         worst_decay = max(worst_decay, float(d[-1] / d[0]))
         if np.any(np.diff(d[2:]) > 1e-12):

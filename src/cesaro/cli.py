@@ -36,16 +36,15 @@ from .operators import CesaroOperator, apply
 from .series import (
     DEFAULT_TRUNCATION,
     TaylorSeries,
-    cauchy_product,
     constant_one,
     from_pairs,
     geometric_series,
-    log_one_minus_series,
+    log_power_series,
     random_series,
     to_pairs,
 )
 from .spectral import ResolventQuery, finite_section_spectrum, eigenpair, product_bound_scan, resolvent_apply
-from .weights import Weight, norm_upper_bound, operator_norm_witness
+from .weights import Weight, log_norm_bound, norm_upper_bound, operator_norm_witness
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -237,12 +236,7 @@ def _build_witnesses(specs, t: float, cfg: ExperimentConfig):
                 raise ValueError("the g0 witness needs t < 1")
             out.append(geometric_series(t, cfg.truncation))
         elif spec.startswith("logpow:"):
-            n = int(spec.split(":", 1)[1])
-            base = log_one_minus_series(cfg.truncation)
-            power = base
-            for _ in range(n - 1):
-                power = cauchy_product(power, base, max_degree=cfg.truncation)
-            out.append(power)
+            out.append(log_power_series(int(spec.split(":", 1)[1]), cfg.truncation))
         elif spec.startswith("random:"):
             count = int(spec.split(":", 1)[1])
             out.extend(random_series(cfg.degree, rng) for _ in range(count))
@@ -276,10 +270,10 @@ def cmd_norm(args) -> int:
     for t in cfg.t_list:
         witnesses = _build_witnesses(witness_specs, t, cfg)
         est = operator_norm_witness(t, v, witnesses, radii=cfg.radii, angles=cfg.angles)
-        log_bound = 1.0 if t == 0.0 else -np.log1p(-t) / t
+        log_bound = log_norm_bound(t)
         bound = norm_upper_bound(t, v)
         ok = est.value <= bound + 1e-3
-        rows.append((float(t), est.value, float(log_bound), float(bound), ok))
+        rows.append((float(t), est.value, log_bound, float(bound), ok))
     if cfg.out is None and cfg.fmt == "csv":
         for t, est, log_bound, bound, ok in rows:
             flag = "ok" if ok else "VIOLATION"

@@ -15,6 +15,12 @@ simply f[0] * g0.
 The hyperplane {g(0) = 0} is exactly the range of (C - I); the constructive
 preimage below inverts that map, fixing the kernel-direction ambiguity by
 returning the solution with f(0) = 0.
+
+Iterates run over a (batch x coefficients) stack: each step is one
+``cesaro_coefficients`` call for the whole batch.  :func:`ergodic_trace`
+takes a list of series of one truncation and returns one trace per series,
+and :func:`power_bound_certificate` iterates all its random trials
+together; each row's numbers equal those of the series iterated alone.
 """
 
 from __future__ import annotations
@@ -28,13 +34,23 @@ from .series import TaylorSeries, geometric_series
 from .weights import Weight, frechet_norm, weighted_sup_norm
 
 
+def _iterates(t: float, coeffs, n: int):
+    """Yield the iterates C^m x for m = 1..n of a coefficient vector or stack ``x``.
+
+    Each step is one :func:`cesaro_coefficients` call over the whole stack.
+    """
+    current = coeffs
+    for _ in range(n):
+        current = cesaro_coefficients(t, current)
+        yield current
+
+
 def power_apply(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     """n-fold application of the parameter-t operator; exact on the prefix."""
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    coeffs = f.coeffs
-    for _ in range(n):
-        coeffs = cesaro_coefficients(t, coeffs)
+    for coeffs in _iterates(t, f.coeffs, n):
+        pass
     return TaylorSeries(coeffs)
 
 
@@ -46,10 +62,8 @@ def cesaro_mean(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     """
     if n < 1:
         raise ValueError("averaging horizon must be >= 1")
-    current = f.coeffs
     total = np.zeros(len(f.coeffs), dtype=complex)
-    for _ in range(n):
-        current = cesaro_coefficients(t, current)
+    for current in _iterates(t, f.coeffs, n):
         total += current
     return TaylorSeries(total / n)
 
@@ -109,40 +123,49 @@ class ErgodicTrace:
 
 
 def _norm_from_tag(tag: str):
+    """The tagged norm as a map from a (batch x coefficients) stack to one value per row."""
     tag = tag.strip()
-    if tag.startswith("k:"):
+    if tag.startswith(("k:", "ksup:")):
         k = int(tag.split(":", 1)[1])
-        return lambda f: frechet_norm(f, k, "sum")
-    if tag.startswith("ksup:"):
-        k = int(tag.split(":", 1)[1])
-        return lambda f: frechet_norm(f, k, "sup")
+        flavor = "sum" if tag.startswith("k:") else "sup"
+        return lambda stack: np.array([frechet_norm(TaylorSeries(row), k, flavor) for row in stack])
     if tag == "unit" or tag.startswith("gamma:"):
         v = Weight.from_spec(tag)
-        return lambda f: weighted_sup_norm(f, v).value
+        return lambda stack: np.array([e.value for e in weighted_sup_norm(stack, v)])
     raise ValueError(f"unknown norm tag {tag!r}")
 
 
-def ergodic_trace(t: float, f: TaylorSeries, n_values, norm_tag: str = "ksup:2") -> ErgodicTrace:
+def ergodic_trace(t: float, f, n_values, norm_tag: str = "ksup:2"):
     """Distances ||mean_n(f) - limit|| at the requested checkpoints.
 
     Runs one incremental sweep up to max(n_values), measuring at each
-    checkpoint with the tagged norm.
+    checkpoint with the tagged norm.  ``f`` is one series (returns one
+    trace) or a list of series of one truncation (returns one trace per
+    series); a list is swept as one stack, each trace equal to its series'
+    own.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     norm = _norm_from_tag(norm_tag)
-    limit = ergodic_limit_projection(t, f).coeffs
+    single = isinstance(f, TaylorSeries)
+    series = [f] if single else list(f)
+    if not series or len({len(g.coeffs) for g in series}) != 1:
+        raise ValueError("a trace batch needs one or more series of one truncation")
+    stack = np.array([g.coeffs for g in series])
+    limit = np.array([ergodic_limit_projection(t, g).coeffs for g in series])
     checkpoints = set(n_values)
-    current = f.coeffs
-    total = np.zeros(len(f.coeffs), dtype=complex)
+    total = np.zeros_like(stack)
     distances = {}
-    for step in range(1, n_values[-1] + 1):
-        current = cesaro_coefficients(t, current)
+    for step, current in enumerate(_iterates(t, stack, n_values[-1]), start=1):
         total += current
         if step in checkpoints:
-            distances[step] = norm(TaylorSeries(total / step - limit))
-    return ErgodicTrace(tuple(n_values), tuple(distances[n] for n in n_values), norm_tag)
+            distances[step] = norm(total / step - limit)
+    traces = [
+        ErgodicTrace(tuple(n_values), tuple(float(distances[n][i]) for n in n_values), norm_tag)
+        for i in range(len(series))
+    ]
+    return traces[0] if single else traces
 
 
 @dataclass(frozen=True)
@@ -190,23 +213,23 @@ def power_bound_certificate(
     rng = np.random.default_rng(seed)
     ratios = 1.0 - 1.0 / k
     powers = ratios ** np.arange(degree + 1)
-    sup_excess = 0.0
-    weighted_excess = {float(g): 0.0 for g in gammas}
+    trials_stack = np.array(
+        [rng.random(degree + 1) + 1j * rng.random(degree + 1) for _ in range(trials)]
+    ).reshape(trials, degree + 1)
     weights = {float(g): Weight.standard(g) for g in gammas}
-    for _ in range(trials):
-        f = rng.random(degree + 1) + 1j * rng.random(degree + 1)
-        base = float(np.max(np.abs(f) * powers))
-        base_weighted = {
-            g: weighted_sup_norm(TaylorSeries(f), w, radii, angles, refine=False).value
-            for g, w in weights.items()
-        }
-        current = f
-        for _ in range(n_max):
-            current = cesaro_coefficients(t, current)
-            sup_excess = max(sup_excess, float(np.max(np.abs(current) * powers)) - base)
-            for g, w in weights.items():
-                iterate_norm = weighted_sup_norm(
-                    TaylorSeries(current), w, radii, angles, refine=False
-                ).value
-                weighted_excess[g] = max(weighted_excess[g], iterate_norm - base_weighted[g])
-    return PowerBoundReport(t, k, trials, n_max, sup_excess, weighted_excess)
+    weighted_norms = lambda stack, w: np.array(
+        [e.value for e in weighted_sup_norm(stack, w, radii, angles, refine=False)]
+    )
+    base = np.max(np.abs(trials_stack) * powers, axis=1)
+    base_weighted = {g: weighted_norms(trials_stack, w) for g, w in weights.items()}
+    sup_excess = np.zeros(trials)
+    weighted_excess = {g: np.zeros(trials) for g in weights}
+    for current in _iterates(t, trials_stack, n_max):
+        sup_excess = np.maximum(sup_excess, np.max(np.abs(current) * powers, axis=1) - base)
+        for g, w in weights.items():
+            excess = weighted_norms(current, w) - base_weighted[g]
+            weighted_excess[g] = np.maximum(weighted_excess[g], excess)
+    worst = lambda excess: float(np.max(excess, initial=0.0))
+    return PowerBoundReport(
+        t, k, trials, n_max, worst(sup_excess), {g: worst(e) for g, e in weighted_excess.items()}
+    )

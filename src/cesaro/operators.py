@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import ztbtrs
 from scipy.signal import lfilter
 
-from .series import TaylorSeries, cauchy_product, evaluate_many, log_one_minus_series
+from .series import TaylorSeries, evaluate_many, log_power_series
 
 _STRATEGIES = ("recurrence", "matrix", "quadrature")
 
@@ -70,10 +70,14 @@ class InverseOperator:
 
 
 def cesaro_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array fast path: prefix recurrence s[n] = t*s[n-1] + x[n], out = s/(n+1)."""
+    """Raw-array fast path: prefix recurrence s[n] = t*s[n-1] + x[n], out = s/(n+1).
+
+    Runs along the last axis, so a (batch x coefficients) stack of
+    equal-length series is one call; each row equals its own one-row result.
+    """
     coeffs = np.asarray(coeffs, dtype=complex)
-    prefix = lfilter([1.0], [1.0, -float(t)], coeffs)
-    return prefix / np.arange(1, len(coeffs) + 1)
+    prefix = lfilter([1.0], [1.0, -float(t)], coeffs, axis=-1)
+    return prefix / np.arange(1, coeffs.shape[-1] + 1)
 
 
 def operator_matrix(t: float, size: int) -> np.ndarray:
@@ -171,16 +175,11 @@ def classical_c1_log_image(n: int, truncation: int) -> tuple[TaylorSeries, Taylo
     """Input/image pair for the t = 1 averaging of ``(log(1-z))**n``.
 
     Returns the degree-``truncation`` coefficients of ``f = (log(1-z))**n``
-    (built by repeated Cauchy products of the log series) together with the
+    (:func:`~cesaro.series.log_power_series`) together with the
     image of ``f`` under the t = 1 operator.  The image's exact closed form
     is ``-(log(1-z))**(n+1) / ((n+1) z)``; tests hold the returned image to
     that within 1e-10.
     """
-    if n < 1:
-        raise ValueError("log-power exponent must be >= 1")
-    base = log_one_minus_series(truncation)
-    power = base
-    for _ in range(n - 1):
-        power = cauchy_product(power, base, max_degree=truncation)
+    power = log_power_series(n, truncation)
     image = apply(CesaroOperator(1.0), power)
     return power, image

@@ -231,6 +231,20 @@ def log_one_minus_series(degree: int) -> TaylorSeries:
     return TaylorSeries(out)
 
 
+def log_power_series(n: int, truncation: int) -> TaylorSeries:
+    """Truncation of ``(log(1-z))**n`` for n >= 1, by repeated Cauchy products.
+
+    Every product is capped at degree ``truncation``; the prefix is exact.
+    """
+    if n < 1:
+        raise ValueError("log-power exponent must be >= 1")
+    base = log_one_minus_series(truncation)
+    power = base
+    for _ in range(n - 1):
+        power = cauchy_product(power, base, max_degree=truncation)
+    return power
+
+
 def random_series(degree: int, rng: np.random.Generator) -> TaylorSeries:
     """Random test function: coefficients uniform on the complex unit square."""
     return TaylorSeries(rng.random(degree + 1) + 1j * rng.random(degree + 1))

@@ -17,6 +17,14 @@ refine.  An optional golden-section polish along the radius tightens the
 bound; it only ever evaluates the function, so the one-sided semantics
 survive (no extrapolation).
 
+Batches: :func:`circle_max` and :func:`weighted_sup_norm` also take a
+(batch x coefficients) stack, whose rows are series zero-padded to one
+width, and :func:`weighted_sup_norm` takes a list of series of any degrees.
+A batch costs one FFT call per grid radius and one per polish step (one
+radius per row there), and every row's result equals the result for that
+series alone.  :func:`operator_norm_witness` measures its witnesses and
+their images as one batch.
+
 Also here: the compact-set norms q_r(f) = sup_{|z|<=r} |f(z)|, the norm
 families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n with r_k = 1 - 1/k,
 and witness-based lower bounds for operator norms.
@@ -153,25 +161,49 @@ class NormEstimate:
 # -- circle and disc maxima --------------------------------------------------
 
 
-def circle_max(f: TaylorSeries, r: float, angles: int) -> float:
+def circle_max(f, r, angles: int):
     """Max of |f| over ``angles`` equispaced points of the circle |z| = r.
 
     Folds the r-scaled coefficients modulo the grid size and takes one FFT,
     which reproduces the grid maximum exactly (the uniform grid is closed
     under the FFT's angle sign convention).  Accepts r = 0.
+
+    ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
+    (batch x coefficients) stack (returns one maximum per row, each equal
+    to the maximum of that row alone).  With a stack, ``r`` is one radius
+    for all rows or one radius per row; per-row powers are only computed up
+    to each row's last nonzero coefficient.
     """
-    if not 0.0 <= r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     if angles < 1:
         raise ValueError("angle count must be >= 1")
-    scaled = f.coeffs * (r ** np.arange(len(f.coeffs)))
-    if r == 0.0:
-        return float(abs(scaled[0]))
-    width = int(math.ceil(len(scaled) / angles)) * angles
-    buf = np.zeros(width, dtype=complex)
-    buf[: len(scaled)] = scaled
-    folded = buf.reshape(-1, angles).sum(axis=0)
-    return float(np.max(np.abs(np.fft.fft(folded))))
+    single = isinstance(f, TaylorSeries)
+    coeffs = f.coeffs[None, :] if single else np.asarray(f, dtype=complex)
+    rows, width = coeffs.shape
+    n = np.arange(width)
+    # |f(0)| by hypot, which rounds like the scalar modulus (np.abs of a
+    # complex array may differ from it in the last bit).
+    center = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)
+    if r.ndim == 0:
+        if r == 0.0:
+            return float(center[0]) if single else center
+        powers = float(r) ** n  # one radius: computed once, broadcast over the rows
+    else:
+        last = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
+        powers = np.zeros(coeffs.shape)
+        np.power(r[:, None], n, out=powers, where=n <= last[:, None])
+    scaled = coeffs * powers
+    if width > angles:
+        folds = -(-width // angles)
+        buf = np.zeros((rows, folds * angles), dtype=complex)
+        buf[:, :width] = scaled
+        scaled = buf.reshape(rows, folds, angles).sum(axis=1)
+    peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
+    if r.ndim:
+        peak = np.where(r == 0.0, center, peak)
+    return float(peak[0]) if single else peak
 
 
 def q_r_norm(f: TaylorSeries, r: float, angles: int = DEFAULT_ANGLES) -> float:
@@ -197,52 +229,80 @@ def radial_grid(count: int) -> np.ndarray:
     return 1.0 - 2.0 ** (-np.arange(count) / 4.0)
 
 
+def _coefficient_stack(series) -> tuple[np.ndarray, list[int]]:
+    """A list of series as one zero-padded (batch x coefficients) stack, with the degrees."""
+    if isinstance(series, np.ndarray) and series.ndim == 2:
+        return series, [series.shape[1] - 1] * len(series)
+    degrees = [g.degree for g in series]
+    stack = np.zeros((len(series), max(degrees, default=0) + 1), dtype=complex)
+    for row, g in zip(stack, series):
+        row[: len(g.coeffs)] = g.coeffs
+    return stack, degrees
+
+
 def weighted_sup_norm(
-    f: TaylorSeries,
+    f,
     v: Weight,
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
     refine: bool = True,
-) -> NormEstimate:
+):
     """Grid estimate (a lower bound) of sup_z v(z) |f(z)|.
 
     Takes the max of ``v(r) * circle_max(f, r)`` over the clustered radial
     grid; with ``refine`` a golden-section polish of the radius around the
     grid argmax tightens the estimate.  Both passes only evaluate the
     function, so the result never exceeds the true supremum.
+
+    ``f`` is a :class:`TaylorSeries` (returns one :class:`NormEstimate`), or
+    a list of series or a (batch x coefficients) stack (returns one estimate
+    per series).  A batch takes one stacked ``circle_max`` per radius and
+    per polish step, and each estimate equals that of its series alone.
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
+    single = isinstance(f, TaylorSeries)
+    stack, degrees = _coefficient_stack([f] if single else f)
     rs = radial_grid(radii)
-    weighted = lambda r: float(v(r)) * circle_max(f, float(r), angles)
-    vals = np.array([weighted(r) for r in rs])
-    j = int(np.argmax(vals))
-    best = float(vals[j])
+    vals = np.empty((len(stack), radii))
+    for col, r in enumerate(rs):
+        vals[:, col] = float(v(r)) * circle_max(stack, float(r), angles)
+    j = np.argmax(vals, axis=1)
+    best = vals[np.arange(len(stack)), j]
     if refine:
-        lo = rs[j - 1] if j > 0 else rs[j]
-        hi = rs[j + 1] if j + 1 < len(rs) else min(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
-        best = max(best, _golden_max(weighted, lo, hi))
-    return NormEstimate(best, "grid_estimate", radii, angles, f.degree, refined=refine)
+        lo = rs[np.maximum(j - 1, 0)]
+        outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
+        hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
+        weighted = lambda r: v(r) * circle_max(stack, r, angles)
+        best = np.maximum(best, _golden_max(weighted, lo, hi))
+    estimates = [
+        NormEstimate(float(value), "grid_estimate", radii, angles, degree, refined=refine)
+        for value, degree in zip(best, degrees)
+    ]
+    return estimates[0] if single else estimates
 
 
-def _golden_max(fn, lo: float, hi: float, iterations: int = 40) -> float:
-    """Golden-section search for a maximum; returns the best sampled value."""
+def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.ndarray:
+    """Golden-section search for a maximum on each row's [lo, hi]; the best sampled values.
+
+    The rows run in lockstep: each step evaluates ``fn`` once, at one new
+    radius per row.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    best = max(fc, fd)
+    best = np.maximum(fc, fd)
     for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        best = max(best, fc, fd)
+        left = fc >= fd  # the maximum lies in [a, d]: d becomes b, c becomes d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = fn(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+        best = np.maximum(best, np.maximum(fc, fd))
     return best
 
 
@@ -283,6 +343,11 @@ def gamma_norm_bound(gamma: float, samples: int = 20001) -> float:
     return m_gamma / gamma
 
 
+def log_norm_bound(t: float) -> float:
+    """-log(1-t)/t, with its limit 1 at t = 0: the operator norm on the unit-weight space."""
+    return 1.0 if t == 0.0 else -math.log1p(-t) / t
+
+
 def norm_upper_bound(t: float, v: Weight) -> float:
     """Proven upper bound for the operator norm on the weighted space of ``v``.
 
@@ -292,7 +357,7 @@ def norm_upper_bound(t: float, v: Weight) -> float:
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("norm bounds are available for t in [0, 1) only")
-    generic = 1.0 if t == 0.0 else -math.log1p(-t) / t
+    generic = log_norm_bound(t)
     if v.kind == "standard_gamma":
         if v.gamma >= 1.0:
             return 1.0
@@ -311,22 +376,23 @@ def operator_norm_witness(
     """Witness-based lower bound for the operator norm on the weighted space.
 
     Returns the largest ratio ``|image of w| / |w|`` of weighted sup-norm
-    grid estimates over the witness list.  Rejects t = 1: the averaging
-    operator does not act on the weighted sup-norm spaces at t = 1 (its image
-    of a bounded function need not be bounded), so no norm is defined there.
+    grid estimates over the witness list; the witnesses and their images are
+    measured as one batch, in one :func:`weighted_sup_norm` call.  Rejects
+    t = 1: the averaging operator does not act on the weighted sup-norm
+    spaces at t = 1 (its image of a bounded function need not be bounded),
+    so no norm is defined there.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("weighted operator norms are defined for t in [0, 1) only")
     if not witnesses:
         raise ValueError("witness list must be non-empty")
     op = CesaroOperator(t)
-    best = 0.0
-    max_degree = 0
-    for w in witnesses:
-        denom = weighted_sup_norm(w, v, radii, angles, refine).value
-        if denom <= 0.0:
-            raise ValueError("every witness must have positive weighted norm")
-        numer = weighted_sup_norm(apply(op, w), v, radii, angles, refine).value
-        best = max(best, numer / denom)
-        max_degree = max(max_degree, w.degree)
+    images = [apply(op, w) for w in witnesses]
+    estimates = weighted_sup_norm(list(witnesses) + images, v, radii, angles, refine)
+    values = np.array([e.value for e in estimates])
+    denoms, numers = values[: len(witnesses)], values[len(witnesses) :]
+    if np.any(denoms <= 0.0):
+        raise ValueError("every witness must have positive weighted norm")
+    best = float(np.max(numers / denoms))
+    max_degree = max(w.degree for w in witnesses)
     return NormEstimate(best, "lower_witness", radii, angles, max_degree, refined=refine)

@@ -9,6 +9,7 @@ never does.
 import mpmath
 import numpy as np
 import scipy.linalg
+import scipy.signal
 from scipy.special import comb
 
 
@@ -142,3 +143,92 @@ def binomial_eigenvector(t, m, truncation):
 
 def harmonic_number(m):
     return sum(1.0 / k for k in range(1, m + 1))
+
+
+# --- the per-series loops the batched engine replaced -----------------------------
+
+
+def scalar_circle_max(coeffs, r, angles):
+    """One series, one radius: fold the r-scaled coefficients and take one FFT."""
+    scaled = np.asarray(coeffs, dtype=complex) * (r ** np.arange(len(coeffs)))
+    if r == 0.0:
+        return float(abs(scaled[0]))
+    width = int(np.ceil(len(scaled) / angles)) * angles
+    buf = np.zeros(width, dtype=complex)
+    buf[: len(scaled)] = scaled
+    folded = buf.reshape(-1, angles).sum(axis=0)
+    return float(np.max(np.abs(np.fft.fft(folded))))
+
+
+def scalar_golden_max(fn, lo, hi, iterations=40):
+    """Golden-section search for a maximum of a scalar function; the best sampled value."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    best = max(fc, fd)
+    for _ in range(iterations):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def scalar_weighted_sup_norm(coeffs, v, radii, angles, refine=True):
+    """One series: the radial grid r_j = 1 - 2**(-j/4), then the polish around its argmax."""
+    rs = 1.0 - 2.0 ** (-np.arange(radii) / 4.0)
+    weighted = lambda r: float(v(r)) * scalar_circle_max(coeffs, float(r), angles)
+    vals = [weighted(r) for r in rs]
+    j = int(np.argmax(vals))
+    best = float(vals[j])
+    if refine:
+        lo = rs[j - 1] if j > 0 else rs[j]
+        hi = rs[j + 1] if j + 1 < len(rs) else min(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
+        best = max(best, scalar_golden_max(weighted, lo, hi))
+    return best
+
+
+def _iterate(t, coeffs):
+    return scipy.signal.lfilter([1.0], [1.0, -t], coeffs) / np.arange(1, len(coeffs) + 1)
+
+
+def trial_loop_certificate(t, k, trials, n_max, degree, gammas, seed, radii, angles, weight):
+    """Power-boundedness excesses, one trial at a time: (sup excess, {gamma: weighted excess})."""
+    rng = np.random.default_rng(seed)
+    powers = (1.0 - 1.0 / k) ** np.arange(degree + 1)
+    sup_excess = 0.0
+    weighted_excess = {g: 0.0 for g in gammas}
+    norm = lambda c, g: scalar_weighted_sup_norm(c, weight(g), radii, angles, refine=False)
+    for _ in range(trials):
+        f = rng.random(degree + 1) + 1j * rng.random(degree + 1)
+        base = float(np.max(np.abs(f) * powers))
+        base_weighted = {g: norm(f, g) for g in gammas}
+        current = f
+        for _ in range(n_max):
+            current = _iterate(t, current)
+            sup_excess = max(sup_excess, float(np.max(np.abs(current) * powers)) - base)
+            for g in gammas:
+                weighted_excess[g] = max(weighted_excess[g], norm(current, g) - base_weighted[g])
+    return sup_excess, weighted_excess
+
+
+def step_loop_trace(t, coeffs, n_values, norm):
+    """Distances of the ergodic means of one series from f[0]/(1 - tz), one step at a time."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    limit = coeffs[0] * complex(t) ** np.arange(len(coeffs))
+    current = coeffs
+    total = np.zeros(len(coeffs), dtype=complex)
+    distances = []
+    for step in range(1, max(n_values) + 1):
+        current = _iterate(t, current)
+        total += current
+        if step in n_values:
+            distances.append(norm(total / step - limit))
+    return distances

@@ -199,6 +199,10 @@ def test_near_spectral_resolvent_is_validation_error(series_file):
     assert run("resolvent", "--t", "0.5", "--nu", "0.25,0", "--rhs", series_file) == EXIT_VALIDATION
 
 
+def test_nonpositive_log_power_witness_is_validation_error():
+    assert run("norm", "--t", "0.5", "--witness", "logpow:0") == EXIT_VALIDATION
+
+
 def test_bad_weight_spec_is_validation_error():
     assert run("norm", "--t", "0.5", "--weight", "gauss:1") == EXIT_VALIDATION
 
@@ -218,6 +222,7 @@ def test_report_runs_the_full_suite(tmp_path, capsys):
     assert code == EXIT_OK
     shown = capsys.readouterr().out
     assert "15/15 checks passed" in shown
+    assert "PASS  resolvent-forward-substitution: vs forward substitution" in shown
     rows = [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 15
     assert all(",true," in row for row in rows)

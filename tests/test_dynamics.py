@@ -3,7 +3,9 @@ import pytest
 
 from cesaro import (
     CesaroOperator,
+    ErgodicTrace,
     TaylorSeries,
+    Weight,
     apply,
     cesaro_mean,
     eigenpair,
@@ -18,6 +20,7 @@ from cesaro import (
     range_preimage,
     zero_series,
 )
+from oracles import scalar_weighted_sup_norm, step_loop_trace, trial_loop_certificate
 
 
 # --- iterates -----------------------------------------------------------------
@@ -171,6 +174,37 @@ def test_trace_supports_weighted_and_sum_norms():
         assert trace.distances[-1] <= trace.distances[0] + 1e-12
 
 
+def test_trace_batch_equals_the_step_loop():
+    rng = np.random.default_rng(19)
+    pool = [random_series(24, rng).padded(96) for _ in range(4)]
+    checkpoints = [1, 2, 5, 30, 64]
+    n = np.arange(97)
+    norms = {
+        "ksup:2": (lambda c: float(np.max(np.abs(c) * 0.5**n)), 0.0),
+        "k:3": (lambda c: float(np.sum(np.abs(c) * (1.0 - 1.0 / 3.0) ** n)), 0.0),
+        "unit": (lambda c: scalar_weighted_sup_norm(c, Weight.unit(), 64, 1024), 0.0),
+        # the polish evaluates (1 - r)**2.5 on arrays, the oracle on scalars
+        "gamma:2.5": (lambda c: scalar_weighted_sup_norm(c, Weight.standard(2.5), 64, 1024), 1e-14),
+    }
+    for tag, (norm, rtol) in norms.items():
+        traces = ergodic_trace(0.6, pool, checkpoints, tag)
+        assert len(traces) == len(pool)
+        for trace, f in zip(traces, pool):
+            assert trace.n_values == tuple(checkpoints) and trace.norm_tag == tag
+            want = step_loop_trace(0.6, f.coeffs, checkpoints, norm)
+            np.testing.assert_allclose(trace.distances, want, rtol=rtol, atol=0.0)
+    single = ergodic_trace(0.6, pool[1], checkpoints)
+    assert isinstance(single, ErgodicTrace)
+    assert single == ergodic_trace(0.6, pool, checkpoints)[1]
+
+
+def test_trace_batch_needs_series_of_one_truncation():
+    with pytest.raises(ValueError, match="truncation"):
+        ergodic_trace(0.5, [TaylorSeries([1.0, 2.0]), TaylorSeries([1.0])], [1, 2])
+    with pytest.raises(ValueError, match="truncation"):
+        ergodic_trace(0.5, [], [1, 2])
+
+
 def test_trace_rejects_bad_checkpoints():
     with pytest.raises(ValueError):
         ergodic_trace(0.5, TaylorSeries([1.0]), [0, 2])
@@ -185,6 +219,15 @@ def test_certificate_reports_roundoff_level_excess():
     report = power_bound_certificate(0.5, k=2, trials=10, n_max=50, seed=1)
     assert report.sup_norm_excess <= 1e-12
     assert report.weighted_excess[1.0] <= 1e-3
+
+
+def test_certificate_equals_the_trial_loop():
+    args = dict(k=3, trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+    for t in (0.0, 0.5, 0.9):
+        report = power_bound_certificate(t, **args)
+        sup_excess, weighted_excess = trial_loop_certificate(t, weight=Weight.standard, **args)
+        assert report.sup_norm_excess == sup_excess
+        assert report.weighted_excess == weighted_excess
 
 
 def test_certificate_with_several_gammas():

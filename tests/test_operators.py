@@ -13,6 +13,7 @@ from cesaro import (
     apply_integral,
     apply_inverse,
     cauchy_product,
+    cesaro_coefficients,
     classical_c1_log_image,
     constant_one,
     evaluate,
@@ -40,6 +41,14 @@ def test_t_zero_is_the_diagonal_averaging():
 def test_t_one_averages_partial_sums():
     got = apply(CesaroOperator(1.0), TaylorSeries([1.0, 1.0, 1.0]))
     assert got == TaylorSeries([1.0, 1.0, 1.0])
+
+
+def test_stacked_coefficients_equal_the_row_by_row_result():
+    rng = np.random.default_rng(17)
+    stack = rng.random((7, 65)) + 1j * rng.random((7, 65))
+    for t in (0.0, 0.5, 0.99, 1.0):
+        rows = np.array([cesaro_coefficients(t, row) for row in stack])
+        assert np.array_equal(cesaro_coefficients(t, stack), rows)
 
 
 def test_image_of_constant_function():

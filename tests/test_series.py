@@ -13,6 +13,7 @@ from cesaro import (
     from_pairs,
     geometric_series,
     log_one_minus_series,
+    log_power_series,
     max_coeff_diff,
     to_pairs,
 )
@@ -179,3 +180,18 @@ def test_log_series_coefficients():
     assert f.coeffs[1] == -1.0
     assert f.coeffs[2] == -0.5
     np.testing.assert_allclose(f.coeffs[4], -0.25)
+
+
+def test_log_power_series_is_the_capped_convolution_power():
+    base = log_one_minus_series(12).coeffs
+    want = base
+    for _ in range(2):
+        want = naive_convolution(want, base)[:13]
+    np.testing.assert_allclose(log_power_series(3, 12).coeffs, want, rtol=0, atol=1e-15)
+    assert log_power_series(1, 12) == log_one_minus_series(12)
+
+
+def test_log_power_series_rejects_nonpositive_exponent():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="exponent"):
+            log_power_series(n, 8)

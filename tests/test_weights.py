@@ -11,10 +11,12 @@ from cesaro import (
     Weight,
     apply,
     cauchy_product,
+    circle_max,
     constant_one,
     frechet_norm,
     gamma_norm_bound,
     geometric_series,
+    log_norm_bound,
     log_one_minus_series,
     norm_upper_bound,
     operator_norm_witness,
@@ -22,7 +24,7 @@ from cesaro import (
     radial_grid,
     weighted_sup_norm,
 )
-from oracles import brute_circle_max
+from oracles import brute_circle_max, scalar_circle_max, scalar_weighted_sup_norm
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 complex_coeff = st.builds(complex, finite, finite)
@@ -150,6 +152,71 @@ def test_weighted_norm_grid_preconditions():
         weighted_sup_norm(constant_one(), Weight.unit(), angles=4)
 
 
+def _ragged_pool(rng, count):
+    """Random series of degrees 8 and 2048 and of count - 2 degrees in between."""
+    degrees = [8, 2048, *rng.integers(9, 2048, count - 2)]
+    return [TaylorSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) for d in degrees]
+
+
+def _padded_stack(pool):
+    stack = np.zeros((len(pool), max(len(f) for f in pool)), dtype=complex)
+    for row, f in zip(stack, pool):
+        row[: len(f)] = f.coeffs
+    return stack
+
+
+def test_stacked_circle_max_equals_the_per_row_oracle():
+    rng = np.random.default_rng(41)
+    pool = _ragged_pool(rng, 9)
+    stack = _padded_stack(pool)
+    for angles in (64, 1024, 4096):
+        for r in (0.0, 0.3, 0.97):
+            want = [scalar_circle_max(f.coeffs, r, angles) for f in pool]
+            assert np.array_equal(circle_max(stack, r, angles), want)
+            assert circle_max(pool[2], r, angles) == want[2]
+        radii = np.concatenate([[0.0], rng.random(len(pool) - 1)])
+        want = [scalar_circle_max(f.coeffs, r, angles) for f, r in zip(pool, radii)]
+        assert np.array_equal(circle_max(stack, radii, angles), want)
+
+
+def test_circle_max_rejects_a_bad_radius_in_a_stack():
+    stack = np.ones((2, 4), dtype=complex)
+    for radii in (np.array([0.5, 1.0]), np.array([-0.1, 0.5]), np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="radius"):
+            circle_max(stack, radii, 16)
+
+
+TABLE_WEIGHT = Weight.from_table([0.0, 0.5, 0.9, 0.99], [1.0, 0.6, 0.1, 0.01])
+
+
+@pytest.mark.parametrize("spec", ["unit", "table", "gamma:2", "logpow:2"])
+def test_batched_weighted_norm_equals_the_per_series_oracle(spec):
+    v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
+    pool = _ragged_pool(np.random.default_rng(43), 9)
+    for refine in (False, True):
+        # The polish evaluates the weight on an array of radii, the oracle on
+        # one radius at a time; numpy may round power and log1p of the two in
+        # a different last bit.  The weights whose evaluation is exact must
+        # agree exactly, the others to a few ulps.
+        rtol = 1e-14 if refine and spec not in ("unit", "table") else 0.0
+        want = [scalar_weighted_sup_norm(f.coeffs, v, 32, 256, refine) for f in pool]
+        for batch in (pool, _padded_stack(pool)):
+            got = weighted_sup_norm(batch, v, radii=32, angles=256, refine=refine)
+            np.testing.assert_allclose([e.value for e in got], want, rtol=rtol, atol=0.0)
+        assert [e.truncation for e in weighted_sup_norm(pool, v, 32, 256, refine)] == [f.degree for f in pool]
+        single = weighted_sup_norm(pool[3], v, radii=32, angles=256, refine=refine)
+        np.testing.assert_allclose(single.value, want[3], rtol=rtol, atol=0.0)
+
+
+def test_witness_bound_equals_the_largest_per_witness_ratio():
+    pool = _ragged_pool(np.random.default_rng(47), 5)
+    v, t = Weight.unit(), 0.6
+    est = operator_norm_witness(t, v, pool, radii=16, angles=256)
+    norm = lambda f: scalar_weighted_sup_norm(f.coeffs, v, 16, 256)
+    assert est.value == max(norm(apply(CesaroOperator(t), w)) / norm(w) for w in pool)
+    assert est.truncation == 2048
+
+
 def test_radial_grid_clusters_toward_one():
     rs = radial_grid(16)
     assert rs[0] == 0.0
@@ -231,6 +298,13 @@ def test_upper_bound_combines_log_and_gamma_branches():
     assert norm_upper_bound(0.9, Weight.standard(2.0)) == 1.0
     np.testing.assert_allclose(norm_upper_bound(0.5, Weight.unit()), 2.0 * math.log(2.0))
     assert norm_upper_bound(0.0, Weight.unit()) == 1.0
+
+
+def test_log_norm_bound_is_the_unit_weight_norm():
+    assert log_norm_bound(0.0) == 1.0
+    for t in (1e-9, 0.3, 0.9, 0.999):
+        assert log_norm_bound(t) == -math.log1p(-t) / t
+        assert norm_upper_bound(t, Weight.unit()) == log_norm_bound(t)
 
 
 # --- operator norm witnesses --------------------------------------------------------
