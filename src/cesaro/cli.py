@@ -11,7 +11,8 @@ lemma-bounds  infinite-product growth scan n, p_n, scaled
 ergodic       distances of ergodic means from their limit, per checkpoint
 report        run the full formula-reproduction suite and tabulate it
 
-Exit codes: 0 success, 1 internal error, 2 validation error, 64 usage error.
+Exit codes: 0 success, 1 internal error, 2 validation error (bad input,
+including a missing or unreadable input file), 64 usage error.
 
 Defaults come from an optional flat TOML-style config file (``key = value``
 lines; ``--config`` to point at it); explicit flags always win.  CSV output
@@ -30,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import specs
 from .acceptance import run_all_checks
 from .dynamics import ergodic_trace
 from .operators import CesaroOperator, apply
@@ -189,6 +191,20 @@ def write_json(payload, cfg: ExperimentConfig):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
 
 
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def write_table(header, rows, cfg: ExperimentConfig, meta: dict):
+    """A table artifact: CSV with ``# key=value`` meta lines, or JSON ``{**meta, "rows", "config"}``."""
+    if cfg.fmt == "json":
+        records = [{key: _plain(cell) for key, cell in zip(header, row)} for row in rows]
+        plain_meta = {key: _plain(value) for key, value in meta.items()}
+        write_json({**plain_meta, "rows": records, "config": cfg.short_hash()}, cfg)
+    else:
+        write_csv(header, rows, cfg, meta)
+
+
 def _series_artifact(f: TaylorSeries, cfg: ExperimentConfig, meta: dict | None = None):
     if cfg.fmt == "json":
         write_json(to_pairs(f), cfg)
@@ -209,39 +225,27 @@ def load_series(path: str) -> TaylorSeries:
     return from_pairs(json.loads(p.read_text()))
 
 
-def _parse_nu(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"--nu expects 're' or 're,im', got {text!r}")
-
-
 def _single_t(cfg: ExperimentConfig) -> float:
     if len(cfg.t_list) != 1:
         raise ValueError("this subcommand needs exactly one t")
     return cfg.t_list[0]
 
 
-def _build_witnesses(specs, t: float, cfg: ExperimentConfig):
+def _build_witnesses(parsed, t: float, cfg: ExperimentConfig):
+    """The witness pool at ``t`` from parsed witness specs; random draws restart at the seed."""
     rng = np.random.default_rng(cfg.seed)
     out = []
-    for spec in specs:
-        spec = spec.strip()
-        if spec == "f1":
+    for name, arg in parsed:
+        if name == "f1":
             out.append(constant_one(cfg.truncation))
-        elif spec == "g0":
+        elif name == "g0":
             if t >= 1.0:
                 raise ValueError("the g0 witness needs t < 1")
             out.append(geometric_series(t, cfg.truncation))
-        elif spec.startswith("logpow:"):
-            out.append(log_power_series(int(spec.split(":", 1)[1]), cfg.truncation))
-        elif spec.startswith("random:"):
-            count = int(spec.split(":", 1)[1])
-            out.extend(random_series(cfg.degree, rng) for _ in range(count))
+        elif name == "logpow":
+            out.append(log_power_series(arg, cfg.truncation))
         else:
-            raise ValueError(f"unknown witness spec {spec!r} (f1, g0, logpow:<n>, random:<k>)")
+            out.extend(random_series(cfg.degree, rng) for _ in range(arg))
     return out
 
 
@@ -251,8 +255,8 @@ def _build_witnesses(specs, t: float, cfg: ExperimentConfig):
 def cmd_apply(args) -> int:
     cfg = _config_from(args)
     f = load_series(args.input)
-    op = CesaroOperator(_single_t(cfg), args.strategy)
-    _series_artifact(apply(op, f), cfg, {"t": op.t, "strategy": op.strategy})
+    op = CesaroOperator(_single_t(cfg))
+    _series_artifact(apply(op, f), cfg, {"t": op.t})
     return EXIT_OK
 
 
@@ -265,10 +269,10 @@ def cmd_norm(args) -> int:
             file=sys.stderr,
         )
     v = Weight.from_spec(cfg.weight)
-    witness_specs = (args.witness or "f1").split(",")
+    parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     rows = []
     for t in cfg.t_list:
-        witnesses = _build_witnesses(witness_specs, t, cfg)
+        witnesses = _build_witnesses(parsed, t, cfg)
         est = operator_norm_witness(t, v, witnesses, radii=cfg.radii, angles=cfg.angles)
         log_bound = log_norm_bound(t)
         bound = norm_upper_bound(t, v)
@@ -281,21 +285,8 @@ def cmd_norm(args) -> int:
                 f"t={t:g}  estimate={est:.6f}  bound[-log(1-t)/t]={log_bound:.6f}  "
                 f"weight_bound={bound:.6f}  {flag}"
             )
-        return EXIT_OK if all(row[4] for row in rows) else EXIT_INTERNAL
-    if cfg.fmt == "json":
-        write_json(
-            {
-                "weight": v.label,
-                "rows": [
-                    {"t": r[0], "estimate": r[1], "log_bound": r[2], "weight_bound": r[3], "ok": r[4]}
-                    for r in rows
-                ],
-                "config": cfg.short_hash(),
-            },
-            cfg,
-        )
     else:
-        write_csv(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": v.label})
+        write_table(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": v.label})
     return EXIT_OK if all(row[4] for row in rows) else EXIT_INTERNAL
 
 
@@ -318,15 +309,14 @@ def cmd_eigen(args) -> int:
             cfg,
         )
     else:
-        rows = [(n, float(c.real), float(c.imag)) for n, c in enumerate(pair.series.coeffs)]
-        write_csv(("n", "re", "im"), rows, cfg, {"m": pair.m, "eigenvalue": pair.eigenvalue})
+        _series_artifact(pair.series, cfg, {"m": pair.m, "eigenvalue": pair.eigenvalue})
     return EXIT_OK
 
 
 def cmd_resolvent(args) -> int:
     cfg = _config_from(args)
     rhs = load_series(args.rhs)
-    query = ResolventQuery(_parse_nu(args.nu), rhs)
+    query = ResolventQuery(specs.parse_arg("nu", args.nu, "re[,im]"), rhs)
     series = resolvent_apply(query, _single_t(cfg))
     _series_artifact(series, cfg, {"nu": args.nu, "t": _single_t(cfg)})
     return EXIT_OK
@@ -334,8 +324,8 @@ def cmd_resolvent(args) -> int:
 
 def cmd_lemma_bounds(args) -> int:
     cfg = _config_from(args)
-    report = product_bound_scan(_parse_nu(args.nu), args.nmax)
-    rows = list(zip(report.n_values, report.p_values, report.scaled))
+    report = product_bound_scan(specs.parse_arg("nu", args.nu, "re[,im]"), args.nmax)
+    rows = zip(report.n_values, report.p_values, report.scaled)
     meta = {
         "nu": args.nu,
         "alpha": report.alpha,
@@ -343,17 +333,7 @@ def cmd_lemma_bounds(args) -> int:
         "D_hat": report.D_hat,
         "tail_slope": report.tail_slope,
     }
-    if cfg.fmt == "json":
-        write_json(
-            {
-                "rows": [{"n": int(n), "p_n": float(p), "scaled": float(s)} for n, p, s in rows],
-                **{k: (float(v) if isinstance(v, (int, float)) else v) for k, v in meta.items()},
-                "config": cfg.short_hash(),
-            },
-            cfg,
-        )
-    else:
-        write_csv(("n", "p_n", "scaled"), rows, cfg, meta)
+    write_table(("n", "p_n", "scaled"), rows, cfg, meta)
     return EXIT_OK
 
 
@@ -367,18 +347,7 @@ def cmd_ergodic(args) -> int:
         n *= 2
     checkpoints.append(args.nmax)
     trace = ergodic_trace(_single_t(cfg), f, checkpoints, args.norm)
-    rows = list(zip(trace.n_values, trace.distances))
-    if cfg.fmt == "json":
-        write_json(
-            {
-                "rows": [{"n": int(n), "distance": float(d)} for n, d in rows],
-                "norm": trace.norm_tag,
-                "config": cfg.short_hash(),
-            },
-            cfg,
-        )
-    else:
-        write_csv(("n", "distance"), rows, cfg, {"norm": trace.norm_tag})
+    write_table(("n", "distance"), zip(trace.n_values, trace.distances), cfg, {"norm": trace.norm_tag})
     return EXIT_OK
 
 
@@ -412,7 +381,7 @@ def _add_common(sub):
     sub.add_argument("--N", type=int, help="truncation degree")
     sub.add_argument("--radii", type=int, help="radial grid count")
     sub.add_argument("--angles", type=int, help="angle grid count")
-    sub.add_argument("--weight", help="unit | gamma:<float> | logpow:<int> | table:<path.csv>")
+    sub.add_argument("--weight", help=specs.forms(specs.WEIGHTS))
     sub.add_argument("--seed", type=int, help="seed for random test functions")
     sub.add_argument("--degree", type=int, help="degree of random test functions")
     sub.add_argument("--out", help="artifact path (stdout when omitted)")
@@ -426,14 +395,11 @@ def build_parser() -> _Parser:
     sub = commands.add_parser("apply", parents=[], help="apply the operator to a series file")
     _add_common(sub)
     sub.add_argument("--input", required=True, help="series file (.json pairs or .csv n,re,im)")
-    sub.add_argument(
-        "--strategy", choices=("recurrence", "matrix", "quadrature"), default="recurrence"
-    )
     sub.set_defaults(handler=cmd_apply)
 
     sub = commands.add_parser("norm", help="witness norm estimates vs proven bounds")
     _add_common(sub)
-    sub.add_argument("--witness", help="comma list: f1 | g0 | logpow:<n> | random:<k>")
+    sub.add_argument("--witness", help="comma list: " + specs.forms(specs.WITNESSES))
     sub.set_defaults(handler=cmd_norm)
 
     sub = commands.add_parser("spectrum", help="finite-section eigenvalue ladder")
@@ -461,7 +427,7 @@ def build_parser() -> _Parser:
     _add_common(sub)
     sub.add_argument("--input", required=True, help="series file")
     sub.add_argument("--nmax", type=int, default=1024, help="largest averaging horizon")
-    sub.add_argument("--norm", default="ksup:2", help="k:<int> | ksup:<int> | gamma:<float> | unit")
+    sub.add_argument("--norm", default="ksup:2", help=specs.forms(specs.NORM_TAGS))
     sub.set_defaults(handler=cmd_ergodic)
 
     sub = commands.add_parser("report", help="run the formula-reproduction suite")
@@ -482,7 +448,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input: a spec, a value or an input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - the catch-all contract line

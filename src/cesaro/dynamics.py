@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specs
 from .operators import bidiagonal_solve, cesaro_coefficients, inverse_coefficients
 from .series import TaylorSeries, geometric_series
 from .weights import Weight, frechet_norm, weighted_sup_norm
@@ -124,15 +125,12 @@ class ErgodicTrace:
 
 def _norm_from_tag(tag: str):
     """The tagged norm as a map from a (batch x coefficients) stack to one value per row."""
-    tag = tag.strip()
-    if tag.startswith(("k:", "ksup:")):
-        k = int(tag.split(":", 1)[1])
-        flavor = "sum" if tag.startswith("k:") else "sup"
-        return lambda stack: np.array([frechet_norm(TaylorSeries(row), k, flavor) for row in stack])
-    if tag == "unit" or tag.startswith("gamma:"):
-        v = Weight.from_spec(tag)
-        return lambda stack: np.array([e.value for e in weighted_sup_norm(stack, v)])
-    raise ValueError(f"unknown norm tag {tag!r}")
+    name, arg = specs.parse("norm tag", tag, specs.NORM_TAGS)
+    if name in ("k", "ksup"):
+        flavor = "sum" if name == "k" else "sup"
+        return lambda stack: np.array([frechet_norm(TaylorSeries(row), arg, flavor) for row in stack])
+    v = Weight.unit() if name == "unit" else Weight.standard(arg)
+    return lambda stack: np.array([e.value for e in weighted_sup_norm(stack, v)])
 
 
 def ergodic_trace(t: float, f, n_values, norm_tag: str = "ksup:2"):

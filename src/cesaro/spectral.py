@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import bidiagonal_solve, inverse_coefficients, operator_matrix
+from .operators import bidiagonal_solve, inverse_coefficients
 from .series import TaylorSeries, random_series
 from .weights import frechet_norm
 
@@ -142,26 +142,17 @@ def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
 # -- finite sections ------------------------------------------------------------
 
 
-def finite_section_spectrum(t: float, size: int, cross_check: bool = False) -> np.ndarray:
+def finite_section_spectrum(t: float, size: int) -> np.ndarray:
     """Eigenvalues of the size x size coefficient section: exactly {1/(n+1)}.
 
     The section is lower triangular, so the spectrum is its diagonal and does
-    not depend on t.  With ``cross_check`` (capped at size 64 to stay cheap) a
-    dense eigensolver must reproduce the ladder within 1e-8.
+    not depend on t.
     """
     if size < 1:
         raise ValueError("section size must be >= 1")
     if not 0.0 <= t <= 1.0:
         raise ValueError("parameter t must lie in [0, 1]")
-    diagonal = eigenvalues(size)
-    if cross_check:
-        if size > 64:
-            raise ValueError("dense eigensolver cross-check is capped at size 64")
-        dense = np.linalg.eigvals(operator_matrix(t, size))
-        dense = np.sort_complex(dense)[::-1]
-        if np.max(np.abs(dense - diagonal)) > 1e-8:
-            raise RuntimeError("dense eigensolver disagrees with the triangular diagonal")
-    return diagonal
+    return eigenvalues(size)
 
 
 # -- infinite product growth ----------------------------------------------------
@@ -195,6 +186,8 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     scan safe out to n ~ 1e4 even when n**alpha alone would under/overflow.
     """
     nu = complex(nu)
+    if not np.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
     if spectrum_distance(nu) < 1e-9:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import specs
 from .operators import CesaroOperator, apply
 from .series import TaylorSeries
 
@@ -110,19 +111,16 @@ class Weight:
 
     @classmethod
     def from_spec(cls, spec: str) -> "Weight":
-        """Parse ``unit``, ``gamma:<float>``, ``logpow:<int>`` or ``table:<path.csv>``."""
-        spec = spec.strip()
-        if spec == "unit":
+        """Parse ``unit``, ``gamma:<float>``, ``logpow:<int>`` or ``table:<path>`` (a CSV of ``r,v``)."""
+        name, arg = specs.parse("weight spec", spec, specs.WEIGHTS)
+        if name == "unit":
             return cls.unit()
-        if spec.startswith("gamma:"):
-            return cls.standard(float(spec.split(":", 1)[1]))
-        if spec.startswith("logpow:"):
-            return cls.log_power(int(spec.split(":", 1)[1]))
-        if spec.startswith("table:"):
-            path = spec.split(":", 1)[1]
-            rows = np.loadtxt(path, delimiter=",", ndmin=2)
-            return cls.from_table(rows[:, 0], rows[:, 1])
-        raise ValueError(f"unrecognized weight spec {spec!r}")
+        if name == "gamma":
+            return cls.standard(arg)
+        if name == "logpow":
+            return cls.log_power(arg)
+        rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        return cls.from_table(rows[:, 0], rows[:, 1])
 
     # -- evaluation --------------------------------------------------------
 

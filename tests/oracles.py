@@ -48,6 +48,15 @@ def dense_cesaro_matrix(t, size):
     return mat
 
 
+def elementwise_operator_matrix(t, size):
+    """The section with ``t`` raised to every entry of the size x size shift grid."""
+    n = np.arange(size)
+    shift = np.subtract.outer(n, n)
+    with np.errstate(invalid="ignore"):
+        powers = np.where(shift >= 0, float(t) ** np.clip(shift, 0, None), 0.0)
+    return powers / (n[:, None] + 1.0)
+
+
 def naive_convolution(a, b):
     """Cauchy product by explicit double loop, full degree."""
     out = np.zeros(len(a) + len(b) - 1, dtype=complex)

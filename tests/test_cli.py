@@ -201,10 +201,49 @@ def test_near_spectral_resolvent_is_validation_error(series_file):
 
 def test_nonpositive_log_power_witness_is_validation_error():
     assert run("norm", "--t", "0.5", "--witness", "logpow:0") == EXIT_VALIDATION
+    assert run("norm", "--t", "0.5", "--witness", "random:-3,f1") == EXIT_VALIDATION
+    assert run("norm", "--t", "0.5", "--witness", "random:0") == EXIT_VALIDATION
 
 
 def test_bad_weight_spec_is_validation_error():
     assert run("norm", "--t", "0.5", "--weight", "gauss:1") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("norm", "--t", "0.5", "--weight", "gamma:"), "weight spec"),
+        (("ergodic", "--t", "0.5", "--input", "{series}", "--norm", "logpow:1"), "norm tag"),
+        (("norm", "--t", "0.5", "--witness", "f1:2"), "witness spec"),
+        (("lemma-bounds", "--nu", "0.4,0.8,1"), "nu"),
+    ],
+)
+def test_malformed_spec_of_each_kind_is_validation_error(argv, kind, series_file, capsys):
+    assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: bad {kind} ")
+
+
+def test_non_finite_nu_is_validation_error():
+    assert run("lemma-bounds", "--nu", "nan") == EXIT_VALIDATION
+    assert run("lemma-bounds", "--nu", "inf,0") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--t", "0.5", "--input", "{missing}.json"),
+        ("resolvent", "--t", "0.5", "--nu", "2", "--rhs", "{missing}.csv"),
+        ("spectrum", "--t", "0.5", "--config", "{missing}.toml"),
+        ("norm", "--t", "0.5", "--weight", "table:{missing}.csv"),
+        ("apply", "--t", "0.5", "--input", "{dir}"),
+    ],
+)
+def test_missing_or_unreadable_input_file_is_validation_error(argv, tmp_path, capsys):
+    paths = {"{missing}": str(tmp_path / "no_such_file"), "{dir}": str(tmp_path)}
+    for placeholder, path in paths.items():
+        argv = tuple(arg.replace(placeholder, path) for arg in argv)
+    assert run(*argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_bad_config_key_is_validation_error(tmp_path):

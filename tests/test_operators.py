@@ -25,7 +25,7 @@ from cesaro import (
     weighted_sup_norm,
 )
 from cesaro.operators import bidiagonal_solve
-from oracles import harmonic_number, naive_cesaro_apply, naive_convolution
+from oracles import elementwise_operator_matrix, harmonic_number, naive_cesaro_apply, naive_convolution
 
 
 # --- apply: the defining examples ------------------------------------------------
@@ -77,33 +77,32 @@ def test_parameter_range_is_validated():
         CesaroOperator(-0.1)
     with pytest.raises(ValueError):
         CesaroOperator(1.1)
-    with pytest.raises(ValueError):
-        CesaroOperator(0.5, strategy="magic")
 
 
-# --- strategies ---------------------------------------------------------------------
+# --- the dense matrix section ---------------------------------------------------------
 
 
-def test_recurrence_and_matrix_strategies_agree():
+def test_recurrence_matches_the_matrix_section():
     rng = np.random.default_rng(23)
     for t in (0.0, 0.4, 0.95):
         f = TaylorSeries(rng.random(257) + 1j * rng.random(257))
-        a = apply(CesaroOperator(t, "recurrence"), f)
-        b = apply(CesaroOperator(t, "matrix"), f)
+        a = apply(CesaroOperator(t), f)
+        b = TaylorSeries(operator_matrix(t, 257) @ f.coeffs)
         scale = float(np.max(np.abs(a.coeffs)))
         assert max_coeff_diff(a, b) <= 1e-13 * scale
-
-
-def test_quadrature_strategy_self_check_passes():
-    rng = np.random.default_rng(29)
-    f = TaylorSeries(rng.random(97) + 1j * rng.random(97))
-    apply(CesaroOperator(0.7, "quadrature"), f)  # raises on disagreement
 
 
 def test_matrix_section_entries():
     m = operator_matrix(0.5, 3)
     want = np.array([[1.0, 0.0, 0.0], [0.25, 0.5, 0.0], [1 / 12, 1 / 6, 1 / 3]])
     np.testing.assert_allclose(m, want, rtol=1e-15)
+
+
+def test_matrix_section_equals_elementwise_powers_bitwise():
+    for t in (0.0, 0.3, 0.7, 0.99, 1.0):
+        for size in (1, 2, 65, 513):
+            got = operator_matrix(t, size)
+            assert got.tobytes() == elementwise_operator_matrix(t, size).tobytes()
 
 
 # --- integral form ---------------------------------------------------------------------

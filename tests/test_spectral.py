@@ -14,6 +14,7 @@ from cesaro import (
     geometric_series,
     max_coeff_diff,
     monomial,
+    operator_matrix,
     product_bound_scan,
     random_series,
     resolvent_apply,
@@ -246,9 +247,8 @@ def test_section_spectrum_is_t_independent():
 
 def test_dense_eigensolver_cross_check():
     for t in (0.0, 0.5, 0.9):
-        finite_section_spectrum(t, 64, cross_check=True)  # raises on mismatch
-    with pytest.raises(ValueError):
-        finite_section_spectrum(0.5, 65, cross_check=True)
+        dense = np.sort_complex(np.linalg.eigvals(operator_matrix(t, 64)))[::-1]
+        assert np.max(np.abs(dense - finite_section_spectrum(t, 64))) <= 1e-8
 
 
 def test_eigenvalues_accumulate_only_at_zero():
@@ -293,6 +293,9 @@ def test_product_scan_preconditions():
         product_bound_scan(2.0, 50)
     with pytest.raises(ValueError):
         product_bound_scan(0.5 + 1e-12j, 200)
+    for nu in (float("nan"), float("inf"), complex(0.4, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            product_bound_scan(nu, 200)
 
 
 # --- resolvent equicontinuity over balls ------------------------------------------------------
