@@ -12,7 +12,8 @@ ergodic       distances of ergodic means from their limit, per checkpoint
 report        run the full formula-reproduction suite and tabulate it
 
 Exit codes: 0 success, 1 internal error, 2 validation error (bad input,
-including a missing or unreadable input file), 64 usage error.
+including a missing or unreadable input file and a CSV with too few
+columns), 64 usage error.
 
 Defaults come from an optional flat TOML-style config file (``key = value``
 lines; ``--config`` to point at it); explicit flags always win.  CSV output
@@ -218,6 +219,8 @@ def load_series(path: str) -> TaylorSeries:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         rows = np.loadtxt(p, delimiter=",", comments="#", ndmin=2, skiprows=1)
+        if rows.shape[1] < 3:
+            raise ValueError(f"series CSV {path} needs the columns n,re,im")
         indices = rows[:, 0].astype(int)
         coeffs = np.zeros(int(indices.max()) + 1, dtype=complex)
         coeffs[indices] = rows[:, 1] + 1j * rows[:, 2]
@@ -360,7 +363,7 @@ def cmd_report(args) -> int:
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if cfg.out:
         rows = [(r.name, r.passed, r.detail) for r in results]
-        write_csv(("name", "passed", "detail"), rows, cfg)
+        write_table(("name", "passed", "detail"), rows, cfg, {})
     return EXIT_OK if not failed else EXIT_INTERNAL
 
 

@@ -21,6 +21,7 @@ For ``t < 1`` the operator is invertible on coefficient space: the inverse
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import ztbtrs
@@ -84,6 +85,18 @@ def apply(op: CesaroOperator, f: TaylorSeries) -> TaylorSeries:
     return TaylorSeries(cesaro_coefficients(op.t, f.coeffs))
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count.
+
+    The arrays are shared by every caller, so they are read-only.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(count)
+    nodes.flags.writeable = False
+    wts.flags.writeable = False
+    return nodes, wts
+
+
 def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: int = 64) -> complex:
     """Value of the image at ``z`` via Gauss-Legendre quadrature of the integral form.
 
@@ -102,7 +115,7 @@ def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: 
         raise ValueError("quad_nodes must be >= 2")
     if z == 0:
         return complex(f.coeffs[0])  # the defining convention: image(0) = f(0)
-    nodes, wts = np.polynomial.legendre.leggauss(quad_nodes)
+    nodes, wts = _gauss_legendre(quad_nodes)
     s = 0.5 * (nodes + 1.0)
     values = evaluate_many(f, s * z) / (1.0 - s * op.t * z)
     return complex(np.sum(0.5 * wts * values))

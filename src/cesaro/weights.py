@@ -22,8 +22,16 @@ Batches: :func:`circle_max` and :func:`weighted_sup_norm` also take a
 width, and :func:`weighted_sup_norm` takes a list of series of any degrees.
 A batch costs one FFT call per grid radius and one per polish step (one
 radius per row there), and every row's result equals the result for that
-series alone.  :func:`operator_norm_witness` measures its witnesses and
-their images as one batch.
+series alone.
+
+Sweeps: :func:`weighted_sup_norm` also takes a sequence of weights.  Its
+grid pass is shared by all of them (one FFT call per grid radius in all),
+and each weight then runs its own argmax and polish.
+:func:`operator_norm_witness` takes a sequence of ``t`` and/or of weights:
+it stacks the witnesses once, followed by their images for every ``t``,
+and measures the stack in one :func:`weighted_sup_norm` call, returning
+one estimate per (weight, t).  A single ``t`` and weight is the 1 x 1 case
+of the same path, and every entry of a sweep equals its single call.
 
 Also here: the compact-set norms q_r(f) = sup_{|z|<=r} |f(z)|, the norm
 families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n with r_k = 1 - 1/k,
@@ -33,6 +41,7 @@ and witness-based lower bounds for operator norms.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +129,8 @@ class Weight:
         if name == "logpow":
             return cls.log_power(arg)
         rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        if rows.shape[1] < 2:
+            raise ValueError(f"weight table {arg} needs the columns r,v")
         return cls.from_table(rows[:, 0], rows[:, 1])
 
     # -- evaluation --------------------------------------------------------
@@ -240,7 +251,7 @@ def _coefficient_stack(series) -> tuple[np.ndarray, list[int]]:
 
 def weighted_sup_norm(
     f,
-    v: Weight,
+    v: Weight | Sequence[Weight],
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
     refine: bool = True,
@@ -252,32 +263,44 @@ def weighted_sup_norm(
     grid argmax tightens the estimate.  Both passes only evaluate the
     function, so the result never exceeds the true supremum.
 
-    ``f`` is a :class:`TaylorSeries` (returns one :class:`NormEstimate`), or
-    a list of series or a (batch x coefficients) stack (returns one estimate
-    per series).  A batch takes one stacked ``circle_max`` per radius and
-    per polish step, and each estimate equals that of its series alone.
+    ``f`` is a :class:`TaylorSeries` (one :class:`NormEstimate`), or a list
+    of series or a (batch x coefficients) stack (one estimate per series).
+    ``v`` is a :class:`Weight`, or a sequence of weights (one such result
+    per weight).  The grid pass runs once for all weights: one stacked
+    ``circle_max`` per radius gives a series x radii profile, which each
+    weight scales by ``v(r)`` (evaluated one radius at a time) before its
+    own argmax and polish (one stacked ``circle_max`` per step).  Each
+    estimate equals that of its series and weight alone.
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
     single = isinstance(f, TaylorSeries)
+    one_weight = isinstance(v, Weight)
+    weights = [v] if one_weight else list(v)
+    if not weights:
+        raise ValueError("weight list must be non-empty")
     stack, degrees = _coefficient_stack([f] if single else f)
     rs = radial_grid(radii)
-    vals = np.empty((len(stack), radii))
+    profile = np.empty((len(stack), radii))
     for col, r in enumerate(rs):
-        vals[:, col] = float(v(r)) * circle_max(stack, float(r), angles)
-    j = np.argmax(vals, axis=1)
-    best = vals[np.arange(len(stack)), j]
-    if refine:
-        lo = rs[np.maximum(j - 1, 0)]
-        outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
-        hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
-        weighted = lambda r: v(r) * circle_max(stack, r, angles)
-        best = np.maximum(best, _golden_max(weighted, lo, hi))
-    estimates = [
-        NormEstimate(float(value), "grid_estimate", radii, angles, degree, refined=refine)
-        for value, degree in zip(best, degrees)
-    ]
-    return estimates[0] if single else estimates
+        profile[:, col] = circle_max(stack, float(r), angles)
+    results = []
+    for w in weights:
+        vals = profile * np.array([float(w(r)) for r in rs])
+        j = np.argmax(vals, axis=1)
+        best = vals[np.arange(len(stack)), j]
+        if refine:
+            lo = rs[np.maximum(j - 1, 0)]
+            outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
+            hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
+            weighted = lambda r: w(r) * circle_max(stack, r, angles)
+            best = np.maximum(best, _golden_max(weighted, lo, hi))
+        estimates = [
+            NormEstimate(float(value), "grid_estimate", radii, angles, degree, refined=refine)
+            for value, degree in zip(best, degrees)
+        ]
+        results.append(estimates[0] if single else estimates)
+    return results[0] if one_weight else results
 
 
 def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.ndarray:
@@ -364,33 +387,53 @@ def norm_upper_bound(t: float, v: Weight) -> float:
 
 
 def operator_norm_witness(
-    t: float,
-    v: Weight,
+    t: float | Sequence[float],
+    v: Weight | Sequence[Weight],
     witnesses: list[TaylorSeries],
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
     refine: bool = True,
-) -> NormEstimate:
+) -> NormEstimate | list:
     """Witness-based lower bound for the operator norm on the weighted space.
 
     Returns the largest ratio ``|image of w| / |w|`` of weighted sup-norm
-    grid estimates over the witness list; the witnesses and their images are
-    measured as one batch, in one :func:`weighted_sup_norm` call.  Rejects
-    t = 1: the averaging operator does not act on the weighted sup-norm
-    spaces at t = 1 (its image of a bounded function need not be bounded),
-    so no norm is defined there.
+    grid estimates over the witness list.  Rejects t = 1: the averaging
+    operator does not act on the weighted sup-norm spaces at t = 1 (its
+    image of a bounded function need not be bounded), so no norm is defined
+    there.
+
+    ``t`` is one parameter or a sequence of them, and ``v`` one
+    :class:`Weight` or a sequence of them: a sweep.  The witnesses are
+    stacked once, followed by their images for every t, and the stack is
+    measured in one :func:`weighted_sup_norm` call for all weights.  The
+    result has one :class:`NormEstimate` per (weight, t): a list per weight
+    of lists per t, where a single t or a single weight drops its level, so
+    one t and one weight give one estimate.  Each entry equals the call for
+    its t and weight alone.
     """
-    if not 0.0 <= t < 1.0:
+    single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
+    ts = [t] if single_t else list(t)
+    weights = [v] if one_weight else list(v)
+    if not ts or not all(0.0 <= x < 1.0 for x in ts):
         raise ValueError("weighted operator norms are defined for t in [0, 1) only")
     if not witnesses:
         raise ValueError("witness list must be non-empty")
-    op = CesaroOperator(t)
-    images = [apply(op, w) for w in witnesses]
-    estimates = weighted_sup_norm(list(witnesses) + images, v, radii, angles, refine)
-    values = np.array([e.value for e in estimates])
-    denoms, numers = values[: len(witnesses)], values[len(witnesses) :]
-    if np.any(denoms <= 0.0):
-        raise ValueError("every witness must have positive weighted norm")
-    best = float(np.max(numers / denoms))
+    count = len(witnesses)
+    series = list(witnesses)
+    for x in ts:
+        op = CesaroOperator(x)
+        series.extend(apply(op, w) for w in witnesses)
     max_degree = max(w.degree for w in witnesses)
-    return NormEstimate(best, "lower_witness", radii, angles, max_degree, refined=refine)
+    table = []
+    for estimates in weighted_sup_norm(series, weights, radii, angles, refine):
+        values = np.array([e.value for e in estimates])
+        denoms = values[:count]
+        if np.any(denoms <= 0.0):
+            raise ValueError("every witness must have positive weighted norm")
+        ratios = values[count:].reshape(len(ts), count) / denoms
+        row = [
+            NormEstimate(float(np.max(r)), "lower_witness", radii, angles, max_degree, refined=refine)
+            for r in ratios
+        ]
+        table.append(row[0] if single_t else row)
+    return table[0] if one_weight else table

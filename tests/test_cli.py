@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from cesaro import TaylorSeries, to_pairs
+from cesaro import TaylorSeries, cli, to_pairs
+from cesaro.acceptance import CheckResult
 from cesaro.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
@@ -246,6 +248,22 @@ def test_missing_or_unreadable_input_file_is_validation_error(argv, tmp_path, ca
     assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, content, columns",
+    [
+        (("apply", "--t", "0.5", "--input", "{path}.csv"), "n,re,im\n0,1\n1,2\n", "n,re,im"),
+        (("norm", "--t", "0.5", "--weight", "table:{path}.csv"), "0.0\n0.5\n", "r,v"),
+    ],
+)
+def test_csv_with_too_few_columns_is_validation_error(argv, content, columns, tmp_path, capsys):
+    path = tmp_path / "short"
+    (tmp_path / "short.csv").write_text(content)
+    argv = tuple(arg.replace("{path}", str(path)) for arg in argv)
+    assert run(*argv) == EXIT_VALIDATION
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and columns in last
+
+
 def test_bad_config_key_is_validation_error(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text("no_such_key = 3\n")
@@ -253,6 +271,20 @@ def test_bad_config_key_is_validation_error(tmp_path):
 
 
 # --- report ---------------------------------------------------------------------------------
+
+
+def test_report_json_artifact_round_trips(tmp_path, monkeypatch, capsys):
+    results = [
+        CheckResult("first-check", True, "value 1.00e-14 (tol 1e-13)"),
+        CheckResult("second-check", False, "margin -2.5e-03, \"quoted\""),
+    ]
+    monkeypatch.setattr(cli, "run_all_checks", lambda: results)
+    out = tmp_path / "report.json"
+    assert run("report", "--format", "json", "--out", str(out)) == EXIT_INTERNAL
+    assert "1/2 checks passed" in capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    assert [CheckResult(**row) for row in payload["rows"]] == results
+    assert set(payload) == {"rows", "config"}
 
 
 def test_report_runs_the_full_suite(tmp_path, capsys):

@@ -230,6 +230,18 @@ def test_certificate_equals_the_trial_loop():
         assert report.weighted_excess == weighted_excess
 
 
+def test_certificate_per_k_equals_its_single_k_calls():
+    args = dict(trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+    ks = (2, 3, 10)
+    for t in (0.0, 0.5, 0.9):
+        reports = power_bound_certificate(t, k=ks, **args)
+        assert [report.k for report in reports] == list(ks)
+        assert reports == [power_bound_certificate(t, k=k, **args) for k in ks]
+    assert power_bound_certificate(0.5, k=[5], gammas=(), trials=3, n_max=4) == [
+        power_bound_certificate(0.5, k=5, gammas=(), trials=3, n_max=4)
+    ]
+
+
 def test_certificate_with_several_gammas():
     report = power_bound_certificate(0.9, k=3, trials=5, n_max=25, gammas=(1.0, 2.0), seed=2)
     for gamma, excess in report.weighted_excess.items():
@@ -265,5 +277,9 @@ def test_constant_witness_weighted_norms_never_grow():
 def test_certificate_rejects_bad_parameters():
     with pytest.raises(ValueError):
         power_bound_certificate(0.5, k=1)
+    with pytest.raises(ValueError):
+        power_bound_certificate(0.5, k=(2, 1))
+    with pytest.raises(ValueError):
+        power_bound_certificate(0.5, k=())
     with pytest.raises(ValueError):
         power_bound_certificate(0.5, gammas=(0.5,))

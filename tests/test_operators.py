@@ -17,6 +17,7 @@ from cesaro import (
     classical_c1_log_image,
     constant_one,
     evaluate,
+    evaluate_many,
     geometric_series,
     log_one_minus_series,
     max_coeff_diff,
@@ -24,6 +25,7 @@ from cesaro import (
     q_r_norm,
     weighted_sup_norm,
 )
+from cesaro import operators
 from cesaro.operators import bidiagonal_solve
 from oracles import elementwise_operator_matrix, harmonic_number, naive_cesaro_apply, naive_convolution
 
@@ -139,6 +141,23 @@ def test_integral_vs_series_on_random_inputs():
         series_val = evaluate(apply(CesaroOperator(t), f.padded(1024)), z)
         quad_val = apply_integral(CesaroOperator(t), f, z, quad_nodes=64)
         assert abs(series_val - quad_val) < 1e-8
+
+
+def test_integral_nodes_are_computed_once_and_read_only():
+    # The cached rule must give the value a freshly computed rule gives, bit for bit.
+    rng = np.random.default_rng(43)
+    f = TaylorSeries(rng.random(129) + 1j * rng.random(129))
+    t, z = 0.6, 0.3 + 0.4j
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    s = 0.5 * (nodes + 1.0)
+    want = complex(np.sum(0.5 * wts * (evaluate_many(f, s * z) / (1.0 - s * t * z))))
+    for _ in range(2):
+        assert apply_integral(CesaroOperator(t), f, z, quad_nodes=32) == want
+    cached = operators._gauss_legendre(32)
+    assert operators._gauss_legendre(32) is cached
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 def test_integral_form_rejects_bad_points():

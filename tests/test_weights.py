@@ -24,6 +24,7 @@ from cesaro import (
     radial_grid,
     weighted_sup_norm,
 )
+from cesaro import weights
 from oracles import brute_circle_max, scalar_circle_max, scalar_weighted_sup_norm
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -215,6 +216,59 @@ def test_witness_bound_equals_the_largest_per_witness_ratio():
     norm = lambda f: scalar_weighted_sup_norm(f.coeffs, v, 16, 256)
     assert est.value == max(norm(apply(CesaroOperator(t), w)) / norm(w) for w in pool)
     assert est.truncation == 2048
+
+
+SWEEP_WEIGHTS = [Weight.unit(), TABLE_WEIGHT, Weight.standard(2.0), Weight.log_power(2)]
+SWEEP_TS = (0.1, 0.6, 0.95)
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_weight_sweep_equals_one_call_per_weight(refine):
+    pool = _ragged_pool(np.random.default_rng(53), 4)
+    for batch in (pool, _padded_stack(pool), pool[2]):
+        swept = weighted_sup_norm(batch, SWEEP_WEIGHTS, radii=16, angles=256, refine=refine)
+        assert swept == [weighted_sup_norm(batch, v, 16, 256, refine) for v in SWEEP_WEIGHTS]
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_every_sweep_entry_equals_its_single_witness_call(refine):
+    pool = _ragged_pool(np.random.default_rng(59), 4)
+    single = lambda t, v: operator_norm_witness(t, v, pool, radii=16, angles=256, refine=refine)
+    table = operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=256, refine=refine)
+    assert table == [[single(t, v) for t in SWEEP_TS] for v in SWEEP_WEIGHTS]
+    # A single t or a single weight drops its level of the table.
+    assert single(SWEEP_TS, SWEEP_WEIGHTS[2]) == table[2]
+    assert single(SWEEP_TS[1], SWEEP_WEIGHTS) == [row[1] for row in table]
+    assert single([SWEEP_TS[0]], [SWEEP_WEIGHTS[3]]) == [[table[3][0]]]
+
+
+def test_a_sweep_shares_one_grid_pass(monkeypatch):
+    calls = []
+    original = weights.circle_max
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    monkeypatch.setattr(weights, "circle_max", counted)
+    pool = _ragged_pool(np.random.default_rng(61), 3)
+    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64)
+    # One call per grid radius for the whole stack, then 2 + 40 polish steps per weight.
+    assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42
+    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64, refine=False)
+    assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42 + 16
+
+
+def test_sweep_preconditions():
+    pool = [constant_one(8)]
+    with pytest.raises(ValueError, match="weight list"):
+        weighted_sup_norm(constant_one(8), [])
+    with pytest.raises(ValueError, match="weight list"):
+        operator_norm_witness(0.5, [], pool)
+    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+        operator_norm_witness([], Weight.unit(), pool)
+    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+        operator_norm_witness([0.5, 1.0], Weight.unit(), pool)
 
 
 def test_radial_grid_clusters_toward_one():
