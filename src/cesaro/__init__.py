@@ -3,19 +3,17 @@
 A library plus CLI for the one-parameter family of averaging operators
 C_t (0 <= t <= 1) acting on coefficient vectors of analytic functions on
 the unit disc: coefficient-level application, integral-form quadrature
-cross-checks, the exact inverse, weighted sup-norm estimation, eigenpairs,
-resolvents, finite-section spectra, infinite-product growth envelopes,
-power-boundedness certificates and ergodic-mean traces.
+cross-checks, the exact inverse, weighted sup-norm estimation with
+operator-norm bounds, eigenpairs, resolvents, finite-section spectra,
+infinite-product growth envelopes, power-boundedness certificates,
+ergodic-mean traces and range preimages.
 """
 
 from .series import (
     DEFAULT_TRUNCATION,
-    DiscPoint,
     TaylorSeries,
-    antiderivative,
     cauchy_product,
     constant_one,
-    differentiate,
     evaluate,
     evaluate_many,
     from_pairs,
@@ -23,10 +21,8 @@ from .series import (
     log_one_minus_series,
     log_power_series,
     max_coeff_diff,
-    monomial,
     random_series,
     to_pairs,
-    zero_series,
 )
 from .operators import (
     CesaroOperator,
@@ -35,7 +31,6 @@ from .operators import (
     apply_integral,
     apply_inverse,
     cesaro_coefficients,
-    classical_c1_log_image,
     operator_matrix,
 )
 from .weights import (
@@ -43,11 +38,9 @@ from .weights import (
     Weight,
     circle_max,
     frechet_norm,
-    gamma_norm_bound,
     log_norm_bound,
     norm_upper_bound,
     operator_norm_witness,
-    q_r_norm,
     radial_grid,
     weighted_sup_norm,
 )
@@ -61,7 +54,6 @@ from .spectral import (
     finite_section_spectrum,
     product_bound_scan,
     resolvent_apply,
-    resolvent_equicontinuity_scan,
     spectrum_distance,
 )
 from .dynamics import (
@@ -81,7 +73,6 @@ __all__ = [
     "DEFAULT_TRUNCATION",
     "LAMBDA_TOL",
     "CesaroOperator",
-    "DiscPoint",
     "EigenPair",
     "ErgodicTrace",
     "InverseOperator",
@@ -91,7 +82,6 @@ __all__ = [
     "ResolventQuery",
     "TaylorSeries",
     "Weight",
-    "antiderivative",
     "apply",
     "apply_integral",
     "apply_inverse",
@@ -99,9 +89,7 @@ __all__ = [
     "cesaro_coefficients",
     "cesaro_mean",
     "circle_max",
-    "classical_c1_log_image",
     "constant_one",
-    "differentiate",
     "eigenpair",
     "eigenvalues",
     "ergodic_limit_projection",
@@ -111,27 +99,22 @@ __all__ = [
     "finite_section_spectrum",
     "frechet_norm",
     "from_pairs",
-    "gamma_norm_bound",
     "geometric_series",
     "log_norm_bound",
     "log_one_minus_series",
     "log_power_series",
     "max_coeff_diff",
-    "monomial",
     "norm_upper_bound",
     "operator_matrix",
     "operator_norm_witness",
     "power_apply",
     "power_bound_certificate",
     "product_bound_scan",
-    "q_r_norm",
     "radial_grid",
     "random_series",
     "range_preimage",
     "resolvent_apply",
-    "resolvent_equicontinuity_scan",
     "spectrum_distance",
     "to_pairs",
     "weighted_sup_norm",
-    "zero_series",
 ]

@@ -29,7 +29,6 @@ from .operators import (
     apply,
     apply_integral,
     apply_inverse,
-    classical_c1_log_image,
     operator_matrix,
 )
 from .series import (
@@ -39,6 +38,7 @@ from .series import (
     evaluate,
     geometric_series,
     log_one_minus_series,
+    log_power_series,
     max_coeff_diff,
     random_series,
 )
@@ -57,7 +57,6 @@ from .weights import (
     log_norm_bound,
     norm_upper_bound,
     operator_norm_witness,
-    weighted_sup_norm,
 )
 
 
@@ -435,7 +434,7 @@ def check_c1_log_images(
     worst = 0.0
     base = log_one_minus_series(truncation + 1)
     for n in n_values:
-        _, image = classical_c1_log_image(n, truncation)
+        image = apply(CesaroOperator(1.0), log_power_series(n, truncation))
         next_power = base
         for _ in range(n):
             next_power = cauchy_product(next_power, base, max_degree=truncation + 1)

@@ -27,6 +27,7 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -218,12 +219,21 @@ def load_series(path: str) -> TaylorSeries:
     """Read a series file: JSON array of [re, im] pairs, or CSV rows n,re,im."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        rows = np.loadtxt(p, delimiter=",", comments="#", ndmin=2, skiprows=1)
+        with warnings.catch_warnings():  # an empty file is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(p, delimiter=",", comments="#", ndmin=2, skiprows=1)
         if rows.shape[1] < 3:
             raise ValueError(f"series CSV {path} needs the columns n,re,im")
-        indices = rows[:, 0].astype(int)
-        coeffs = np.zeros(int(indices.max()) + 1, dtype=complex)
-        coeffs[indices] = rows[:, 1] + 1j * rows[:, 2]
+        index = rows[:, 0]
+        bad = index[~(np.isfinite(index) & (index >= 0) & (index == np.floor(index)))]
+        if bad.size:
+            raise ValueError(f"series CSV {path} has the index {bad[0]:g}; indices must be integers >= 0")
+        n = index.astype(int)
+        counts = np.bincount(n)
+        if counts.max() > 1:
+            raise ValueError(f"series CSV {path} repeats the index {np.argmax(counts > 1)}")
+        coeffs = np.zeros(len(counts), dtype=complex)
+        coeffs[n] = rows[:, 1] + 1j * rows[:, 2]
         return TaylorSeries(coeffs)
     return from_pairs(json.loads(p.read_text()))
 

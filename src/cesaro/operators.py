@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import ztbtrs
 from scipy.signal import lfilter
 
-from .series import TaylorSeries, evaluate_many, log_power_series
+from .series import TaylorSeries, evaluate_many
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,3 @@ def bidiagonal_solve(diag, sub, rhs) -> np.ndarray:
 def apply_inverse(inv: InverseOperator, f: TaylorSeries) -> TaylorSeries:
     """Coefficients of ``(1 - t z)(z f)'``, exact on the truncation prefix."""
     return TaylorSeries(inverse_coefficients(inv.t, f.coeffs))
-
-
-def classical_c1_log_image(n: int, truncation: int) -> tuple[TaylorSeries, TaylorSeries]:
-    """Input/image pair for the t = 1 averaging of ``(log(1-z))**n``.
-
-    Returns the degree-``truncation`` coefficients of ``f = (log(1-z))**n``
-    (:func:`~cesaro.series.log_power_series`) together with the
-    image of ``f`` under the t = 1 operator.  The image's exact closed form
-    is ``-(log(1-z))**(n+1) / ((n+1) z)``; tests hold the returned image to
-    that within 1e-10.
-    """
-    power = log_power_series(n, truncation)
-    image = apply(CesaroOperator(1.0), power)
-    return power, image

@@ -17,29 +17,10 @@ arbitrary-precision path in the library itself.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 #: Default truncation degree for experiment-level helpers.
 DEFAULT_TRUNCATION = 512
-
-
-@dataclass(frozen=True)
-class DiscPoint:
-    """A point of the open unit disc in polar form, z = r * exp(i theta)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.r < 1.0:
-            raise ValueError(f"disc radius must lie in [0, 1), got {self.r}")
-
-    @property
-    def z(self) -> complex:
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
 
 
 class TaylorSeries:
@@ -136,13 +117,13 @@ class TaylorSeries:
         return f"TaylorSeries(degree={self.degree}, coeffs={head[:-1]}{tail}])"
 
 
-def evaluate(f: TaylorSeries, z: complex | DiscPoint) -> complex:
+def evaluate(f: TaylorSeries, z: complex) -> complex:
     """Evaluate ``f`` at a point of the open unit disc by Horner's scheme.
 
     Rejects ``|z| >= 1``: the truncation is only a faithful stand-in for the
     underlying function inside the disc.
     """
-    z = z.z if isinstance(z, DiscPoint) else complex(z)
+    z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
     return complex(np.polynomial.polynomial.polyval(z, f.coeffs))
@@ -169,24 +150,6 @@ def cauchy_product(f: TaylorSeries, g: TaylorSeries, max_degree: int | None = No
     return TaylorSeries(h)
 
 
-def differentiate(f: TaylorSeries) -> TaylorSeries:
-    """Termwise derivative: coefficient ``n`` of the output is ``(n+1)*f[n+1]``.
-
-    A degree-0 input returns the zero series.
-    """
-    if f.degree == 0:
-        return TaylorSeries([0.0])
-    n = np.arange(1, len(f.coeffs))
-    return TaylorSeries(n * f.coeffs[1:])
-
-
-def antiderivative(f: TaylorSeries) -> TaylorSeries:
-    """Termwise antiderivative vanishing at 0: ``F[n+1] = f[n]/(n+1)``."""
-    out = np.zeros(len(f.coeffs) + 1, dtype=complex)
-    out[1:] = f.coeffs / np.arange(1, len(f.coeffs) + 1)
-    return TaylorSeries(out)
-
-
 def max_coeff_diff(f: TaylorSeries, g: TaylorSeries) -> float:
     """Max-abs coefficient difference after aligning lengths with zero padding."""
     n = max(len(f.coeffs), len(g.coeffs))
@@ -197,25 +160,10 @@ def max_coeff_diff(f: TaylorSeries, g: TaylorSeries) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def zero_series(degree: int = 0) -> TaylorSeries:
-    return TaylorSeries(np.zeros(degree + 1, dtype=complex))
-
-
 def constant_one(degree: int = 0) -> TaylorSeries:
     """The constant function 1, optionally padded to a working truncation."""
     out = np.zeros(degree + 1, dtype=complex)
     out[0] = 1.0
-    return TaylorSeries(out)
-
-
-def monomial(n: int, degree: int | None = None) -> TaylorSeries:
-    """The basis function ``z**n``."""
-    if n < 0:
-        raise ValueError("monomial exponent must be >= 0")
-    out = np.zeros((degree if degree is not None else n) + 1, dtype=complex)
-    if n >= len(out):
-        raise ValueError("degree too small to hold the requested monomial")
-    out[n] = 1.0
     return TaylorSeries(out)
 
 

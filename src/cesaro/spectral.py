@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import bidiagonal_solve, inverse_coefficients
-from .series import TaylorSeries, random_series
-from .weights import frechet_norm
+from .series import TaylorSeries
 
 #: Distance to Lambda_0 below which resolvent queries are refused.  Closer
 #: than this the triangular system's conditioning (which grows like the
@@ -206,48 +205,3 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     x -= x.mean()  # centred, so x @ y is the least-squares x @ (y - mean(y))
     slope = float(x @ log_scaled[tail] / (x @ x))
     return ProductBoundReport(nu, alpha, k.astype(int), p, scaled, d_hat, big_d, slope)
-
-
-# -- resolvent equicontinuity over balls ----------------------------------------
-
-
-def resolvent_equicontinuity_scan(
-    mu: complex,
-    delta: float,
-    t: float,
-    k: int = 2,
-    samples: int = 64,
-    degree: int = 32,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Largest resolvent norm ratio seen over a ball avoiding the spectrum.
-
-    Samples ``nu`` uniformly from the open ball B(mu, delta) and random test
-    functions g, returning max ||resolvent(g)||_k / ||g||_k in the sum-flavor
-    coefficient norm.  A finite, sample-stable result is the numerical
-    shadow of equicontinuity of the resolvent family on the ball.
-
-    Rejects balls whose closure meets the eigenvalue ladder or 0.
-    """
-    if delta <= 0:
-        raise ValueError("ball radius must be positive")
-    clearance = spectrum_distance(mu) - delta
-    if clearance <= 0:
-        raise ValueError(
-            f"closed ball B({mu}, {delta}) meets the eigenvalue ladder "
-            f"(center distance {spectrum_distance(mu):.3e})"
-        )
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(samples):
-        radius = delta * math.sqrt(rng.random())
-        angle = 2.0 * math.pi * rng.random()
-        nu = mu + radius * complex(math.cos(angle), math.sin(angle))
-        g = random_series(degree, rng)
-        query = ResolventQuery(nu, g)
-        image = resolvent_apply(query, t)
-        worst = max(worst, frechet_norm(image, k) / frechet_norm(g, k))
-    return worst

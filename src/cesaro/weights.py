@@ -33,16 +33,17 @@ and measures the stack in one :func:`weighted_sup_norm` call, returning
 one estimate per (weight, t).  A single ``t`` and weight is the 1 x 1 case
 of the same path, and every entry of a sweep equals its single call.
 
-Also here: the compact-set norms q_r(f) = sup_{|z|<=r} |f(z)|, the norm
-families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n with r_k = 1 - 1/k,
-and witness-based lower bounds for operator norms.
+Also here: the norm families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n
+with r_k = 1 - 1/k, proven upper bounds for operator norms, and
+witness-based lower bounds for them.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +129,9 @@ class Weight:
             return cls.standard(arg)
         if name == "logpow":
             return cls.log_power(arg)
-        rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty table is refused below, not warned about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
         if rows.shape[1] < 2:
             raise ValueError(f"weight table {arg} needs the columns r,v")
         return cls.from_table(rows[:, 0], rows[:, 1])
@@ -175,7 +178,8 @@ def circle_max(f, r, angles: int):
 
     Folds the r-scaled coefficients modulo the grid size and takes one FFT,
     which reproduces the grid maximum exactly (the uniform grid is closed
-    under the FFT's angle sign convention).  Accepts r = 0.
+    under the FFT's angle sign convention).  Accepts r = 0.  By the maximum
+    principle this also samples the compact-set norm sup_{|z| <= r} |f(z)|.
 
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
@@ -213,18 +217,6 @@ def circle_max(f, r, angles: int):
     if r.ndim:
         peak = np.where(r == 0.0, center, peak)
     return float(peak[0]) if single else peak
-
-
-def q_r_norm(f: TaylorSeries, r: float, angles: int = DEFAULT_ANGLES) -> float:
-    """The compact-set norm sup_{|z| <= r} |f(z)|, sampled on the circle |z| = r.
-
-    By the maximum principle the sup over the closed disc of radius r is
-    attained on its boundary circle, so an angle grid on the circle is the
-    whole story.  Monotone non-decreasing in r.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"q_r radius must lie in (0, 1), got {r}")
-    return circle_max(f, r, angles)
 
 
 def radial_grid(count: int) -> np.ndarray:
@@ -347,21 +339,6 @@ def frechet_norm(f: TaylorSeries, k: int, flavor: str = "sum") -> float:
 
 
 # -- operator norm bounds ------------------------------------------------------
-
-
-def gamma_norm_bound(gamma: float, samples: int = 20001) -> float:
-    """The bound M_gamma / gamma with M_gamma = sup_{s in [0,1]} (1-(1-s)**gamma)/s.
-
-    Maximizes on a fine grid of [0, 1] with the continuous-extension value
-    gamma at s = 0.  For gamma >= 1 the returned bound is <= 1; for
-    gamma in (0, 1), M_gamma itself is <= 1.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    s = np.linspace(0.0, 1.0, samples)[1:]
-    phi = (1.0 - (1.0 - s) ** gamma) / s
-    m_gamma = max(float(np.max(phi)), float(gamma))
-    return m_gamma / gamma
 
 
 def log_norm_bound(t: float) -> float:

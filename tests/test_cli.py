@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -252,16 +253,39 @@ def test_missing_or_unreadable_input_file_is_validation_error(argv, tmp_path, ca
     "argv, content, columns",
     [
         (("apply", "--t", "0.5", "--input", "{path}.csv"), "n,re,im\n0,1\n1,2\n", "n,re,im"),
-        (("norm", "--t", "0.5", "--weight", "table:{path}.csv"), "0.0\n0.5\n", "r,v"),
+        (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "0.0\n0.5\n", "r,v"),
+        (("apply", "--t", "0.5", "--input", "{path}.csv"), "n,re,im\n", "n,re,im"),
+        (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "", "r,v"),
     ],
 )
 def test_csv_with_too_few_columns_is_validation_error(argv, content, columns, tmp_path, capsys):
     path = tmp_path / "short"
     (tmp_path / "short.csv").write_text(content)
     argv = tuple(arg.replace("{path}", str(path)) for arg in argv)
-    assert run(*argv) == EXIT_VALIDATION
-    last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("error: ") and columns in last
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would surface as an internal error
+        assert run(*argv) == EXIT_VALIDATION
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and columns in line
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,1,0\n1,2,0\n-1,5,0\n", "has the index -1;"),
+        ("0,1,0\n1.7,2,0\n", "has the index 1.7;"),
+        ("0,1,0\n1,2,0\n1,5,0\n", "repeats the index 1"),
+    ],
+    ids=["negative", "non-integer", "repeated"],
+)
+def test_series_csv_with_a_bad_index_is_validation_error(rows, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,re,im\n" + rows)
+    assert run("apply", "--t", "0.5", "--input", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: series CSV {path} {message}")
 
 
 def test_bad_config_key_is_validation_error(tmp_path):

@@ -1,0 +1,9 @@
+import cesaro
+
+
+def test_every_exported_name_resolves_once():
+    assert len(cesaro.__all__) == len(set(cesaro.__all__))
+    assert [name for name in cesaro.__all__ if not hasattr(cesaro, name)] == []
+    namespace = {}
+    exec("from cesaro import *", namespace)  # a stale name in __all__ raises here
+    assert set(cesaro.__all__) <= namespace.keys()

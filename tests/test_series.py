@@ -4,11 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesaro import (
-    DiscPoint,
     TaylorSeries,
-    antiderivative,
     cauchy_product,
-    differentiate,
     evaluate,
     from_pairs,
     geometric_series,
@@ -76,14 +73,6 @@ def test_evaluate_rejects_points_outside_disc():
         evaluate(f, 0.8 + 0.8j)
 
 
-def test_evaluate_accepts_polar_disc_points():
-    f = TaylorSeries([0, 1])
-    p = DiscPoint(0.5, np.pi / 2)
-    assert abs(evaluate(f, p) - 0.5j) < 1e-15
-    with pytest.raises(ValueError):
-        DiscPoint(1.0, 0.0)
-
-
 # --- cauchy product -------------------------------------------------------------
 
 
@@ -138,28 +127,6 @@ def test_evaluation_is_multiplicative():
         lhs = evaluate(cauchy_product(f, g), z)
         rhs = evaluate(f, z) * evaluate(g, z)
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
-
-
-# --- differentiate / antiderivative ----------------------------------------------
-
-
-def test_derivative_of_constant_is_zero():
-    assert differentiate(TaylorSeries([3.5])) == TaylorSeries([0.0])
-
-
-def test_derivative_of_z_squared():
-    assert differentiate(TaylorSeries([0, 0, 1])) == TaylorSeries([0, 2])
-
-
-def test_derivative_of_cubic():
-    assert differentiate(TaylorSeries([1, 1, 1, 1])) == TaylorSeries([1, 2, 3])
-
-
-@settings(max_examples=50)
-@given(small_series)
-def test_derivative_undoes_antiderivative(f):
-    back = differentiate(antiderivative(f))
-    assert max_coeff_diff(back, f) <= 1e-15 * max(1.0, float(np.max(np.abs(f.coeffs))))
 
 
 # --- serialization -----------------------------------------------------------------

@@ -13,12 +13,10 @@ from cesaro import (
     finite_section_spectrum,
     geometric_series,
     max_coeff_diff,
-    monomial,
     operator_matrix,
     product_bound_scan,
     random_series,
     resolvent_apply,
-    resolvent_equicontinuity_scan,
     spectrum_distance,
 )
 from oracles import (
@@ -72,7 +70,7 @@ def test_index_one_eigenpair_closed_values():
 def test_diagonal_case_gives_basis_vectors():
     for m in (0, 3, 7):
         pair = eigenpair(0.0, m, 16)
-        assert pair.series == monomial(m, 16)
+        assert pair.series == TaylorSeries(np.eye(17)[m])
         np.testing.assert_allclose(pair.eigenvalue, 1.0 / (m + 1))
 
 
@@ -148,6 +146,19 @@ def test_resolvent_diagonal_case_is_closed_form():
     n = np.arange(101)
     want = rhs.coeffs / (1.0 / (n + 1.0) - 2.0)
     np.testing.assert_allclose(a.coeffs, want, rtol=1e-14)
+
+
+def test_diagonal_resolvent_respects_the_distance_bound():
+    # at t=0 the resolvent is diagonal, a[n] = g[n] / (1/(n+1) - nu), so over
+    # the ball B(3, 0.5) no coefficient beats 1/dist(ball, ladder) = 1/(2.5 - 1)
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(64):
+        nu = 3.0 + 0.5 * np.sqrt(rng.random()) * np.exp(2j * np.pi * rng.random())
+        g = random_series(32, rng)
+        image = resolvent_apply(ResolventQuery(nu, g), 0.0)
+        worst = max(worst, float(np.max(np.abs(image.coeffs) / np.abs(g.coeffs))))
+    assert 0.1 < worst <= 1.0 / 1.5 + 1e-12
 
 
 def test_resolvent_of_eigenvector_rescales():
@@ -296,27 +307,3 @@ def test_product_scan_preconditions():
     for nu in (float("nan"), float("inf"), complex(0.4, float("nan"))):
         with pytest.raises(ValueError, match="finite"):
             product_bound_scan(nu, 200)
-
-
-# --- resolvent equicontinuity over balls ------------------------------------------------------
-
-
-def test_scan_respects_diagonal_closed_form_bound():
-    # at t=0 the resolvent is diagonal, so the ratio never beats
-    # 1/dist(ball, ladder) = 1/(2.5 - 1)
-    worst = resolvent_equicontinuity_scan(3.0, 0.5, 0.0, k=2, samples=200, rng=np.random.default_rng(5))
-    assert worst <= 1.0 / 1.5 + 1e-12
-    assert worst > 0.1
-
-
-def test_scan_is_finite_and_stable_under_doubling():
-    base = resolvent_equicontinuity_scan(-2.0, 0.5, 0.5, k=2, samples=128, rng=np.random.default_rng(9))
-    doubled = resolvent_equicontinuity_scan(-2.0, 0.5, 0.5, k=2, samples=256, rng=np.random.default_rng(9))
-    assert np.isfinite(doubled)
-    assert doubled >= base  # same stream: the first half of the samples coincide
-    assert doubled <= 1.05 * base
-
-
-def test_scan_rejects_balls_meeting_the_ladder():
-    with pytest.raises(ValueError):
-        resolvent_equicontinuity_scan(2.0, 1.5, 0.5)

@@ -10,17 +10,14 @@ from cesaro import (
     TaylorSeries,
     Weight,
     apply,
-    cauchy_product,
     circle_max,
     constant_one,
     frechet_norm,
-    gamma_norm_bound,
     geometric_series,
     log_norm_bound,
     log_one_minus_series,
     norm_upper_bound,
     operator_norm_witness,
-    q_r_norm,
     radial_grid,
     weighted_sup_norm,
 )
@@ -67,39 +64,32 @@ def test_weight_spec_parsing():
         Weight.from_spec("bogus:1")
 
 
-# --- q_r ------------------------------------------------------------------------
+# --- circle maxima: the compact-set norms q_r ------------------------------------
 
 
 def test_q_r_of_constant():
-    assert q_r_norm(TaylorSeries([1.0]), 0.5) == 1.0
+    assert circle_max(TaylorSeries([1.0]), 0.5, 1024) == 1.0
 
 
 def test_q_r_of_identity_is_radius():
-    np.testing.assert_allclose(q_r_norm(TaylorSeries([0, 1]), 0.7), 0.7, rtol=1e-14)
+    np.testing.assert_allclose(circle_max(TaylorSeries([0, 1]), 0.7, 1024), 0.7, rtol=1e-14)
 
 
 def test_q_r_of_truncated_geometric_sum():
     # oracle: brute-force evaluation of sum_(n<=100) z^n on the circle r=0.5;
     # the max sits on the positive axis at (1-r^101)/(1-r) ~ 2.
     f = TaylorSeries(np.ones(101))
-    got = q_r_norm(f, 0.5, angles=512)
+    got = circle_max(f, 0.5, 512)
     assert abs(got - 2.0) < 1e-6
     brute = brute_circle_max(f.coeffs, 0.5, 64)
-    assert abs(q_r_norm(f, 0.5, angles=64) - brute) < 1e-10
-
-
-def test_q_r_rejects_bad_radius():
-    f = TaylorSeries([1.0])
-    for r in (0.0, 1.0, -0.2, 1.5):
-        with pytest.raises(ValueError):
-            q_r_norm(f, r)
+    assert abs(circle_max(f, 0.5, 64) - brute) < 1e-10
 
 
 def test_q_r_monotone_in_radius():
     rng = np.random.default_rng(7)
     for _ in range(10):
         f = TaylorSeries(rng.standard_normal(40) + 1j * rng.standard_normal(40))
-        values = [q_r_norm(f, r) for r in (0.2, 0.4, 0.6, 0.8, 0.95)]
+        values = [circle_max(f, r, 1024) for r in (0.2, 0.4, 0.6, 0.8, 0.95)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -108,7 +98,7 @@ def test_fft_circle_grid_matches_brute_force():
     for _ in range(5):
         f = TaylorSeries(rng.standard_normal(97) + 1j * rng.standard_normal(97))
         for angles in (16, 64):  # coarser than the degree: exercises folding
-            got = q_r_norm(f, 0.8, angles=angles)
+            got = circle_max(f, 0.8, angles)
             want = brute_circle_max(f.coeffs, 0.8, angles)
             assert abs(got - want) < 1e-9
 
@@ -316,31 +306,7 @@ def test_q_r_below_sum_norm_inside_radius():
         f = TaylorSeries(rng.standard_normal(50) + 1j * rng.standard_normal(50))
         for k in (2, 4, 8):
             r = 1.0 - 1.0 / k
-            assert q_r_norm(f, r - 0.05) <= frechet_norm(f, k, "sum") + 1e-12
-
-
-# --- gamma bounds ----------------------------------------------------------------
-
-
-def test_gamma_bound_is_exactly_one_at_gamma_one():
-    # phi(s) = (1-(1-s))/s = 1 identically
-    np.testing.assert_allclose(gamma_norm_bound(1.0), 1.0, rtol=1e-12)
-
-
-def test_gamma_bound_at_most_one_above_one():
-    for gamma in (1.0, 1.5, 2.0, 3.0, 5.0, 10.0):
-        assert gamma_norm_bound(gamma) <= 1.0 + 1e-12
-
-
-def test_m_gamma_at_most_one_below_one():
-    for gamma in (0.1, 0.25, 0.5, 0.75, 0.9):
-        m_gamma = gamma_norm_bound(gamma) * gamma
-        assert m_gamma <= 1.0 + 1e-12
-
-
-def test_gamma_bound_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gamma_norm_bound(0.0)
+            assert circle_max(f, r - 0.05, 1024) <= frechet_norm(f, k, "sum") + 1e-12
 
 
 def test_upper_bound_combines_log_and_gamma_branches():
