@@ -12,13 +12,15 @@ ergodic       distances of ergodic means from their limit, per checkpoint
 report        run the full formula-reproduction suite and tabulate it
 
 Exit codes: 0 success, 1 internal error, 2 validation error (bad input,
-including a missing or unreadable input file and a CSV with too few
-columns), 64 usage error.
+including a missing or unreadable input file and a CSV with no rows or too
+few columns), 64 usage error (including a flag the subcommand does not take).
 
-Defaults come from an optional flat TOML-style config file (``key = value``
-lines; ``--config`` to point at it); explicit flags always win.  CSV output
-is deterministic for a fixed config and seed: '.' decimal, ',' separator,
-LF line endings, a header row, and a trailing comment with the config hash.
+``FLAGS`` maps each settings flag to its config field and ``add_argument``
+keywords; ``COMMANDS`` gives each subcommand its handler, help, the settings
+flags it reads and its own arguments; all take ``--config``, ``--out`` and
+``--format``.  A flat ``key = value`` config file may set any field, read or
+not; flags win.  CSV output is deterministic for a fixed config and seed: '.'
+decimal, ',' separator, LF line endings, a header row, a trailing config hash.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,12 +128,24 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {"truncation", "radii", "angles", "t_list", "weight", "seed", "degree", "out", "fmt"}
+_CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
+
+FLAGS = {
+    "t": ("t_list", {"help": "operator parameter(s) in [0, 1], comma-separated"}),
+    "N": ("truncation", {"type": int, "help": "truncation degree"}),
+    "radii": ("radii", {"type": int, "help": "radial grid count"}),
+    "angles": ("angles", {"type": int, "help": "angle grid count"}),
+    "weight": ("weight", {"help": specs.forms(specs.WEIGHTS)}),
+    "seed": ("seed", {"type": int, "help": "seed for random test functions"}),
+    "degree": ("degree", {"type": int, "help": "degree of random test functions"}),
+    "out": ("out", {"help": "artifact path (stdout when omitted)"}),
+    "format": ("fmt", {"choices": ("csv", "json"), "help": "artifact format"}),
+}
 
 
 def _config_from(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    if getattr(args, "config", None):
+    if args.config:
         raw = load_config_file(args.config)
         unknown = set(raw) - _CONFIG_KEYS
         if unknown:
@@ -141,21 +155,10 @@ def _config_from(args) -> ExperimentConfig:
             raw["t_list"] = tuple(float(v) for v in (values if isinstance(values, list) else [values]))
         cfg = replace(cfg, **raw)
     overrides = {}
-    if getattr(args, "t", None) is not None:
-        overrides["t_list"] = tuple(float(part) for part in str(args.t).split(","))
-    for flag, key in (
-        ("N", "truncation"),
-        ("radii", "radii"),
-        ("angles", "angles"),
-        ("weight", "weight"),
-        ("seed", "seed"),
-        ("degree", "degree"),
-        ("out", "out"),
-        ("format", "fmt"),
-    ):
-        value = getattr(args, flag, None)
+    for flag, (key, _) in FLAGS.items():
+        value = getattr(args, flag, None)  # a subcommand has only the flags it reads
         if value is not None:
-            overrides[key] = value
+            overrides[key] = tuple(float(part) for part in value.split(",")) if flag == "t" else value
     return replace(cfg, **overrides).validate()
 
 
@@ -222,6 +225,8 @@ def load_series(path: str) -> TaylorSeries:
         with warnings.catch_warnings():  # an empty file is refused below, not warned about
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(p, delimiter=",", comments="#", ndmin=2, skiprows=1)
+        if rows.size == 0:
+            raise ValueError(f"series CSV {path} has no rows of the columns n,re,im")
         if rows.shape[1] < 3:
             raise ValueError(f"series CSV {path} needs the columns n,re,im")
         index = rows[:, 0]
@@ -275,14 +280,14 @@ def cmd_apply(args) -> int:
 
 def cmd_norm(args) -> int:
     cfg = _config_from(args)
+    v = Weight.from_spec(cfg.weight)
+    parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     if cfg.angles < 4 * cfg.truncation:
         print(
             f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "
             "circle maxima of high-degree images may be under-resolved",
             file=sys.stderr,
         )
-    v = Weight.from_spec(cfg.weight)
-    parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     rows = []
     for t in cfg.t_list:
         witnesses = _build_witnesses(parsed, t, cfg)
@@ -388,65 +393,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--t", help="operator parameter(s) in [0, 1], comma-separated")
-    sub.add_argument("--N", type=int, help="truncation degree")
-    sub.add_argument("--radii", type=int, help="radial grid count")
-    sub.add_argument("--angles", type=int, help="angle grid count")
-    sub.add_argument("--weight", help=specs.forms(specs.WEIGHTS))
-    sub.add_argument("--seed", type=int, help="seed for random test functions")
-    sub.add_argument("--degree", type=int, help="degree of random test functions")
-    sub.add_argument("--out", help="artifact path (stdout when omitted)")
-    sub.add_argument("--format", choices=("csv", "json"), help="artifact format")
+COMMANDS = {
+    "apply": (cmd_apply, "apply the operator to a series file", ("t",),
+              {"--input": {"required": True, "help": "series file (.json pairs or .csv n,re,im)"}}),
+    "norm": (cmd_norm, "witness norm estimates vs proven bounds",
+             ("t", "N", "radii", "angles", "weight", "seed", "degree"),
+             {"--witness": {"help": "comma list: " + specs.forms(specs.WITNESSES)}}),
+    "spectrum": (cmd_spectrum, "finite-section eigenvalue ladder", ("t", "N"), {}),
+    "eigen": (cmd_eigen, "eigenpair for index m", ("t", "N"),
+              {"--m": {"type": int, "required": True, "help": "eigenvalue index (lambda = 1/(m+1))"}}),
+    "resolvent": (cmd_resolvent, "solve (C - nu I) f = g", ("t",), {
+        "--nu": {"required": True, "help": "complex shift as 're,im'"},
+        "--rhs": {"required": True, "help": "right-hand-side series file"},
+    }),
+    "lemma-bounds": (cmd_lemma_bounds, "infinite-product growth scan", (), {
+        "--nu": {"required": True, "help": "complex point as 're,im'"},
+        "--nmax": {"type": int, "default": 10_000, "help": "scan horizon"},
+    }),
+    "ergodic": (cmd_ergodic, "ergodic mean distances from the limit", ("t",), {
+        "--input": {"required": True, "help": "series file"},
+        "--nmax": {"type": int, "default": 1024, "help": "largest averaging horizon"},
+        "--norm": {"default": "ksup:2", "help": specs.forms(specs.NORM_TAGS)},
+    }),
+    "report": (cmd_report, "run the formula-reproduction suite", (), {}),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cesaro", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", metavar="command")
-
-    sub = commands.add_parser("apply", parents=[], help="apply the operator to a series file")
-    _add_common(sub)
-    sub.add_argument("--input", required=True, help="series file (.json pairs or .csv n,re,im)")
-    sub.set_defaults(handler=cmd_apply)
-
-    sub = commands.add_parser("norm", help="witness norm estimates vs proven bounds")
-    _add_common(sub)
-    sub.add_argument("--witness", help="comma list: " + specs.forms(specs.WITNESSES))
-    sub.set_defaults(handler=cmd_norm)
-
-    sub = commands.add_parser("spectrum", help="finite-section eigenvalue ladder")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_spectrum)
-
-    sub = commands.add_parser("eigen", help="eigenpair for index m")
-    _add_common(sub)
-    sub.add_argument("--m", type=int, required=True, help="eigenvalue index (lambda = 1/(m+1))")
-    sub.set_defaults(handler=cmd_eigen)
-
-    sub = commands.add_parser("resolvent", help="solve (C - nu I) f = g")
-    _add_common(sub)
-    sub.add_argument("--nu", required=True, help="complex shift as 're,im'")
-    sub.add_argument("--rhs", required=True, help="right-hand-side series file")
-    sub.set_defaults(handler=cmd_resolvent)
-
-    sub = commands.add_parser("lemma-bounds", help="infinite-product growth scan")
-    _add_common(sub)
-    sub.add_argument("--nu", required=True, help="complex point as 're,im'")
-    sub.add_argument("--nmax", type=int, default=10_000, help="scan horizon")
-    sub.set_defaults(handler=cmd_lemma_bounds)
-
-    sub = commands.add_parser("ergodic", help="ergodic mean distances from the limit")
-    _add_common(sub)
-    sub.add_argument("--input", required=True, help="series file")
-    sub.add_argument("--nmax", type=int, default=1024, help="largest averaging horizon")
-    sub.add_argument("--norm", default="ksup:2", help=specs.forms(specs.NORM_TAGS))
-    sub.set_defaults(handler=cmd_ergodic)
-
-    sub = commands.add_parser("report", help="run the formula-reproduction suite")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_report)
-
+    for name, (handler, help_text, settings, own) in COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("--config", help="flat key = value config file")
+        for flag in (*settings, "out", "format"):
+            sub.add_argument(f"--{flag}", **FLAGS[flag][1])
+        for flag, keywords in own.items():
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 

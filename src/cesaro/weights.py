@@ -132,6 +132,8 @@ class Weight:
         with warnings.catch_warnings():  # an empty table is refused below, not warned about
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(arg, delimiter=",", ndmin=2)
+        if rows.size == 0:
+            raise ValueError(f"weight table {arg} has no rows of the columns r,v")
         if rows.shape[1] < 2:
             raise ValueError(f"weight table {arg} needs the columns r,v")
         return cls.from_table(rows[:, 0], rows[:, 1])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -72,7 +73,7 @@ def test_flags_override_config(tmp_path, capsys):
 
 def test_apply_csv_artifact_round_trips(tmp_path, series_file):
     out = tmp_path / "image.csv"
-    assert run("apply", "--t", "0.5", "--input", series_file, "--N", "16", "--out", str(out)) == EXIT_OK
+    assert run("apply", "--t", "0.5", "--input", series_file, "--out", str(out)) == EXIT_OK
     text = out.read_text()
     assert text.splitlines()[0] == "n,re,im"
     assert any(line.startswith("# config=") for line in text.splitlines())
@@ -256,6 +257,8 @@ def test_missing_or_unreadable_input_file_is_validation_error(argv, tmp_path, ca
         (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "0.0\n0.5\n", "r,v"),
         (("apply", "--t", "0.5", "--input", "{path}.csv"), "n,re,im\n", "n,re,im"),
         (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "", "r,v"),
+        # at the default --N the grid is below 4x truncation: no warning for input that is refused
+        (("norm", "--t", "0.5", "--weight", "table:{path}.csv"), "", "r,v"),
     ],
 )
 def test_csv_with_too_few_columns_is_validation_error(argv, content, columns, tmp_path, capsys):
@@ -267,6 +270,8 @@ def test_csv_with_too_few_columns_is_validation_error(argv, content, columns, tm
         assert run(*argv) == EXIT_VALIDATION
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and columns in line
+    if content.rstrip("\n") in ("", columns):  # nothing, or a header alone
+        assert "no rows" in line
 
 
 @pytest.mark.parametrize(
@@ -292,6 +297,53 @@ def test_bad_config_key_is_validation_error(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text("no_such_key = 3\n")
     assert run("spectrum", "--t", "0.5", "--config", str(path)) == EXIT_VALIDATION
+
+
+def test_a_config_file_may_hold_keys_the_subcommand_does_not_read(tmp_path):
+    path = tmp_path / "exp.toml"
+    path.write_text('seed = 7\nweight = "gamma:2"\n')
+    out = tmp_path / "spec.csv"
+    assert run("spectrum", "--t", "0.5", "--N", "8", "--config", str(path), "--out", str(out)) == EXIT_OK
+
+
+# --- flag surface ---------------------------------------------------------------------------
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    [commands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    common = {"--config", "--out", "--format"}
+    assert got == {
+        "apply": common | {"--t", "--input"},
+        "norm": common | {"--t", "--N", "--radii", "--angles", "--weight", "--seed", "--degree", "--witness"},
+        "spectrum": common | {"--t", "--N"},
+        "eigen": common | {"--t", "--N", "--m"},
+        "resolvent": common | {"--t", "--nu", "--rhs"},
+        "lemma-bounds": common | {"--nu", "--nmax"},
+        "ergodic": common | {"--t", "--input", "--nmax", "--norm"},
+        "report": common,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("apply", "--t", "0.5", "--input", "{series}", "--N", "16"),
+        ("resolvent", "--t", "0.5", "--nu=2,0", "--rhs", "{series}", "--N", "100"),
+        ("ergodic", "--t", "0.5", "--input", "{series}", "--seed", "3"),
+        ("spectrum", "--t", "0.5", "--weight", "gamma:9"),
+        ("eigen", "--t", "0.5", "--m", "1", "--N", "8", "--angles", "4"),
+        ("lemma-bounds", "--nu=2,0", "--t", "5"),
+        ("report", "--t", "0.3"),
+    ],
+    ids=lambda argv: f"{argv[0]} {argv[-2]}",
+)
+def test_a_flag_the_subcommand_does_not_read_is_usage_error(argv, series_file, capsys):
+    assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_USAGE
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
 
 
 # --- report ---------------------------------------------------------------------------------
