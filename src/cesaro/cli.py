@@ -249,8 +249,11 @@ def _single_t(cfg: ExperimentConfig) -> float:
     return cfg.t_list[0]
 
 
-def _build_witnesses(parsed, t: float, cfg: ExperimentConfig):
-    """The witness pool at ``t`` from parsed witness specs; random draws restart at the seed."""
+def _build_witnesses(parsed, t: float | None, cfg: ExperimentConfig):
+    """The witness pool at ``t`` from parsed witness specs; random draws restart at the seed.
+
+    Only the ``g0`` witness reads ``t``; a pool without it may pass ``None``.
+    """
     rng = np.random.default_rng(cfg.seed)
     out = []
     for name, arg in parsed:
@@ -288,10 +291,13 @@ def cmd_norm(args) -> int:
             "circle maxima of high-degree images may be under-resolved",
             file=sys.stderr,
         )
+    grid = {"radii": cfg.radii, "angles": cfg.angles}
+    if any(name == "g0" for name, _ in parsed):  # the g0 witness depends on t
+        estimates = [operator_norm_witness(t, v, _build_witnesses(parsed, t, cfg), **grid) for t in cfg.t_list]
+    else:  # one pool for every t: one sweep, each entry equal to its single call
+        estimates = operator_norm_witness(cfg.t_list, v, _build_witnesses(parsed, None, cfg), **grid)
     rows = []
-    for t in cfg.t_list:
-        witnesses = _build_witnesses(parsed, t, cfg)
-        est = operator_norm_witness(t, v, witnesses, radii=cfg.radii, angles=cfg.angles)
+    for t, est in zip(cfg.t_list, estimates):
         log_bound = log_norm_bound(t)
         bound = norm_upper_bound(t, v)
         ok = est.value <= bound + 1e-3
@@ -386,11 +392,23 @@ def cmd_report(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage-error exit code the artifact contract fixes."""
+    """argparse with the usage-error exit code the artifact contract fixes.
+
+    argparse collects the flags a subcommand does not take in the root
+    parser; :meth:`parse_args` reports them under the subcommand's own usage
+    line (``commands`` maps each subcommand name to its parser).
+    """
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            parser = getattr(self, "commands", {}).get(args.command, self)
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
 
 
 COMMANDS = {
@@ -422,6 +440,7 @@ COMMANDS = {
 def build_parser() -> _Parser:
     parser = _Parser(prog="cesaro", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", metavar="command")
+    parser.commands = commands.choices
     for name, (handler, help_text, settings, own) in COMMANDS.items():
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", help="flat key = value config file")

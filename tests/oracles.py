@@ -208,6 +208,16 @@ def _iterate(t, coeffs):
     return scipy.signal.lfilter([1.0], [1.0, -t], coeffs) / np.arange(1, len(coeffs) + 1)
 
 
+def plain_iterates(t, stack, n):
+    """The iterates C^m x for m = 1..n of each row of ``stack``: n kernel calls per row, no early stop."""
+    rows = [np.asarray(row, dtype=complex) for row in stack]
+    out = []
+    for _ in range(n):
+        rows = [_iterate(t, row) for row in rows]
+        out.append(np.array(rows))
+    return out
+
+
 def trial_loop_certificate(t, k, trials, n_max, degree, gammas, seed, radii, angles, weight):
     """Power-boundedness excesses, one trial at a time: (sup excess, {gamma: weighted excess})."""
     rng = np.random.default_rng(seed)

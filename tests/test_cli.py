@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cesaro import TaylorSeries, cli, to_pairs
+from cesaro import TaylorSeries, cli, to_pairs, weights
 from cesaro.acceptance import CheckResult
 from cesaro.cli import (
     EXIT_INTERNAL,
@@ -117,6 +117,31 @@ def test_norm_stdout_mentions_formula(capsys):
     shown = capsys.readouterr().out
     assert "-log(1-t)/t" in shown
     assert "1.386" in shown
+
+
+def test_norm_without_g0_measures_one_pool_for_every_t(tmp_path, monkeypatch):
+    calls = []
+    circle_max = weights.circle_max
+
+    def counted(*args):
+        calls.append(args)
+        return circle_max(*args)
+
+    monkeypatch.setattr(weights, "circle_max", counted)
+
+    def norm_rows(t, witness):
+        calls.clear()
+        out = tmp_path / "norms.csv"
+        argv = ("--t", t, "--witness", witness, "--seed", "3", "--N", "128", "--angles", "512", "--out", str(out))
+        assert run("norm", *argv) == EXIT_OK
+        return [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")], len(calls)
+
+    rows, sweep_calls = norm_rows("0.1,0.5,0.9", "random:20")
+    singles = [norm_rows(t, "random:20") for t in ("0.1", "0.5", "0.9")]
+    assert rows == [single_rows[0] for single_rows, _ in singles]
+    assert sweep_calls == singles[0][1] == 106  # one grid pass (64 radii) and one polish, not three
+    _, g0_calls = norm_rows("0.1,0.5,0.9", "g0,random:20")
+    assert g0_calls == 3 * sweep_calls  # the g0 witness changes with t: one pool per t
 
 
 def test_eigen_artifact(tmp_path):
@@ -344,6 +369,13 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
 def test_a_flag_the_subcommand_does_not_read_is_usage_error(argv, series_file, capsys):
     assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_USAGE
     assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+def test_a_flag_the_subcommand_does_not_read_shows_the_subcommand_usage(series_file, capsys):
+    assert run("resolvent", "--t", "0.5", "--nu=2,0", "--rhs", series_file, "--N", "100") == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: cesaro resolvent ")
+    assert lines[-1] == "cesaro resolvent: error: unrecognized arguments: --N 100"
 
 
 # --- report ---------------------------------------------------------------------------------

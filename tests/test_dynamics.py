@@ -19,7 +19,9 @@ from cesaro import (
     random_series,
     range_preimage,
 )
-from oracles import scalar_weighted_sup_norm, step_loop_trace, trial_loop_certificate
+from cesaro import dynamics
+from cesaro.acceptance import check_mean_ergodicity
+from oracles import plain_iterates, scalar_weighted_sup_norm, step_loop_trace, trial_loop_certificate
 
 
 # --- iterates -----------------------------------------------------------------
@@ -45,6 +47,68 @@ def test_eigenfunction_iterates_decay_geometrically():
 def test_power_apply_requires_positive_count():
     with pytest.raises(ValueError):
         power_apply(0.5, TaylorSeries([1.0]), 0)
+
+
+# --- the stop at the floating-point fixed point -----------------------------------
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """A list that counts the iterate engine's ``cesaro_coefficients`` calls."""
+    calls = []
+    kernel = dynamics.cesaro_coefficients
+
+    def counted(t, coeffs):
+        calls.append(t)
+        return kernel(t, coeffs)
+
+    monkeypatch.setattr(dynamics, "cesaro_coefficients", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t, n", [(0.0, 1200), (0.3, 150), (0.6, 150), (0.99, 150)])
+def test_iterates_past_the_fixed_point_equal_the_plain_loop(t, n, kernel_calls):
+    # at t = 0 the iterates x[n]/(n+1)**m settle near step 1075, through subnormals
+    rng = np.random.default_rng(23)
+    stack = rng.random((3, 65)) + 1j * rng.random((3, 65))
+    got = list(dynamics._iterates(t, stack, n))
+    assert len(kernel_calls) < n  # the shortcut was taken
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in plain_iterates(t, stack, n)]
+    assert got[-1] is got[-2] and not got[-1].flags.writeable
+
+
+def test_a_nan_row_equals_the_plain_loop():
+    # the stop compares bits, so a NaN row is settled only once its bits repeat
+    rng = np.random.default_rng(29)
+    stack = rng.random((3, 65)) + 1j * rng.random((3, 65))
+    stack[1, 10] = np.nan
+    got = list(dynamics._iterates(0.5, stack, 150))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in plain_iterates(0.5, stack, 150)]
+
+
+def test_mean_ergodicity_check_stops_at_the_fixed_point(kernel_calls):
+    result = check_mean_ergodicity()  # horizon 2048; the iterates settle near step 66
+    assert result.passed
+    assert len(kernel_calls) <= 80
+
+
+def test_certificate_past_the_fixed_point_equals_the_trial_loop():
+    args = dict(k=3, trials=2, n_max=150, degree=40, gammas=(1.0,), seed=7, radii=16, angles=64)
+    for t in (0.5, 0.9):
+        report = power_bound_certificate(t, **args)
+        sup_excess, weighted_excess = trial_loop_certificate(t, weight=Weight.standard, **args)
+        assert report.sup_norm_excess == sup_excess
+        assert report.weighted_excess == weighted_excess
+
+
+def test_trace_past_the_fixed_point_equals_the_step_loop():
+    rng = np.random.default_rng(31)
+    pool = [random_series(24, rng).padded(96) for _ in range(3)]
+    checkpoints = [1, 8, 64, 100, 512, 2048]
+    n = np.arange(97)
+    norm = lambda c: float(np.max(np.abs(c) * 0.5**n))
+    for trace, f in zip(ergodic_trace(0.5, pool, checkpoints, "ksup:2"), pool):
+        assert list(trace.distances) == step_loop_trace(0.5, f.coeffs, checkpoints, norm)
 
 
 # --- ergodic means ---------------------------------------------------------------

@@ -1,0 +1,215 @@
+"""Paired benchmark runs of a change against its parent: writes BENCH_<pr>.json.
+
+Run from the root of a source checkout:
+
+    python3 tools/bench_pairs.py --pr <n> --parent HEAD --change . \\
+        --seeds 301,302,303,304,305,306,307,308,309,310
+
+Each side is copied into a fresh temporary directory first: a revision as
+its committed files (``git archive``), ``.`` as the files of the working
+tree that ``git add -A`` would commit (tracked and untracked, not ignored).
+For every workload of ``BENCHMARK.json`` and every seed, ``benchmarks/run.py``
+runs once on each side (one pair) for the spec's ``run_seconds``, one run at
+a time, and the side that goes first alternates from
+pair to pair.  Then each side runs once more with ``--trace 1`` on the first
+seed for its per-layer counts.  The temporary directories are removed
+afterwards.
+
+The output holds every run's result object, and per workload and
+end-to-end metric of ``BENCHMARK.json``: each side's values with their
+median and quartiles (as ``benchmarks/baseline.py`` computes them), the
+pairs the change wins, the relative change of the medians and a verdict
+(``gain``, ``within bound``, ``beyond bound`` or ``unresolved``; see
+:func:`summarize`); per workload, each side's failed and attempted
+operations.  It also records the versions, ``nproc``, both commits and the
+seeds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+from baseline import environment, quartiles  # noqa: E402
+
+SIDES = ("parent", "change")
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout
+
+
+def describe(rev: str) -> str:
+    """The commit a side stands for: ``rev`` resolved, with ``+working-tree`` for ``.``."""
+    if rev == ".":
+        return _git("rev-parse", "HEAD").strip() + "+working-tree"
+    return _git("rev-parse", "--verify", f"{rev}^{{commit}}").strip()
+
+
+def materialize(rev: str, dest: Path):
+    """Copy the files of ``rev`` (a revision, or ``.`` for the working tree) into ``dest``."""
+    dest.mkdir(parents=True)
+    if rev == ".":
+        names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0")
+        for name in filter(None, names):
+            source = ROOT / name
+            if source.is_file():  # a tracked file deleted in the working tree is left out
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, dest / name)
+        return
+    archive = subprocess.Popen(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {rev} failed")
+
+
+def parse_result(stdout: str) -> dict:
+    """The result object: the last line of a benchmark run's standard output."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the benchmark printed nothing")
+    return json.loads(lines[-1])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run in ``checkout``: its result object, or an ``error`` entry."""
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=30 * seconds + 300)
+    try:
+        return parse_result(proc.stdout)
+    except ValueError:  # json.JSONDecodeError is a ValueError too
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
+
+
+def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per workload and end-to-end metric: each side's spread, the change's wins and its verdict.
+
+    ``runs`` holds one record per untraced run: ``workload``, ``pair``,
+    ``side`` and the run's ``result`` object.  A pair where either run
+    has no metrics is left out of the statistics and counted as incomplete,
+    but it still counts in the pairs a gain must win.  A metric's verdict
+    is ``unresolved`` when the parent's spread (q3 - q1) / median is wider
+    than its bound, unless every change run is better than every parent run;
+    else ``beyond bound`` when the medians' relative loss exceeds the bound;
+    else ``gain`` when the change wins at least 9 pairs in 10 of those run,
+    the medians differ by more than the parent's interquartile range and no
+    larger share of operations failed than at the parent; else ``within bound``.
+    """
+    out = {}
+    for workload in dict.fromkeys(run["workload"] for run in runs):
+        pairs: dict[int, dict] = {}
+        for run in runs:
+            if run["workload"] == workload:
+                pairs.setdefault(run["pair"], {})[run["side"]] = run["result"]
+        complete = [p for _, p in sorted(pairs.items()) if all("metrics" in p.get(side, {}) for side in SIDES)]
+        reported = {side: [p[side] for p in pairs.values() if "metrics" in p.get(side, {})] for side in SIDES}
+        failed = {side: sum(r["failed"] for r in reported[side]) for side in SIDES}
+        attempted = {side: sum(r["attempted"] for r in reported[side]) for side in SIDES}
+        share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in SIDES}
+        more_failed = share["change"] > share["parent"] or len(reported["change"]) < len(reported["parent"])
+        entry = {
+            "pairs": len(pairs),
+            "incomplete_pairs": len(pairs) - len(complete),
+            "failed": failed,
+            "attempted": attempted,
+            "more_failed": more_failed,
+            "correct": {side: all(r["correct"] for r in reported[side]) for side in SIDES},
+            "metrics": {},
+        }
+        for metric in end_to_end:
+            name, lower = metric["name"], metric["better"] == "lower"
+            values = {side: [p[side]["metrics"][name]["value"] for p in complete] for side in SIDES}
+            stats = {side: quartiles(values[side]) for side in SIDES}
+            base, new = stats["parent"], stats["change"]
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
+            gain = (base["median"] - new["median"]) if lower else (new["median"] - base["median"])
+            relative = -gain / base["median"]  # > 0: the change is worse
+            separated = (max(values["change"]) < min(values["parent"])) if lower else (
+                min(values["change"]) > max(values["parent"]))
+            if base["spread"] > metric["bound"] and not separated:
+                verdict = "unresolved"
+            elif relative > metric["bound"]:
+                verdict = "beyond bound"
+            elif 10 * wins >= 9 * len(pairs) and gain > base["q3"] - base["q1"] and not more_failed:
+                verdict = "gain"
+            else:
+                verdict = "within bound"
+            entry["metrics"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                **stats,
+                "change_wins": wins,
+                "relative_change": relative,
+                "verdict": verdict,
+            }
+        out[workload] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--pr", required=True, help="the change's number: the output is BENCH_<pr>.json")
+    parser.add_argument("--parent", default="HEAD", help="revision of the parent side")
+    parser.add_argument("--change", default=".", help="revision of the change side; '.' is the working tree")
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds, one pair per seed (two or more)")
+    parser.add_argument("--out", type=Path, default=None, help="output path (default BENCH_<pr>.json in the root)")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if len(seeds) < 2:
+        parser.error("quartiles need two or more seeds")
+    workloads = [w["name"] for w in spec["workloads"]]
+    revs = {"parent": args.parent, "change": args.change}
+    report = {
+        "environment": environment(),
+        "commits": {side: describe(rev) for side, rev in revs.items()},
+        "seeds": seeds,
+        "run_seconds": spec["run_seconds"],
+        "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    runs, traced = [], {}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        checkouts = {side: Path(scratch) / side for side in SIDES}
+        for side, rev in revs.items():
+            materialize(rev, checkouts[side])
+        for workload in workloads:
+            for pair, seed in enumerate(seeds):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    result = run_once(checkouts[side], workload, seed, spec["run_seconds"], 0)
+                    runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
+                                 "position": position, "result": result})
+                    shown = result.get("metrics", {}).get("wall_ref", {}).get("value", result.get("error"))
+                    print(f"{workload} pair {pair} seed {seed} {side}: wall_ref {shown}", file=sys.stderr, flush=True)
+            traced[workload] = {
+                side: run_once(checkouts[side], workload, seeds[0], spec["run_seconds"], 1) for side in SIDES
+            }
+    report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    report["summary"] = summarize(runs, spec["end_to_end"])
+    report["traced"] = traced
+    report["runs"] = runs
+    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, entry in report["summary"].items():
+        for name, m in entry["metrics"].items():
+            print(
+                f"{workload:13s} {name:13s} parent {m['parent']['median']:.5g}  change {m['change']['median']:.5g}"
+                f"  {m['relative_change']:+.1%}  wins {m['change_wins']}/{entry['pairs']}"
+                f"  {m['verdict']}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
