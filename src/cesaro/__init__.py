@@ -9,6 +9,8 @@ infinite-product growth envelopes, power-boundedness certificates,
 ergodic-mean traces and range preimages.
 """
 
+import types
+
 from .series import (
     DEFAULT_TRUNCATION,
     TaylorSeries,
@@ -69,52 +71,7 @@ from .dynamics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TRUNCATION",
-    "LAMBDA_TOL",
-    "CesaroOperator",
-    "EigenPair",
-    "ErgodicTrace",
-    "InverseOperator",
-    "NormEstimate",
-    "PowerBoundReport",
-    "ProductBoundReport",
-    "ResolventQuery",
-    "TaylorSeries",
-    "Weight",
-    "apply",
-    "apply_integral",
-    "apply_inverse",
-    "cauchy_product",
-    "cesaro_coefficients",
-    "cesaro_mean",
-    "circle_max",
-    "constant_one",
-    "eigenpair",
-    "eigenvalues",
-    "ergodic_limit_projection",
-    "ergodic_trace",
-    "evaluate",
-    "evaluate_many",
-    "finite_section_spectrum",
-    "frechet_norm",
-    "from_pairs",
-    "geometric_series",
-    "log_norm_bound",
-    "log_one_minus_series",
-    "log_power_series",
-    "max_coeff_diff",
-    "norm_upper_bound",
-    "operator_matrix",
-    "operator_norm_witness",
-    "power_apply",
-    "power_bound_certificate",
-    "product_bound_scan",
-    "radial_grid",
-    "random_series",
-    "range_preimage",
-    "resolvent_apply",
-    "spectrum_distance",
-    "to_pairs",
-    "weighted_sup_norm",
-]
+#: The public names: everything imported above, except the submodules.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

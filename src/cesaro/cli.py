@@ -73,6 +73,12 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def validate(self) -> "ExperimentConfig":
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kinds = (str, type(None)) if field.name == "out" else (type(field.default),)
+            # exact types: a bool is no int, and t_list holds floats only
+            if type(value) not in kinds or (field.name == "t_list" and any(type(t) is not float for t in value)):
+                raise ValueError(f"{field.name} = {value!r} does not have the type {field.type}")
         if self.truncation < 8:
             raise ValueError("truncation must be >= 8")
         if self.radii < 8 or self.angles < 8:
@@ -152,7 +158,8 @@ def _config_from(args) -> ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "t_list" in raw:
             values = raw["t_list"]
-            raw["t_list"] = tuple(float(v) for v in (values if isinstance(values, list) else [values]))
+            values = values if isinstance(values, list) else [values]
+            raw["t_list"] = tuple(float(v) if type(v) in (int, float) else v for v in values)
         cfg = replace(cfg, **raw)
     overrides = {}
     for flag, (key, _) in FLAGS.items():
@@ -396,7 +403,8 @@ class _Parser(argparse.ArgumentParser):
 
     argparse collects the flags a subcommand does not take in the root
     parser; :meth:`parse_args` reports them under the subcommand's own usage
-    line (``commands`` maps each subcommand name to its parser).
+    line (``commands`` maps each subcommand name to its parser), and says
+    that a flag given before the subcommand goes after it.
     """
 
     def error(self, message):
@@ -404,9 +412,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
     def parse_args(self, args=None, namespace=None):
+        commands = getattr(self, "commands", {})
+        argv = sys.argv[1:] if args is None else list(args)
+        for i, token in enumerate(argv):
+            if token in commands:
+                break
+            if token.startswith("-") and token not in ("-h", "--help"):
+                flag, command = token.split("=")[0], next((x for x in argv[i:] if x in commands), "<command>")
+                self.error(f"{flag} goes after the subcommand: cesaro {command} {flag} ...")
         args, extras = self.parse_known_args(args, namespace)
         if extras:
-            parser = getattr(self, "commands", {}).get(args.command, self)
+            parser = commands.get(args.command, self)
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return args
 

@@ -14,7 +14,9 @@ simply f[0] * g0.
 
 The hyperplane {g(0) = 0} is exactly the range of (C - I); the constructive
 preimage below inverts that map, fixing the kernel-direction ambiguity by
-returning the solution with f(0) = 0.
+returning the solution with f(0) = 0.  It is one call of the kernel that
+also gives resolvents and eigenpairs, :func:`cesaro.operators.shifted_solve`
+for (sigma C - nu I) x = c, at sigma = nu = 1 with row 0 pinned to 0.
 
 Iterates run over a (batch x coefficients) stack: each step is one
 ``cesaro_coefficients`` call for the whole batch.  :func:`ergodic_trace`
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specs
-from .operators import bidiagonal_solve, cesaro_coefficients, inverse_coefficients
+from .operators import cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series
 from .weights import Weight, frechet_norm, weighted_sup_norm
 
@@ -115,19 +117,16 @@ def ergodic_limit_projection(t: float, f: TaylorSeries) -> TaylorSeries:
 def range_preimage(t: float, g: TaylorSeries) -> TaylorSeries:
     """Solve (C - I) f = g for g with g(0) = 0, returning the f with f(0) = 0.
 
-    Multiplied through by the inverse BN of C = N^{-1} (I - tS)^{-1} this is
-    (I - BN) f = BN g, the resolvent system at nu = 1: lower bidiagonal with
-    diagonal -n and subdiagonal t n.  Its row 0 reads 0 = g(0) and is replaced
-    by f[0] = 0.  Exact on the prefix of degree deg(g).
+    The shifted kernel at sigma = nu = 1: multiplied through by the inverse
+    BN of C = N^{-1} (I - tS)^{-1}, row 0 reads 0 = g(0) and is replaced by
+    f[0] = 0.  Exact on the prefix of degree deg(g).
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("range preimage is defined for t in [0, 1)")
     c = g.coeffs
     if abs(c[0]) > 1e-14 * max(1.0, float(np.max(np.abs(c)))):
         raise ValueError("g is not in the range of (C - I): g(0) must vanish")
-    n = np.arange(g.degree + 1)
-    rhs = (n > 0) * inverse_coefficients(t, c)  # row 0 becomes f[0] = 0
-    return TaylorSeries(bidiagonal_solve(np.where(n > 0, -n, 1), t * n[1:], rhs))
+    return TaylorSeries(shifted_solve(t, 1, 1, c, pin=(0, 0)))
 
 
 # -- traces and certificates ----------------------------------------------------

@@ -16,6 +16,9 @@ truncation reproduces the first N+1 coefficients of the exact image.
 For ``t < 1`` the operator is invertible on coefficient space: the inverse
 ``f -> (1 - t z) (z f)'`` is the lower-bidiagonal product BN with B = I - tS
 (S the shift) and N = diag(n + 1), so C_t = N^{-1} (I - tS)^{-1}.
+Multiplied through by BN, every shifted system (sigma C_t - nu I) x = c is
+lower bidiagonal, and :func:`shifted_solve` is its one kernel: the
+resolvent, the eigenpairs and the range preimage of (C_t - I) are calls of it.
 """
 
 from __future__ import annotations
@@ -130,17 +133,26 @@ def inverse_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def bidiagonal_solve(diag, sub, rhs) -> np.ndarray:
-    """Forward substitution for the lower-bidiagonal system ``L x = rhs``.
+def shifted_solve(t: float, sigma, nu, c, pin=None) -> np.ndarray:
+    """The solution x of (sigma C_t - nu I) x = c: one forward substitution.
 
-    ``L[n, n] = diag[n]`` and ``L[n, n-1] = sub[n-1]``.  One LAPACK ``ztbtrs``
-    call, O(N) and without pivoting: x[n] = (rhs[n] - sub[n-1] x[n-1]) / diag[n].
-    Overflow is not trapped; it shows as non-finite entries of the result.
+    Multiplied through by the inverse BN the system is (sigma I - nu BN) x = BN c,
+    lower bidiagonal with diagonal sigma - nu (n+1) and subdiagonal nu t n,
+    solved by one LAPACK ``ztbtrs`` call, O(N) and without pivoting.
+    ``pin=(k, value)`` replaces row k, singular where sigma = nu (k+1), by
+    x[k] = value.  Overflow is not trapped; it shows as non-finite entries.
     """
-    ab = np.array([diag, np.append(sub, 0.0)], dtype=complex)  # LAPACK band storage
-    x, info = ztbtrs(ab, np.asarray(rhs, dtype=complex), uplo="L")
+    rhs = inverse_coefficients(t, c)
+    n = np.arange(len(rhs))
+    ab = np.zeros((2, len(rhs)), dtype=complex)  # LAPACK band storage: diagonal, subdiagonal
+    ab[0] = sigma - nu * (n + 1.0)
+    ab[1, :-1] = nu * t * n[1:]
+    if pin is not None:  # for k = 0, ab[1, k - 1] is the unused last slot
+        k, value = pin
+        ab[0, k], ab[1, k - 1], rhs[k] = 1.0, 0.0, value
+    x, info = ztbtrs(ab, rhs, uplo="L")
     if info > 0:
-        raise ValueError(f"bidiagonal system is singular: diagonal entry {info - 1} is zero")
+        raise ValueError(f"shifted system is singular: diagonal entry {info - 1} is zero")
     return x
 
 

@@ -6,12 +6,13 @@ regardless of t, and the full operator's point spectrum is the ladder
 Lambda = {1/(m+1)}.  Its closure Lambda_0 = Lambda + {0} is where resolvent
 computations break down; everything here measures distances to that set.
 
-Both solves multiply through by the inverse BN of C_t = N^{-1} (I - tS)^{-1}
-and run the one lower-bidiagonal kernel :func:`cesaro.operators.bidiagonal_solve`:
-the resolvent as (I - nu BN) a = BN c, an eigenvector as the null vector of
-(m+1) I - BN.  The binomial closed form C(n, m) t**(n-m) of the eigenvectors
-and the displayed closed form of the resolvent are validated against these
-solves in the tests, never used by them.
+Eigenpairs and resolvents, like the range preimage in :mod:`cesaro.dynamics`,
+are calls of the one kernel for (sigma C_t - nu I) x = c,
+:func:`cesaro.operators.shifted_solve`: the resolvent at sigma = 1, an
+eigenvector as the null vector of (m+1) C_t - I with x[m] pinned to 1.  The
+binomial closed form C(n, m) t**(n-m) of the eigenvectors and the displayed
+closed form of the resolvent are validated against these solves in the
+tests, never used by them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import bidiagonal_solve, inverse_coefficients
+from .operators import shifted_solve
 from .series import TaylorSeries
 
 #: Distance to Lambda_0 below which resolvent queries are refused.  Closer
@@ -67,9 +68,10 @@ class EigenPair:
 
 
 def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
-    """The index-m eigenfunction: the null vector of (m+1) I - BN with x[m] = 1.
+    """The index-m eigenfunction: the null vector of (m+1) C_t - I with x[m] = 1.
 
-    Rows n > m read (m - n) x[n] + t n x[n-1] = 0: x[n] = t n x[n-1] / (n - m).
+    Multiplied through by BN, rows n > m read (m - n) x[n] + t n x[n-1] = 0:
+    x[n] = t n x[n-1] / (n - m), and rows n < m give x[n] = 0 exactly.
     ``operator(x) = x / (m+1)`` holds exactly on the truncation prefix; for
     t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double precision
     the call is refused with a ValueError.
@@ -80,10 +82,8 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
         raise ValueError("eigenvalue index must be >= 0")
     if m >= truncation:
         raise ValueError(f"index m={m} must be smaller than the truncation {truncation}")
-    n = np.arange(m, truncation + 1)
-    x = np.zeros(truncation + 1, dtype=complex)
-    # row m, singular in (m+1) I - BN, is replaced by the normalization x[m] = 1
-    x[m:] = bidiagonal_solve(np.where(n > m, m - n, 1), t * n[1:], n == m)
+    # row m, the singular one, is replaced by the normalization x[m] = 1
+    x = shifted_solve(t, m + 1, 1, np.zeros(truncation + 1), pin=(m, 1))
     if not np.all(np.isfinite(x)):
         raise ValueError(f"eigenvector of index m={m} overflows double precision at truncation {truncation}")
     return EigenPair(m, 1.0 / (m + 1.0), TaylorSeries(x))
@@ -96,13 +96,11 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
 class ResolventQuery:
     """A resolvent evaluation request: the shift ``nu`` and the right-hand side.
 
-    ``truncation`` defaults to the degree of the right-hand side; ``tol`` is
-    the refusal distance to the closed spectrum.
+    ``tol`` is the refusal distance to the closed spectrum.
     """
 
     nu: complex
     rhs: TaylorSeries
-    truncation: int | None = None
     tol: float = LAMBDA_TOL
 
     def __post_init__(self):
@@ -117,25 +115,16 @@ class ResolventQuery:
                 f"to the eigenvalue ladder is below {self.tol:.1e}"
             )
 
-    @property
-    def degree(self) -> int:
-        return self.rhs.degree if self.truncation is None else self.truncation
-
 
 def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
     """The unique coefficient solution ``a`` of (operator - nu I) a = rhs.
 
-    Multiplied through by the inverse BN the system is (I - nu BN) a = BN c:
-    lower bidiagonal with diagonal 1 - nu (n+1) and subdiagonal nu t n, one
-    O(N) forward substitution.
+    One O(N) forward substitution of the shifted kernel at sigma = 1, on the
+    degree of the right-hand side.
     """
     if not 0.0 <= t < 1.0:
         raise ValueError("resolvent is computed for t in [0, 1)")
-    nu = complex(query.nu)
-    deg = query.degree
-    c = query.rhs.padded(deg).coeffs if query.rhs.degree < deg else query.rhs.coeffs[: deg + 1]
-    n = np.arange(deg + 1)
-    return TaylorSeries(bidiagonal_solve(1.0 - nu * (n + 1.0), nu * t * n[1:], inverse_coefficients(t, c)))
+    return TaylorSeries(shifted_solve(t, 1, complex(query.nu), query.rhs.coeffs))
 
 
 # -- finite sections ------------------------------------------------------------

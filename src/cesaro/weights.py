@@ -371,12 +371,11 @@ def operator_norm_witness(
     witnesses: list[TaylorSeries],
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
-    refine: bool = True,
 ) -> NormEstimate | list:
     """Witness-based lower bound for the operator norm on the weighted space.
 
     Returns the largest ratio ``|image of w| / |w|`` of weighted sup-norm
-    grid estimates over the witness list.  Rejects t = 1: the averaging
+    grid estimates, each polished along the radius, over the witness list.  Rejects t = 1: the averaging
     operator does not act on the weighted sup-norm spaces at t = 1 (its
     image of a bounded function need not be bounded), so no norm is defined
     there.
@@ -404,14 +403,14 @@ def operator_norm_witness(
         series.extend(apply(op, w) for w in witnesses)
     max_degree = max(w.degree for w in witnesses)
     table = []
-    for estimates in weighted_sup_norm(series, weights, radii, angles, refine):
+    for estimates in weighted_sup_norm(series, weights, radii, angles):
         values = np.array([e.value for e in estimates])
         denoms = values[:count]
         if np.any(denoms <= 0.0):
             raise ValueError("every witness must have positive weighted norm")
         ratios = values[count:].reshape(len(ts), count) / denoms
         row = [
-            NormEstimate(float(np.max(r)), "lower_witness", radii, angles, max_degree, refined=refine)
+            NormEstimate(float(np.max(r)), "lower_witness", radii, angles, max_degree, refined=True)
             for r in ratios
         ]
         table.append(row[0] if single_t else row)

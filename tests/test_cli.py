@@ -324,6 +324,29 @@ def test_bad_config_key_is_validation_error(tmp_path):
     assert run("spectrum", "--t", "0.5", "--config", str(path)) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        ('truncation = "abc"', ("spectrum", "--t", "0.5")),
+        ("seed = 1.5", ("norm", "--t", "0.5")),
+        ("truncation = 16.5", ("spectrum", "--t", "0.5")),
+        ("degree = true", ("norm", "--t", "0.5")),
+        ("out = 3", ("spectrum", "--t", "0.5")),
+        ("t_list = [0.5, true]", ("spectrum",)),
+        ("weight = 2", ("norm", "--t", "0.5")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_a_config_value_of_the_wrong_type_is_validation_error(content, argv, tmp_path, capsys):
+    path = tmp_path / "exp.toml"
+    path.write_text(content + "\n")
+    assert run(*argv, "--config", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {content.split(' =')[0]} = ") and "does not have the type" in line
+
+
 def test_a_config_file_may_hold_keys_the_subcommand_does_not_read(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text('seed = 7\nweight = "gamma:2"\n')
@@ -376,6 +399,12 @@ def test_a_flag_the_subcommand_does_not_read_shows_the_subcommand_usage(series_f
     lines = capsys.readouterr().err.splitlines()
     assert lines[0].startswith("usage: cesaro resolvent ")
     assert lines[-1] == "cesaro resolvent: error: unrecognized arguments: --N 100"
+
+
+def test_a_flag_before_the_subcommand_says_where_it_goes(series_file, capsys):
+    assert run("--N", "100", "resolvent", "--t", "0.5", "--nu=2,0", "--rhs", series_file) == EXIT_USAGE
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[-1] == "cesaro: error: --N goes after the subcommand: cesaro resolvent --N ..."
 
 
 # --- report ---------------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from cesaro import (
     weighted_sup_norm,
 )
 from cesaro import operators
-from cesaro.operators import bidiagonal_solve
+from cesaro.operators import shifted_solve
 from oracles import elementwise_operator_matrix, harmonic_number, naive_cesaro_apply, naive_convolution
 
 
@@ -196,23 +196,54 @@ def test_fixed_point_is_its_own_preimage():
     np.testing.assert_allclose(identity, t ** n.astype(float), rtol=1e-12)
 
 
-# --- the bidiagonal kernel ----------------------------------------------------------------
+# --- the shifted kernel -------------------------------------------------------------------
 
 
-def test_bidiagonal_solve_matches_a_dense_triangular_solve():
+def test_shifted_solve_matches_a_dense_triangular_solve():
     rng = np.random.default_rng(47)
     for size in (1, 2, 300):
-        diag = rng.normal(size=size) + 1j * rng.normal(size=size) + 3.0
-        sub = rng.normal(size=size - 1) + 1j * rng.normal(size=size - 1)
-        rhs = rng.normal(size=size) + 1j * rng.normal(size=size)
-        dense = np.diag(diag) + np.diag(sub, -1)
+        t = rng.uniform(0.0, 0.95)
+        sigma, nu = rng.normal(size=2) + 1j * rng.normal(size=2)
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        dense = sigma * operator_matrix(t, size) - nu * np.eye(size)
+        want = scipy.linalg.solve_triangular(dense, c, lower=True)
+        np.testing.assert_allclose(shifted_solve(t, sigma, nu, c), want, rtol=1e-12)
+
+
+def test_pinned_shifted_solve_matches_the_dense_system_with_row_k_replaced():
+    # sigma = nu (k+1) makes row k singular; the right-hand side vanishes up
+    # to k, so that row holds for every x[k] and the pin chooses x[k].
+    rng = np.random.default_rng(53)
+    size, t = 40, 0.6
+    for k in (0, 1, 7, size - 1):
+        nu = complex(rng.normal(), rng.normal())
+        value = complex(rng.normal(), rng.normal())
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        c[: k + 1] = 0.0
+        dense = nu * (k + 1) * operator_matrix(t, size) - nu * np.eye(size)
+        dense[k] = np.eye(size)[k]
+        rhs = c.copy()
+        rhs[k] = value
         want = scipy.linalg.solve_triangular(dense, rhs, lower=True)
-        np.testing.assert_allclose(bidiagonal_solve(diag, sub, rhs), want, rtol=1e-13)
+        got = shifted_solve(t, nu * (k + 1), nu, c, pin=(k, value))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert np.all(got[:k] == 0.0)
+        # Off the singular shift the pin replaces row k of the solved form
+        # (sigma I - nu BN) x = BN c, whatever the rows above it hold.
+        sigma, c = 2.0 - 1.0j, rng.normal(size=size) + 1j * rng.normal(size=size)
+        bn = np.diag(np.arange(1.0, size + 1)) - t * np.diag(np.arange(1.0, size), -1)
+        dense = sigma * np.eye(size) - nu * bn
+        dense[k] = np.eye(size)[k]
+        rhs = bn @ c
+        rhs[k] = value
+        want = scipy.linalg.solve_triangular(dense, rhs, lower=True)
+        np.testing.assert_allclose(shifted_solve(t, sigma, nu, c, pin=(k, value)), want, rtol=1e-12)
 
 
-def test_bidiagonal_solve_refuses_a_zero_diagonal():
-    with pytest.raises(ValueError, match="singular"):
-        bidiagonal_solve([1.0, 0.0, 2.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+def test_shifted_solve_refuses_an_unpinned_singular_row():
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="singular"):
+            shifted_solve(0.5, 2.0 * (k + 1), 2.0, np.ones(8))
 
 
 def test_inverse_rejects_t_one():

@@ -1,3 +1,5 @@
+import types
+
 import cesaro
 
 
@@ -7,3 +9,8 @@ def test_every_exported_name_resolves_once():
     namespace = {}
     exec("from cesaro import *", namespace)  # a stale name in __all__ raises here
     assert set(cesaro.__all__) <= namespace.keys()
+
+
+def test_no_submodule_is_exported():
+    assert [name for name in cesaro.__all__ if isinstance(getattr(cesaro, name), types.ModuleType)] == []
+    assert "shifted_solve" not in cesaro.__all__  # the kernel stays private to its callers

@@ -220,11 +220,10 @@ def test_weight_sweep_equals_one_call_per_weight(refine):
         assert swept == [weighted_sup_norm(batch, v, 16, 256, refine) for v in SWEEP_WEIGHTS]
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_every_sweep_entry_equals_its_single_witness_call(refine):
+def test_every_sweep_entry_equals_its_single_witness_call():
     pool = _ragged_pool(np.random.default_rng(59), 4)
-    single = lambda t, v: operator_norm_witness(t, v, pool, radii=16, angles=256, refine=refine)
-    table = operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=256, refine=refine)
+    single = lambda t, v: operator_norm_witness(t, v, pool, radii=16, angles=256)
+    table = operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=256)
     assert table == [[single(t, v) for t in SWEEP_TS] for v in SWEEP_WEIGHTS]
     # A single t or a single weight drops its level of the table.
     assert single(SWEEP_TS, SWEEP_WEIGHTS[2]) == table[2]
@@ -245,7 +244,8 @@ def test_a_sweep_shares_one_grid_pass(monkeypatch):
     operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64)
     # One call per grid radius for the whole stack, then 2 + 40 polish steps per weight.
     assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42
-    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64, refine=False)
+    # Without the polish a weight sweep is the grid pass alone.
+    weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
     assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42 + 16
 
 
