@@ -12,8 +12,9 @@ ergodic       distances of ergodic means from their limit, per checkpoint
 report        run the full formula-reproduction suite and tabulate it
 
 Exit codes: 0 success, 1 internal error, 2 validation error (bad input,
-including a missing or unreadable input file and a CSV with no rows or too
-few columns), 64 usage error (including a flag the subcommand does not take).
+including a missing or unreadable input file, a CSV with no rows or too
+few columns and a malformed series JSON), 64 usage error (including a flag
+the subcommand does not take).
 
 ``FLAGS`` maps each settings flag to its config field and ``add_argument``
 keywords; ``COMMANDS`` gives each subcommand its handler, help, the settings
@@ -91,6 +92,7 @@ class ExperimentConfig:
             raise ValueError("degree must be >= 0")
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
+        specs.parse("weight spec", self.weight, specs.WEIGHTS)  # the grammar only: norm opens a table
         return self
 
     def short_hash(self) -> str:
@@ -247,7 +249,7 @@ def load_series(path: str) -> TaylorSeries:
         coeffs = np.zeros(len(counts), dtype=complex)
         coeffs[n] = rows[:, 1] + 1j * rows[:, 2]
         return TaylorSeries(coeffs)
-    return from_pairs(json.loads(p.read_text()))
+    return from_pairs(json.loads(p.read_text()), f"series JSON {path}")
 
 
 def _single_t(cfg: ExperimentConfig) -> float:

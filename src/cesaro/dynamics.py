@@ -18,12 +18,13 @@ returning the solution with f(0) = 0.  It is one call of the kernel that
 also gives resolvents and eigenpairs, :func:`cesaro.operators.shifted_solve`
 for (sigma C - nu I) x = c, at sigma = nu = 1 with row 0 pinned to 0.
 
-Iterates run over a (batch x coefficients) stack: each step is one
-``cesaro_coefficients`` call for the whole batch.  :func:`ergodic_trace`
-takes a list of series of one truncation and returns one trace per series,
-and :func:`power_bound_certificate` iterates all its random trials
-together, once for all the norm indices k it is given; each row's numbers
-equal those of the series iterated alone.
+Iterates run over a (batch x coefficients) stack, one ``cesaro_coefficients``
+call per step.  :func:`ergodic_trace` takes a list of series of one
+truncation and returns one trace per series; :func:`power_bound_certificate`
+iterates all its random trials together, once for all its k.  The norms
+are those of :mod:`cesaro.weights`, measured a stack at a time: one
+``frechet_norm`` call per k and one ``weighted_sup_norm`` sweep for all the
+gammas.  Each row's numbers equal those of the series iterated alone.
 
 In doubles the iterates reach their limit exactly: the second eigenvalue is
 1/2, so after some 60-70 steps (about 1075 at t = 0, through subnormals) an
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import specs
 from .operators import cesaro_coefficients, shifted_solve
-from .series import TaylorSeries, geometric_series
+from .series import TaylorSeries, geometric_series, random_series
 from .weights import Weight, frechet_norm, weighted_sup_norm
 
 
@@ -124,7 +125,7 @@ def range_preimage(t: float, g: TaylorSeries) -> TaylorSeries:
     if not 0.0 <= t < 1.0:
         raise ValueError("range preimage is defined for t in [0, 1)")
     c = g.coeffs
-    if abs(c[0]) > 1e-14 * max(1.0, float(np.max(np.abs(c)))):
+    if abs(c[0]) > 1e-14 * max(1.0, float(np.linalg.norm(c, np.inf))):
         raise ValueError("g is not in the range of (C - I): g(0) must vanish")
     return TaylorSeries(shifted_solve(t, 1, 1, c, pin=(0, 0)))
 
@@ -156,9 +157,8 @@ def _norm_from_tag(tag: str):
     """The tagged norm as a map from a (batch x coefficients) stack to one value per row."""
     name, arg = specs.parse("norm tag", tag, specs.NORM_TAGS)
     if name in ("k", "ksup"):
-        flavor = "sum" if name == "k" else "sup"
-        return lambda stack: np.array([frechet_norm(TaylorSeries(row), arg, flavor) for row in stack])
-    v = Weight.unit() if name == "unit" else Weight.standard(arg)
+        return lambda stack: frechet_norm(stack, arg, "sum" if name == "k" else "sup")
+    v = Weight.from_spec(tag)
     return lambda stack: np.array([e.value for e in weighted_sup_norm(stack, v)])
 
 
@@ -245,34 +245,24 @@ def power_bound_certificate(
     if any(g < 1.0 for g in gammas):
         raise ValueError("the weighted certificate applies to gamma >= 1")
     rng = np.random.default_rng(seed)
-    # (k x 1 x coefficients): r_k**n per k, broadcast over the trials.
-    powers = np.array([(1.0 - 1.0 / x) ** np.arange(degree + 1) for x in ks])[:, None, :]
-    sup_norms = lambda stack: np.max(np.abs(stack) * powers, axis=-1)
-    trials_stack = np.array(
-        [rng.random(degree + 1) + 1j * rng.random(degree + 1) for _ in range(trials)]
-    ).reshape(trials, degree + 1)
-    weights = {float(g): Weight.standard(g) for g in gammas}
-    weighted_norms = lambda stack, w: np.array(
-        [e.value for e in weighted_sup_norm(stack, w, radii, angles, refine=False)]
-    )
-    base = sup_norms(trials_stack)
-    base_weighted = {g: weighted_norms(trials_stack, w) for g, w in weights.items()}
-    sup_excess = np.zeros((len(ks), trials))
-    weighted_excess = {g: np.zeros(trials) for g in weights}
+    stack = np.array([random_series(degree, rng).coeffs for _ in range(trials)]).reshape(trials, degree + 1)
+    weights = [Weight.standard(g) for g in gammas]
+
+    def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
+        sweep = weighted_sup_norm(batch, weights, radii, angles, refine=False) if weights else []
+        return np.array([frechet_norm(batch, x, "sup") for x in ks] + [[e.value for e in row] for row in sweep])
+
+    base = norms(stack)
+    excess = np.zeros_like(base)
     previous = None
-    for current in _iterates(t, trials_stack, n_max):
+    for current in _iterates(t, stack, n_max):
         if current is previous:  # the fixed point: it adds nothing to the maxima
             break
         previous = current
-        sup_excess = np.maximum(sup_excess, sup_norms(current) - base)
-        for g, w in weights.items():
-            excess = weighted_norms(current, w) - base_weighted[g]
-            weighted_excess[g] = np.maximum(weighted_excess[g], excess)
-    worst = lambda excess: float(np.max(excess, initial=0.0))
+        excess = np.maximum(excess, norms(current) - base)
+    worst = [float(np.max(row, initial=0.0)) for row in excess]
     reports = [
-        PowerBoundReport(
-            t, x, trials, n_max, worst(excess), {g: worst(e) for g, e in weighted_excess.items()}
-        )
-        for x, excess in zip(ks, sup_excess)
+        PowerBoundReport(t, x, trials, n_max, sup, dict(zip(map(float, gammas), worst[len(ks) :])))
+        for x, sup in zip(ks, worst)
     ]
     return reports[0] if single else reports

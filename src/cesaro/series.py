@@ -17,6 +17,8 @@ arbitrary-precision path in the library itself.
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 #: Default truncation degree for experiment-level helpers.
@@ -206,13 +208,26 @@ def to_pairs(f: TaylorSeries) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in f.coeffs]
 
 
-def from_pairs(pairs) -> TaylorSeries:
-    """Inverse of :func:`to_pairs`; also accepts bare real number lists."""
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def from_pairs(pairs, source: str = "series") -> TaylorSeries:
+    """Inverse of :func:`to_pairs`; also accepts bare real numbers.
+
+    ``pairs`` must be a non-empty list whose items are real numbers (not
+    bools) or ``[re, im]`` pairs of them.  Anything else raises a
+    ``ValueError`` that names ``source`` and the index of the bad item.
+    """
+    expected = "real numbers or [re, im] pairs of real numbers"
+    if not isinstance(pairs, list) or not pairs:
+        raise ValueError(f"{source} must be a non-empty list of {expected}")
     coeffs = []
-    for item in pairs:
-        if isinstance(item, (int, float)):
+    for i, item in enumerate(pairs):
+        if _is_real(item):
             coeffs.append(complex(item))
+        elif isinstance(item, list) and len(item) == 2 and all(map(_is_real, item)):
+            coeffs.append(complex(*item))
         else:
-            re, im = item
-            coeffs.append(complex(re, im))
+            raise ValueError(f"{source} has the item {reprlib.repr(item)} at index {i}; items must be {expected}")
     return TaylorSeries(coeffs)

@@ -17,12 +17,12 @@ refine.  An optional golden-section polish along the radius tightens the
 bound; it only ever evaluates the function, so the one-sided semantics
 survive (no extrapolation).
 
-Batches: :func:`circle_max` and :func:`weighted_sup_norm` also take a
-(batch x coefficients) stack, whose rows are series zero-padded to one
-width, and :func:`weighted_sup_norm` takes a list of series of any degrees.
-A batch costs one FFT call per grid radius and one per polish step (one
-radius per row there), and every row's result equals the result for that
-series alone.
+Batches: :func:`circle_max`, :func:`weighted_sup_norm` and
+:func:`frechet_norm` also take a (batch x coefficients) stack, whose rows
+are series zero-padded to one width, and :func:`weighted_sup_norm` takes a
+list of series of any degrees.  A batch costs one FFT call per grid radius
+and one per polish step (one radius per row there), and every row's result
+equals the result for that series alone.
 
 Sweeps: :func:`weighted_sup_norm` also takes a sequence of weights.  Its
 grid pass is shared by all of them (one FFT call per grid radius in all),
@@ -146,6 +146,8 @@ class Weight:
     def _check_shape(self):
         rs = 1.0 - 2.0 ** (-np.linspace(0.0, 20.0, 257))
         vals = np.asarray(self(rs), dtype=float)
+        if np.all(np.isfinite(vals) & (vals >= 0)) and np.any(vals == 0):
+            raise ValueError(f"weight {self.label} underflows to 0 in double precision near r = 1")
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise ValueError("weight must be finite and strictly positive on [0, 1)")
         if np.any(np.diff(vals) > _MONOTONE_SLACK * vals[0]):
@@ -324,20 +326,24 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.
 # -- coefficient norm families -----------------------------------------------
 
 
-def frechet_norm(f: TaylorSeries, k: int, flavor: str = "sum") -> float:
+def frechet_norm(f, k: int, flavor: str = "sum"):
     """Coefficient norm with ratio r_k = 1 - 1/k, for k >= 2.
 
     ``sum`` flavor: sum_n |f[n]| r_k**n.  ``sup`` flavor: max_n |f[n]| r_k**n.
     Either family generates the compact-open topology; see the inequality
     suite in the tests for the k**2 equivalence constants.
+
+    ``f`` is a :class:`TaylorSeries` (a float) or a stack with coefficients
+    on its last axis (one value per row, each equal to that row's own call).
     """
     if k < 2:
         raise ValueError("norm index k must be >= 2")
     if flavor not in ("sum", "sup"):
         raise ValueError("flavor must be 'sum' or 'sup'")
-    r_k = 1.0 - 1.0 / k
-    terms = np.abs(f.coeffs) * r_k ** np.arange(len(f.coeffs))
-    return float(np.sum(terms) if flavor == "sum" else np.max(terms))
+    coeffs = f.coeffs if isinstance(f, TaylorSeries) else np.asarray(f)
+    terms = np.abs(coeffs) * (1.0 - 1.0 / k) ** np.arange(coeffs.shape[-1])
+    norms = np.sum(terms, axis=-1) if flavor == "sum" else np.max(terms, axis=-1)
+    return float(norms) if np.ndim(norms) == 0 else norms
 
 
 # -- operator norm bounds ------------------------------------------------------

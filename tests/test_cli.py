@@ -1,12 +1,14 @@
 import argparse
 import json
 import math
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cesaro import TaylorSeries, cli, to_pairs, weights
+from cesaro import TaylorSeries, cli, random_series, to_pairs, weights
 from cesaro.acceptance import CheckResult
 from cesaro.cli import (
     EXIT_INTERNAL,
@@ -318,6 +320,40 @@ def test_series_csv_with_a_bad_index_is_validation_error(rows, message, tmp_path
     assert line.startswith(f"error: series CSV {path} {message}")
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('[[1, "a"]]', "has the item [1, 'a'] at index 0;"),
+        ("[null]", "has the item None at index 0;"),
+        ("5", "must be a non-empty list"),
+        ('{"a": 1}', "must be a non-empty list"),
+        ("[true, 2]", "has the item True at index 0;"),
+    ],
+)
+def test_a_malformed_json_series_is_validation_error(payload, message, tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(payload + "\n")
+    assert run("apply", "--t", "0.5", "--input", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: series JSON {path} {message}")
+
+
+@pytest.mark.parametrize(
+    "argv, label",
+    [
+        (("norm", "--t", "0.5", "--weight", "gamma:55"), "gamma:55"),
+        (("norm", "--t", "0.5", "--weight", "logpow:300"), "logpow:300"),
+        (("ergodic", "--t", "0.5", "--input", "{series}", "--norm", "gamma:60"), "gamma:60"),
+    ],
+)
+def test_a_weight_that_underflows_is_validation_error(argv, label, series_file, capsys):
+    assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_VALIDATION
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert line == f"error: weight {label} underflows to 0 in double precision near r = 1"
+
+
 def test_bad_config_key_is_validation_error(tmp_path):
     path = tmp_path / "exp.toml"
     path.write_text("no_such_key = 3\n")
@@ -345,6 +381,16 @@ def test_a_config_value_of_the_wrong_type_is_validation_error(content, argv, tmp
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith(f"error: {content.split(' =')[0]} = ") and "does not have the type" in line
+
+
+def test_a_config_weight_is_parsed_by_every_subcommand(tmp_path, capsys):
+    path = tmp_path / "w.toml"
+    path.write_text('weight = "bogus:xyz"\n')
+    assert run("spectrum", "--t", "0.5", "--N", "8", "--config", str(path)) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: bad weight spec 'bogus:xyz'; expected unit | gamma:<float>")
 
 
 def test_a_config_file_may_hold_keys_the_subcommand_does_not_read(tmp_path):
@@ -434,3 +480,20 @@ def test_report_runs_the_full_suite(tmp_path, capsys):
     rows = [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 15
     assert all(",true," in row for row in rows)
+
+
+# --- README ------------------------------------------------------------------------------------
+
+
+def test_every_readme_cli_example_exits_zero(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("cesaro ")]
+    # the block shows every subcommand but report, which has its own
+    assert {shlex.split(line)[1] for line in lines} == set(cli.COMMANDS) - {"report"}
+    rng = np.random.default_rng(0)
+    for name in ("f.json", "g.json"):
+        (tmp_path / name).write_text(json.dumps(to_pairs(random_series(16, rng))))
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(*shlex.split(line)[1:]) == EXIT_OK, line

@@ -305,6 +305,39 @@ def test_certificate_per_k_equals_its_single_k_calls():
     ]
 
 
+def test_certificate_measures_all_gammas_in_one_sweep_per_stack(monkeypatch):
+    args = dict(k=(2, 3), trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+    want = power_bound_certificate(0.5, **args)
+    calls = []
+    sweep = dynamics.weighted_sup_norm
+
+    def counted(f, v, *rest, **keywords):
+        calls.append((f.shape, [w.label for w in v]))
+        return sweep(f, v, *rest, **keywords)
+
+    monkeypatch.setattr(dynamics, "weighted_sup_norm", counted)
+    assert power_bound_certificate(0.5, **args) == want
+    # the trials, then each of the 12 iterates (at t = 0.5 they settle near step 60)
+    assert calls == [((6, 41), ["gamma:1", "gamma:2"])] * 13
+
+
+def test_trace_makes_one_frechet_norm_call_per_checkpoint(monkeypatch):
+    rng = np.random.default_rng(19)
+    pool = [random_series(24, rng).padded(96) for _ in range(4)]
+    checkpoints = [1, 2, 5, 30, 64]
+    want = ergodic_trace(0.6, pool, checkpoints, "ksup:2")
+    calls = []
+    norm = dynamics.frechet_norm
+
+    def counted(f, k, flavor):
+        calls.append((np.shape(f), k, flavor))
+        return norm(f, k, flavor)
+
+    monkeypatch.setattr(dynamics, "frechet_norm", counted)
+    assert ergodic_trace(0.6, pool, checkpoints, "ksup:2") == want
+    assert calls == [((4, 97), 2, "sup")] * len(checkpoints)
+
+
 def test_certificate_with_several_gammas():
     report = power_bound_certificate(0.9, k=3, trials=5, n_max=25, gammas=(1.0, 2.0), seed=2)
     for gamma, excess in report.weighted_excess.items():

@@ -56,6 +56,13 @@ def test_table_weight_interpolates_and_checks_monotonicity():
         Weight.from_table([0.0, 0.5], [0.5, -0.1])  # non-positive
 
 
+@pytest.mark.parametrize("spec", ["gamma:55", "logpow:300"])
+def test_a_weight_that_underflows_says_so(spec):
+    # positive on [0, 1), but 0 in doubles near r = 1 - 2**-20
+    with pytest.raises(ValueError, match=f"^weight {spec} underflows to 0 in double precision near r = 1$"):
+        Weight.from_spec(spec)
+
+
 def test_weight_spec_parsing():
     assert Weight.from_spec("unit").kind == "unit"
     assert Weight.from_spec("gamma:2.5").gamma == 2.5
@@ -283,6 +290,21 @@ def test_frechet_norm_of_z_at_k_two():
     f = TaylorSeries([0, 1])
     assert frechet_norm(f, 2, "sum") == 0.5
     assert frechet_norm(f, 2, "sup") == 0.5
+
+
+@pytest.mark.parametrize("flavor", ["sum", "sup"])
+@pytest.mark.parametrize("k", [2, 5, 37])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 128, 129, 1000])
+def test_stacked_frechet_norm_equals_each_rows_call(flavor, k, width):
+    # widths on both sides of numpy's pairwise-summation blocks
+    rng = np.random.default_rng(width)
+    stack = (rng.standard_normal((5, width)) + 1j * rng.standard_normal((5, width))) * 10.0 ** rng.integers(
+        -6, 6, (5, width)
+    )
+    got = frechet_norm(stack, k, flavor)
+    assert isinstance(got, np.ndarray) and got.shape == (5,)
+    assert list(got) == [frechet_norm(TaylorSeries(row), k, flavor) for row in stack]
+    assert isinstance(frechet_norm(TaylorSeries(stack[0]), k, flavor), float)
 
 
 def test_frechet_norm_rejects_small_k():
