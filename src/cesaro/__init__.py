@@ -53,7 +53,6 @@ from .spectral import (
     ResolventQuery,
     eigenpair,
     eigenvalues,
-    finite_section_spectrum,
     product_bound_scan,
     resolvent_apply,
     spectrum_distance,

@@ -50,7 +50,7 @@ from .series import (
     random_series,
     to_pairs,
 )
-from .spectral import ResolventQuery, finite_section_spectrum, eigenpair, product_bound_scan, resolvent_apply
+from .spectral import ResolventQuery, eigenpair, eigenvalues, product_bound_scan, resolvent_apply
 from .weights import Weight, log_norm_bound, norm_upper_bound, operator_norm_witness
 
 EXIT_OK = 0
@@ -246,10 +246,17 @@ def load_series(path: str) -> TaylorSeries:
         counts = np.bincount(n)
         if counts.max() > 1:
             raise ValueError(f"series CSV {path} repeats the index {np.argmax(counts > 1)}")
+        finite = np.isfinite(rows[:, 1:3]).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"series CSV {path} has a non-finite coefficient at the index {n[~finite][0]}")
         coeffs = np.zeros(len(counts), dtype=complex)
         coeffs[n] = rows[:, 1] + 1j * rows[:, 2]
         return TaylorSeries(coeffs)
-    return from_pairs(json.loads(p.read_text()), f"series JSON {path}")
+    try:
+        pairs = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"series JSON {path} does not parse: {exc}") from None
+    return from_pairs(pairs, f"series JSON {path}")
 
 
 def _single_t(cfg: ExperimentConfig) -> float:
@@ -325,11 +332,12 @@ def cmd_norm(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = _config_from(args)
-    values = finite_section_spectrum(_single_t(cfg), cfg.truncation)
+    t = _single_t(cfg)  # validate() has range-checked t and N
+    values = eigenvalues(cfg.truncation)
     if cfg.fmt == "json":
         write_json({"eigenvalues": [float(v) for v in values], "config": cfg.short_hash()}, cfg)
     else:
-        write_csv(("n", "eigenvalue"), list(enumerate(values)), cfg, {"t": _single_t(cfg)})
+        write_csv(("n", "eigenvalue"), list(enumerate(values)), cfg, {"t": t})
     return EXIT_OK
 
 

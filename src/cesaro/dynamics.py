@@ -23,7 +23,7 @@ call per step.  :func:`ergodic_trace` takes a list of series of one
 truncation and returns one trace per series; :func:`power_bound_certificate`
 iterates all its random trials together, once for all its k.  The norms
 are those of :mod:`cesaro.weights`, measured a stack at a time: one
-``frechet_norm`` call per k and one ``weighted_sup_norm`` sweep for all the
+``frechet_norm`` call for all the k and one ``weighted_sup_norm`` sweep for all the
 gammas.  Each row's numbers equal those of the series iterated alone.
 
 In doubles the iterates reach their limit exactly: the second eigenvalue is
@@ -250,7 +250,7 @@ def power_bound_certificate(
 
     def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
         sweep = weighted_sup_norm(batch, weights, radii, angles, refine=False) if weights else []
-        return np.array([frechet_norm(batch, x, "sup") for x in ks] + [[e.value for e in row] for row in sweep])
+        return np.array([*frechet_norm(batch, ks, "sup"), *([e.value for e in row] for row in sweep)])
 
     base = norms(stack)
     excess = np.zeros_like(base)

@@ -17,6 +17,8 @@ arbitrary-precision path in the library itself.
 
 from __future__ import annotations
 
+import cmath
+import math
 import reprlib
 
 import numpy as np
@@ -53,12 +55,6 @@ class TaylorSeries:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __getitem__(self, n):
-        return self.coeffs[n]
-
-    def __call__(self, z):
-        return evaluate(self, z)
 
     def padded(self, degree: int) -> "TaylorSeries":
         """Same function, coefficient vector extended with zeros to ``degree``."""
@@ -109,9 +105,6 @@ class TaylorSeries:
 
     def __rmul__(self, scalar):
         return self.__mul__(scalar)
-
-    def __neg__(self):
-        return TaylorSeries(-self.coeffs)
 
     def __repr__(self) -> str:
         head = np.array2string(self.coeffs[:4], precision=6, separator=", ")
@@ -215,8 +208,8 @@ def _is_real(value) -> bool:
 def from_pairs(pairs, source: str = "series") -> TaylorSeries:
     """Inverse of :func:`to_pairs`; also accepts bare real numbers.
 
-    ``pairs`` must be a non-empty list whose items are real numbers (not
-    bools) or ``[re, im]`` pairs of them.  Anything else raises a
+    ``pairs`` must be a non-empty list whose items are finite real numbers
+    (not bools) or ``[re, im]`` pairs of them.  Anything else raises a
     ``ValueError`` that names ``source`` and the index of the bad item.
     """
     expected = "real numbers or [re, im] pairs of real numbers"
@@ -225,9 +218,16 @@ def from_pairs(pairs, source: str = "series") -> TaylorSeries:
     coeffs = []
     for i, item in enumerate(pairs):
         if _is_real(item):
-            coeffs.append(complex(item))
+            parts = [item]
         elif isinstance(item, list) and len(item) == 2 and all(map(_is_real, item)):
-            coeffs.append(complex(*item))
+            parts = item
         else:
             raise ValueError(f"{source} has the item {reprlib.repr(item)} at index {i}; items must be {expected}")
+        try:
+            value = complex(*parts)
+        except OverflowError:  # an integer beyond the double range
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{source} has the non-finite item {reprlib.repr(item)} at index {i}")
+        coeffs.append(value)
     return TaylorSeries(coeffs)

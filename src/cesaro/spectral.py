@@ -34,7 +34,11 @@ _MAX_INDEX = float(2**62)
 
 
 def eigenvalues(count: int) -> np.ndarray:
-    """The first ``count`` points of the eigenvalue ladder: 1/(m+1)."""
+    """The first ``count`` points of the eigenvalue ladder: 1/(m+1).
+
+    They are also the spectrum of the count x count coefficient section at
+    every t: the section is lower triangular with diagonal 1/(n+1).
+    """
     return 1.0 / (np.arange(count) + 1.0)
 
 
@@ -125,22 +129,6 @@ def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
     if not 0.0 <= t < 1.0:
         raise ValueError("resolvent is computed for t in [0, 1)")
     return TaylorSeries(shifted_solve(t, 1, complex(query.nu), query.rhs.coeffs))
-
-
-# -- finite sections ------------------------------------------------------------
-
-
-def finite_section_spectrum(t: float, size: int) -> np.ndarray:
-    """Eigenvalues of the size x size coefficient section: exactly {1/(n+1)}.
-
-    The section is lower triangular, so the spectrum is its diagonal and does
-    not depend on t.
-    """
-    if size < 1:
-        raise ValueError("section size must be >= 1")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("parameter t must lie in [0, 1]")
-    return eigenvalues(size)
 
 
 # -- infinite product growth ----------------------------------------------------

@@ -34,8 +34,8 @@ one estimate per (weight, t).  A single ``t`` and weight is the 1 x 1 case
 of the same path, and every entry of a sweep equals its single call.
 
 Also here: the norm families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n
-with r_k = 1 - 1/k, proven upper bounds for operator norms, and
-witness-based lower bounds for them.
+with r_k = 1 - 1/k, proven upper bounds for operator norms, and witness
+ratios that estimate those norms from grid estimates.
 """
 
 from __future__ import annotations
@@ -67,18 +67,17 @@ class Weight:
     and rejects weights that fail positivity or monotonicity.
     """
 
-    def __init__(self, kind: str, label: str, evaluator, boundary_limit_zero: bool):
+    def __init__(self, kind: str, label: str, evaluator):
         self.kind = kind
         self.label = label
         self._evaluator = evaluator
-        self.boundary_limit_zero = boundary_limit_zero
         self._check_shape()
 
     # -- factories ---------------------------------------------------------
 
     @classmethod
     def unit(cls) -> "Weight":
-        return cls("unit", "unit", lambda r: np.ones_like(np.asarray(r, dtype=float)), False)
+        return cls("unit", "unit", lambda r: np.ones_like(np.asarray(r, dtype=float)))
 
     @classmethod
     def standard(cls, gamma: float) -> "Weight":
@@ -87,7 +86,7 @@ class Weight:
             raise ValueError("gamma must be positive")
         gamma = float(gamma)
         ev = lambda r: (1.0 - np.asarray(r, dtype=float)) ** gamma
-        w = cls("standard_gamma", f"gamma:{gamma:g}", ev, True)
+        w = cls("standard_gamma", f"gamma:{gamma:g}", ev)
         w.gamma = gamma
         return w
 
@@ -98,9 +97,7 @@ class Weight:
         if n < 1:
             raise ValueError("log-power exponent must be a positive integer")
         ev = lambda r: (1.0 - np.log1p(-np.asarray(r, dtype=float))) ** (-float(n))
-        w = cls("log_power", f"logpow:{n}", ev, True)
-        w.power = n
-        return w
+        return cls("log_power", f"logpow:{n}", ev)
 
     @classmethod
     def from_table(cls, radii, values) -> "Weight":
@@ -115,9 +112,7 @@ class Weight:
             raise ValueError("table weight values must be strictly positive")
         if np.any(np.diff(values) > _MONOTONE_SLACK):
             raise ValueError("table weight values must be non-increasing")
-        ev = lambda r: np.interp(np.asarray(r, dtype=float), radii, values)
-        vanishes = values[-1] <= 1e-3 * values[0]
-        return cls("table", "table", ev, bool(vanishes))
+        return cls("table", "table", lambda r: np.interp(np.asarray(r, dtype=float), radii, values))
 
     @classmethod
     def from_spec(cls, spec: str) -> "Weight":
@@ -159,19 +154,9 @@ class Weight:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A norm value with one-sided semantics and the grid that produced it.
-
-    ``direction`` is ``"grid_estimate"`` for sup-norm grid maxima (a lower
-    bound of the true supremum) or ``"lower_witness"`` for witness-ratio
-    operator-norm bounds.
-    """
+    """A norm value: a weighted sup-norm grid estimate, or a witness ratio of two of them."""
 
     value: float
-    direction: str
-    radii: int
-    angles: int
-    truncation: int
-    refined: bool = False
 
 
 # -- circle and disc maxima --------------------------------------------------
@@ -234,15 +219,14 @@ def radial_grid(count: int) -> np.ndarray:
     return 1.0 - 2.0 ** (-np.arange(count) / 4.0)
 
 
-def _coefficient_stack(series) -> tuple[np.ndarray, list[int]]:
-    """A list of series as one zero-padded (batch x coefficients) stack, with the degrees."""
+def _coefficient_stack(series) -> np.ndarray:
+    """A list of series as one zero-padded (batch x coefficients) stack."""
     if isinstance(series, np.ndarray) and series.ndim == 2:
-        return series, [series.shape[1] - 1] * len(series)
-    degrees = [g.degree for g in series]
-    stack = np.zeros((len(series), max(degrees, default=0) + 1), dtype=complex)
+        return series
+    stack = np.zeros((len(series), max((g.degree for g in series), default=0) + 1), dtype=complex)
     for row, g in zip(stack, series):
         row[: len(g.coeffs)] = g.coeffs
-    return stack, degrees
+    return stack
 
 
 def weighted_sup_norm(
@@ -275,7 +259,7 @@ def weighted_sup_norm(
     weights = [v] if one_weight else list(v)
     if not weights:
         raise ValueError("weight list must be non-empty")
-    stack, degrees = _coefficient_stack([f] if single else f)
+    stack = _coefficient_stack([f] if single else f)
     rs = radial_grid(radii)
     profile = np.empty((len(stack), radii))
     for col, r in enumerate(rs):
@@ -291,10 +275,7 @@ def weighted_sup_norm(
             hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
             weighted = lambda r: w(r) * circle_max(stack, r, angles)
             best = np.maximum(best, _golden_max(weighted, lo, hi))
-        estimates = [
-            NormEstimate(float(value), "grid_estimate", radii, angles, degree, refined=refine)
-            for value, degree in zip(best, degrees)
-        ]
+        estimates = [NormEstimate(float(value)) for value in best]
         results.append(estimates[0] if single else estimates)
     return results[0] if one_weight else results
 
@@ -326,7 +307,7 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.
 # -- coefficient norm families -----------------------------------------------
 
 
-def frechet_norm(f, k: int, flavor: str = "sum"):
+def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     """Coefficient norm with ratio r_k = 1 - 1/k, for k >= 2.
 
     ``sum`` flavor: sum_n |f[n]| r_k**n.  ``sup`` flavor: max_n |f[n]| r_k**n.
@@ -335,13 +316,17 @@ def frechet_norm(f, k: int, flavor: str = "sum"):
 
     ``f`` is a :class:`TaylorSeries` (a float) or a stack with coefficients
     on its last axis (one value per row, each equal to that row's own call).
+    ``k`` is one index or a sequence of them, which adds a leading axis with
+    one entry per k, each equal to the call for that k alone.
     """
-    if k < 2:
+    ks = np.asarray(k)
+    if np.any(ks < 2):
         raise ValueError("norm index k must be >= 2")
     if flavor not in ("sum", "sup"):
         raise ValueError("flavor must be 'sum' or 'sup'")
     coeffs = f.coeffs if isinstance(f, TaylorSeries) else np.asarray(f)
-    terms = np.abs(coeffs) * (1.0 - 1.0 / k) ** np.arange(coeffs.shape[-1])
+    ratios = np.reshape(1.0 - 1.0 / ks, ks.shape + (1,) * coeffs.ndim)
+    terms = np.abs(coeffs) * ratios ** np.arange(coeffs.shape[-1])
     norms = np.sum(terms, axis=-1) if flavor == "sum" else np.max(terms, axis=-1)
     return float(norms) if np.ndim(norms) == 0 else norms
 
@@ -378,13 +363,15 @@ def operator_norm_witness(
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
 ) -> NormEstimate | list:
-    """Witness-based lower bound for the operator norm on the weighted space.
+    """Witness-ratio estimate of the operator norm on the weighted space.
 
     Returns the largest ratio ``|image of w| / |w|`` of weighted sup-norm
-    grid estimates, each polished along the radius, over the witness list.  Rejects t = 1: the averaging
-    operator does not act on the weighted sup-norm spaces at t = 1 (its
-    image of a bounded function need not be bounded), so no norm is defined
-    there.
+    grid estimates, each polished along the radius, over the witness list.
+    Both grid estimates sit below their true norms, so the ratio is not a
+    certified bound on either side: it is a ratio of two grid estimates.
+    Rejects t = 1: the averaging operator does not act on the weighted
+    sup-norm spaces at t = 1 (its image of a bounded function need not be
+    bounded), so no norm is defined there.
 
     ``t`` is one parameter or a sequence of them, and ``v`` one
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are
@@ -407,7 +394,6 @@ def operator_norm_witness(
     for x in ts:
         op = CesaroOperator(x)
         series.extend(apply(op, w) for w in witnesses)
-    max_degree = max(w.degree for w in witnesses)
     table = []
     for estimates in weighted_sup_norm(series, weights, radii, angles):
         values = np.array([e.value for e in estimates])
@@ -415,9 +401,6 @@ def operator_norm_witness(
         if np.any(denoms <= 0.0):
             raise ValueError("every witness must have positive weighted norm")
         ratios = values[count:].reshape(len(ts), count) / denoms
-        row = [
-            NormEstimate(float(np.max(r)), "lower_witness", radii, angles, max_degree, refined=True)
-            for r in ratios
-        ]
+        row = [NormEstimate(float(np.max(r))) for r in ratios]
         table.append(row[0] if single_t else row)
     return table[0] if one_weight else table

@@ -307,8 +307,9 @@ def test_csv_with_too_few_columns_is_validation_error(argv, content, columns, tm
         ("0,1,0\n1,2,0\n-1,5,0\n", "has the index -1;"),
         ("0,1,0\n1.7,2,0\n", "has the index 1.7;"),
         ("0,1,0\n1,2,0\n1,5,0\n", "repeats the index 1"),
+        ("0,nan,0\n", "has a non-finite coefficient at the index 0"),
     ],
-    ids=["negative", "non-integer", "repeated"],
+    ids=["negative", "non-integer", "repeated", "non-finite"],
 )
 def test_series_csv_with_a_bad_index_is_validation_error(rows, message, tmp_path, capsys):
     path = tmp_path / "bad.csv"
@@ -328,6 +329,10 @@ def test_series_csv_with_a_bad_index_is_validation_error(rows, message, tmp_path
         ("5", "must be a non-empty list"),
         ('{"a": 1}', "must be a non-empty list"),
         ("[true, 2]", "has the item True at index 0;"),
+        ("[1, 2", "does not parse: Expecting ',' delimiter"),
+        ("[NaN]", "has the non-finite item nan at index 0"),
+        ("[1, [2, Infinity]]", "has the non-finite item [2, inf] at index 1"),
+        pytest.param("[0, 1" + "0" * 400 + "]", "has the non-finite item 1000", id="int-beyond-double-range"),
     ],
 )
 def test_a_malformed_json_series_is_validation_error(payload, message, tmp_path, capsys):

@@ -14,3 +14,9 @@ def test_every_exported_name_resolves_once():
 def test_no_submodule_is_exported():
     assert [name for name in cesaro.__all__ if isinstance(getattr(cesaro, name), types.ModuleType)] == []
     assert "shifted_solve" not in cesaro.__all__  # the kernel stays private to its callers
+
+
+def test_deleted_names_stay_gone():
+    # finite_section_spectrum(t, size) returned eigenvalues(size) whatever t was
+    assert not hasattr(cesaro, "finite_section_spectrum")
+    assert "finite_section_spectrum" not in cesaro.__all__

@@ -10,7 +10,6 @@ from cesaro import (
     apply,
     eigenpair,
     eigenvalues,
-    finite_section_spectrum,
     geometric_series,
     max_coeff_diff,
     operator_matrix,
@@ -246,27 +245,22 @@ def test_resolvent_refuses_near_spectral_points():
 
 
 def test_three_by_three_section_spectrum():
-    got = finite_section_spectrum(0.7, 3)
-    np.testing.assert_allclose(got, [1.0, 0.5, 1.0 / 3.0])
-
-
-def test_section_spectrum_is_t_independent():
-    base = finite_section_spectrum(0.0, 40)
-    for t in (0.2, 0.9, 1.0):
-        np.testing.assert_array_equal(finite_section_spectrum(t, 40), base)
+    got = np.linalg.eigvals(operator_matrix(0.7, 3))
+    np.testing.assert_allclose(np.sort(got.real)[::-1], [1.0, 0.5, 1.0 / 3.0])
+    np.testing.assert_array_equal(np.diagonal(operator_matrix(0.7, 3)), eigenvalues(3))
 
 
 def test_dense_eigensolver_cross_check():
     for t in (0.0, 0.5, 0.9):
         dense = np.sort_complex(np.linalg.eigvals(operator_matrix(t, 64)))[::-1]
-        assert np.max(np.abs(dense - finite_section_spectrum(t, 64))) <= 1e-8
+        assert np.max(np.abs(dense - eigenvalues(64))) <= 1e-8
 
 
 def test_eigenvalues_accumulate_only_at_zero():
-    ladder = finite_section_spectrum(0.5, 1024)
+    ladder = eigenvalues(1024)
     assert np.count_nonzero(ladder > 0.01) == 99
     assert ladder.min() > 0.0
-    np.testing.assert_array_equal(ladder, eigenvalues(1024))
+    np.testing.assert_array_equal(np.diagonal(operator_matrix(0.5, 1024)), ladder)
 
 
 # --- infinite product scans -----------------------------------------------------------------
