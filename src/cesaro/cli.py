@@ -309,15 +309,13 @@ def cmd_norm(args) -> int:
         )
     grid = {"radii": cfg.radii, "angles": cfg.angles}
     if any(name == "g0" for name, _ in parsed):  # the g0 witness depends on t
-        estimates = [operator_norm_witness(t, v, _build_witnesses(parsed, t, cfg), **grid) for t in cfg.t_list]
+        values = [operator_norm_witness(t, v, _build_witnesses(parsed, t, cfg), **grid).value for t in cfg.t_list]
     else:  # one pool for every t: one sweep, each entry equal to its single call
-        estimates = operator_norm_witness(cfg.t_list, v, _build_witnesses(parsed, None, cfg), **grid)
+        values = operator_norm_witness(cfg.t_list, v, _build_witnesses(parsed, None, cfg), **grid).value.tolist()
     rows = []
-    for t, est in zip(cfg.t_list, estimates):
-        log_bound = log_norm_bound(t)
+    for t, value in zip(cfg.t_list, values):
         bound = norm_upper_bound(t, v)
-        ok = est.value <= bound + 1e-3
-        rows.append((float(t), est.value, log_bound, float(bound), ok))
+        rows.append((float(t), value, log_norm_bound(t), float(bound), value <= bound + 1e-3))
     if cfg.out is None and cfg.fmt == "csv":
         for t, est, log_bound, bound, ok in rows:
             flag = "ok" if ok else "VIOLATION"
@@ -395,11 +393,12 @@ def cmd_ergodic(args) -> int:
 def cmd_report(args) -> int:
     cfg = _config_from(args)
     results = run_all_checks()
-    for result in results:
-        print(result.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    if cfg.out:
+    if cfg.out or cfg.fmt == "csv":  # the text table; without --out, JSON on stdout replaces it
+        for result in results:
+            print(result.line())
+        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    if cfg.out or cfg.fmt == "json":
         rows = [(r.name, r.passed, r.detail) for r in results]
         write_table(("name", "passed", "detail"), rows, cfg, {})
     return EXIT_OK if not failed else EXIT_INTERNAL

@@ -20,8 +20,9 @@ for (sigma C - nu I) x = c, at sigma = nu = 1 with row 0 pinned to 0.
 
 Iterates run over a (batch x coefficients) stack, one ``cesaro_coefficients``
 call per step.  :func:`ergodic_trace` takes a list of series of one
-truncation and returns one trace per series; :func:`power_bound_certificate`
-iterates all its random trials together, once for all its k.  The norms
+truncation and returns one trace with a row of distances per series;
+:func:`power_bound_certificate` iterates all its random trials together,
+once for all its k, and returns one report with an excess per k.  The norms
 are those of :mod:`cesaro.weights`, measured a stack at a time: one
 ``frechet_norm`` call for all the k and one ``weighted_sup_norm`` sweep for all the
 gammas.  Each row's numbers equal those of the series iterated alone.
@@ -43,7 +44,7 @@ import numpy as np
 from . import specs
 from .operators import cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series, random_series
-from .weights import Weight, frechet_norm, weighted_sup_norm
+from .weights import Weight, _dropped, _listed, frechet_norm, weighted_sup_norm
 
 
 def _words(array: np.ndarray) -> memoryview:
@@ -133,23 +134,25 @@ def range_preimage(t: float, g: TaylorSeries) -> TaylorSeries:
 # -- traces and certificates ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErgodicTrace:
     """Distances of the ergodic averages from the limit projection.
 
-    ``norm_tag`` records which norm produced the distances: ``k:<int>`` for
-    the sum-flavor coefficient norm, ``ksup:<int>`` for the sup flavor,
+    ``distances`` has one column per checkpoint of ``n_values``, and one row
+    per series when the trace was taken of a list of them.  ``norm_tag``
+    records which norm produced the distances: ``k:<int>`` for the
+    sum-flavor coefficient norm, ``ksup:<int>`` for the sup flavor,
     ``gamma:<float>``/``unit`` for weighted sup-norm grid estimates.
     """
 
     n_values: tuple[int, ...]
-    distances: tuple[float, ...]
+    distances: np.ndarray
     norm_tag: str
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("trace checkpoints must be strictly increasing")
-        if any(d < 0 for d in self.distances):
+        if np.any(np.less(self.distances, 0)):
             raise ValueError("distances must be nonnegative")
 
 
@@ -159,58 +162,51 @@ def _norm_from_tag(tag: str):
     if name in ("k", "ksup"):
         return lambda stack: frechet_norm(stack, arg, "sum" if name == "k" else "sup")
     v = Weight.from_spec(tag)
-    return lambda stack: np.array([e.value for e in weighted_sup_norm(stack, v)])
+    return lambda stack: weighted_sup_norm(stack, v).value
 
 
 def ergodic_trace(t: float, f, n_values, norm_tag: str = "ksup:2"):
     """Distances ||mean_n(f) - limit|| at the requested checkpoints.
 
     Runs one incremental sweep up to max(n_values), measuring at each
-    checkpoint with the tagged norm.  ``f`` is one series (returns one
-    trace) or a list of series of one truncation (returns one trace per
-    series); a list is swept as one stack, each trace equal to its series'
-    own.
+    checkpoint with the tagged norm.  ``f`` is one series or a list of
+    series of one truncation, swept as one stack: the trace's distances are
+    (series x checkpoints), or one per checkpoint for one series, and each
+    row equals its series' own trace.
     """
     n_values = sorted(set(int(n) for n in n_values))
     if not n_values or n_values[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     norm = _norm_from_tag(norm_tag)
     single = isinstance(f, TaylorSeries)
-    series = [f] if single else list(f)
+    series = _listed(f, single)
     if not series or len({len(g.coeffs) for g in series}) != 1:
         raise ValueError("a trace batch needs one or more series of one truncation")
     stack = np.array([g.coeffs for g in series])
     limit = np.array([ergodic_limit_projection(t, g).coeffs for g in series])
     checkpoints = set(n_values)
     total = np.zeros_like(stack)
-    distances = {}
+    distances = []
     for step, current in enumerate(_iterates(t, stack, n_values[-1]), start=1):
         total += current
         if step in checkpoints:
-            distances[step] = norm(total / step - limit)
-    traces = [
-        ErgodicTrace(tuple(n_values), tuple(float(distances[n][i]) for n in n_values), norm_tag)
-        for i in range(len(series))
-    ]
-    return traces[0] if single else traces
+            distances.append(norm(total / step - limit))
+    return ErgodicTrace(tuple(n_values), _dropped(np.transpose(distances), single), norm_tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerBoundReport:
     """Worst excesses seen while certifying power boundedness.
 
     ``sup_norm_excess`` is the largest violation of
     |||C^n f|||_k <= |||f|||_k across trials (roundoff-level when the
-    certificate holds).  ``weighted_excess`` maps each sampled gamma >= 1 to
-    the largest excess of the weighted grid estimate of an iterate over that
-    of f itself.
+    certificate holds): a float for one k, one value per k for a sequence
+    of them.  ``weighted_excess`` maps each sampled gamma >= 1 to the
+    largest excess of the weighted grid estimate of an iterate over that of
+    f itself.
     """
 
-    t: float
-    k: int
-    trials: int
-    n_max: int
-    sup_norm_excess: float
+    sup_norm_excess: float | np.ndarray
     weighted_excess: dict[float, float]
 
 
@@ -224,7 +220,7 @@ def power_bound_certificate(
     seed: int = 0,
     radii: int = 32,
     angles: int = 256,
-) -> PowerBoundReport | list[PowerBoundReport]:
+) -> PowerBoundReport:
     """Measure iterate norms against the power-boundedness predictions.
 
     For random test functions and every n <= n_max the sup-flavor norm of the
@@ -233,13 +229,12 @@ def power_bound_certificate(
     exceed the input's estimate beyond grid slack (those operator norms are
     exactly 1, for every power).
 
-    ``k`` is one norm index (returns one :class:`PowerBoundReport`) or a
-    sequence of them (returns one report per k).  Only the coefficient
+    ``k`` is one norm index or a sequence of them.  Only the coefficient
     weights r_k**n of the norm depend on k, so the trials are iterated once
-    for all of them; each report equals the call for its k alone.
+    for all of them; each k's excess equals the call for that k alone.
     """
     single = np.ndim(k) == 0
-    ks = [k] if single else list(k)
+    ks = _listed(k, single)
     if not ks or any(x < 2 for x in ks):
         raise ValueError("norm index k must be >= 2")
     if any(g < 1.0 for g in gammas):
@@ -249,8 +244,10 @@ def power_bound_certificate(
     weights = [Weight.standard(g) for g in gammas]
 
     def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
-        sweep = weighted_sup_norm(batch, weights, radii, angles, refine=False) if weights else []
-        return np.array([*frechet_norm(batch, ks, "sup"), *([e.value for e in row] for row in sweep)])
+        rows = [frechet_norm(batch, ks, "sup")]
+        if weights:
+            rows.append(weighted_sup_norm(batch, weights, radii, angles, refine=False).value)
+        return np.concatenate(rows)
 
     base = norms(stack)
     excess = np.zeros_like(base)
@@ -260,9 +257,6 @@ def power_bound_certificate(
             break
         previous = current
         excess = np.maximum(excess, norms(current) - base)
-    worst = [float(np.max(row, initial=0.0)) for row in excess]
-    reports = [
-        PowerBoundReport(t, x, trials, n_max, sup, dict(zip(map(float, gammas), worst[len(ks) :])))
-        for x, sup in zip(ks, worst)
-    ]
-    return reports[0] if single else reports
+    worst = np.max(excess, axis=1, initial=0.0)
+    weighted = dict(zip(map(float, gammas), worst[len(ks) :].tolist()))
+    return PowerBoundReport(_dropped(worst[: len(ks)], single), weighted)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
 from scipy.signal import lfilter
 
@@ -79,8 +80,7 @@ def operator_matrix(t: float, size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("matrix section needs size >= 1")
     n = np.arange(size)
-    powers = float(t) ** n  # t**(n-k) is powers[n - k]: size powers, not size**2
-    return np.tril(powers[np.abs(np.subtract.outer(n, n))]) / (n[:, None] + 1.0)
+    return np.tril(scipy.linalg.toeplitz(float(t) ** n)) / (n[:, None] + 1)  # entry (n, k) is t**(n-k)
 
 
 def apply(op: CesaroOperator, f: TaylorSeries) -> TaylorSeries:

@@ -134,7 +134,7 @@ def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
 # -- infinite product growth ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductBoundReport:
     """Scan of p_n = prod_{k<=n} |1 - 1/(k nu)| against the n**(-alpha) envelope.
 
@@ -145,7 +145,6 @@ class ProductBoundReport:
     stabilized scan shows no trend).
     """
 
-    nu: complex
     alpha: float
     n_values: np.ndarray
     p_values: np.ndarray
@@ -181,4 +180,4 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     x = np.log(k[tail])
     x -= x.mean()  # centred, so x @ y is the least-squares x @ (y - mean(y))
     slope = float(x @ log_scaled[tail] / (x @ x))
-    return ProductBoundReport(nu, alpha, k.astype(int), p, scaled, d_hat, big_d, slope)
+    return ProductBoundReport(alpha, k.astype(int), p, scaled, d_hat, big_d, slope)

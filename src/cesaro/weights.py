@@ -17,21 +17,25 @@ refine.  An optional golden-section polish along the radius tightens the
 bound; it only ever evaluates the function, so the one-sided semantics
 survive (no extrapolation).
 
-Batches: :func:`circle_max`, :func:`weighted_sup_norm` and
+Batches and sweeps: :func:`circle_max`, :func:`weighted_sup_norm` and
 :func:`frechet_norm` also take a (batch x coefficients) stack, whose rows
 are series zero-padded to one width, and :func:`weighted_sup_norm` takes a
-list of series of any degrees.  A batch costs one FFT call per grid radius
-and one per polish step (one radius per row there), and every row's result
-equals the result for that series alone.
+list of series of any degrees.  :func:`weighted_sup_norm` also takes a
+sequence of weights, :func:`frechet_norm` a sequence of ``k``, and
+:func:`operator_norm_witness` sequences of ``t`` and of weights.  A batch
+costs one FFT call per grid radius and one per polish step (one radius per
+row there); a weight sweep shares the grid pass, and each weight then runs
+its own argmax and polish; a witness sweep stacks the witnesses once,
+followed by their images for every ``t``, and measures the stack in one
+:func:`weighted_sup_norm` call.
 
-Sweeps: :func:`weighted_sup_norm` also takes a sequence of weights.  Its
-grid pass is shared by all of them (one FFT call per grid radius in all),
-and each weight then runs its own argmax and polish.
-:func:`operator_norm_witness` takes a sequence of ``t`` and/or of weights:
-it stacks the witnesses once, followed by their images for every ``t``,
-and measures the stack in one :func:`weighted_sup_norm` call, returning
-one estimate per (weight, t).  A single ``t`` and weight is the 1 x 1 case
-of the same path, and every entry of a sweep equals its single call.
+Shapes: a batched call returns its values as one array (the ``value`` of
+one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
+axes are the inputs given as sequences, in the order weights, then ``t``,
+then series (``k``, then series, for :func:`frechet_norm`); an input given
+as one item (a :class:`Weight`, a number, a :class:`TaylorSeries`) has no
+axis.  With no axis left the value is a plain float.  Every entry equals
+the call for its inputs alone.
 
 Also here: the norm families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n
 with r_k = 1 - 1/k, proven upper bounds for operator norms, and witness
@@ -152,11 +156,31 @@ class Weight:
         return f"Weight({self.label})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormEstimate:
-    """A norm value: a weighted sup-norm grid estimate, or a witness ratio of two of them."""
+    """Norm values: weighted sup-norm grid estimates, or witness ratios of two of them.
 
-    value: float
+    ``value`` is (weights x series) from :func:`weighted_sup_norm` and
+    (weights x t) from :func:`operator_norm_witness`; an input given as one
+    item drops its axis, and with no axis left ``value`` is a float.
+    """
+
+    value: float | np.ndarray
+
+
+def _listed(items, one: bool) -> list:
+    """An input as a list: ``[items]`` for one item, else the items of the sequence."""
+    return [items] if one else list(items)
+
+
+def _dropped(values, *single: bool):
+    """An array ``values`` without the leading axes flagged in ``single``; a float once no axis is left.
+
+    Each flag marks an input given as one item, whose axis has length 1.
+    """
+    if any(single):
+        values = values[tuple(0 if one else slice(None) for one in single)]
+    return float(values) if values.ndim == 0 else values
 
 
 # -- circle and disc maxima --------------------------------------------------
@@ -182,7 +206,7 @@ def circle_max(f, r, angles: int):
     if angles < 1:
         raise ValueError("angle count must be >= 1")
     single = isinstance(f, TaylorSeries)
-    coeffs = f.coeffs[None, :] if single else np.asarray(f, dtype=complex)
+    coeffs = _coefficient_stack(f)
     rows, width = coeffs.shape
     n = np.arange(width)
     # |f(0)| by hypot, which rounds like the scalar modulus (np.abs of a
@@ -190,7 +214,7 @@ def circle_max(f, r, angles: int):
     center = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)
     if r.ndim == 0:
         if r == 0.0:
-            return float(center[0]) if single else center
+            return _dropped(center, single)
         powers = float(r) ** n  # one radius: computed once, broadcast over the rows
     else:
         last = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
@@ -205,7 +229,7 @@ def circle_max(f, r, angles: int):
     peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
     if r.ndim:
         peak = np.where(r == 0.0, center, peak)
-    return float(peak[0]) if single else peak
+    return _dropped(peak, single)
 
 
 def radial_grid(count: int) -> np.ndarray:
@@ -220,9 +244,11 @@ def radial_grid(count: int) -> np.ndarray:
 
 
 def _coefficient_stack(series) -> np.ndarray:
-    """A list of series as one zero-padded (batch x coefficients) stack."""
-    if isinstance(series, np.ndarray) and series.ndim == 2:
-        return series
+    """A series, a list of series or a stack as one zero-padded (batch x coefficients) complex stack."""
+    if isinstance(series, TaylorSeries):
+        return series.coeffs[None, :]
+    if isinstance(series, np.ndarray):
+        return np.asarray(series, dtype=complex)
     stack = np.zeros((len(series), max((g.degree for g in series), default=0) + 1), dtype=complex)
     for row, g in zip(stack, series):
         row[: len(g.coeffs)] = g.coeffs
@@ -243,41 +269,37 @@ def weighted_sup_norm(
     grid argmax tightens the estimate.  Both passes only evaluate the
     function, so the result never exceeds the true supremum.
 
-    ``f`` is a :class:`TaylorSeries` (one :class:`NormEstimate`), or a list
-    of series or a (batch x coefficients) stack (one estimate per series).
-    ``v`` is a :class:`Weight`, or a sequence of weights (one such result
-    per weight).  The grid pass runs once for all weights: one stacked
-    ``circle_max`` per radius gives a series x radii profile, which each
-    weight scales by ``v(r)`` (evaluated one radius at a time) before its
-    own argmax and polish (one stacked ``circle_max`` per step).  Each
-    estimate equals that of its series and weight alone.
+    ``f`` is a :class:`TaylorSeries`, a list of series or a (batch x
+    coefficients) stack, and ``v`` a :class:`Weight` or a sequence of them;
+    the :class:`NormEstimate` holds a (weights x series) array, shaped as
+    the module docstring says.  The grid pass runs once for all weights:
+    one stacked ``circle_max`` per radius gives a series x radii profile,
+    which each weight scales by ``v(r)`` (evaluated one radius at a time)
+    before its own argmax and polish (one stacked ``circle_max`` per step).
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
-    single = isinstance(f, TaylorSeries)
-    one_weight = isinstance(v, Weight)
-    weights = [v] if one_weight else list(v)
+    single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
+    weights = _listed(v, one_weight)
     if not weights:
         raise ValueError("weight list must be non-empty")
-    stack = _coefficient_stack([f] if single else f)
+    stack = _coefficient_stack(f)
     rs = radial_grid(radii)
     profile = np.empty((len(stack), radii))
     for col, r in enumerate(rs):
         profile[:, col] = circle_max(stack, float(r), angles)
-    results = []
-    for w in weights:
+    best = np.empty((len(weights), len(stack)))
+    for row, w in zip(best, weights):
         vals = profile * np.array([float(w(r)) for r in rs])
         j = np.argmax(vals, axis=1)
-        best = vals[np.arange(len(stack)), j]
+        row[:] = vals[np.arange(len(stack)), j]
         if refine:
             lo = rs[np.maximum(j - 1, 0)]
             outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
             hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
             weighted = lambda r: w(r) * circle_max(stack, r, angles)
-            best = np.maximum(best, _golden_max(weighted, lo, hi))
-        estimates = [NormEstimate(float(value)) for value in best]
-        results.append(estimates[0] if single else estimates)
-    return results[0] if one_weight else results
+            row[:] = np.maximum(row, _golden_max(weighted, lo, hi))
+    return NormEstimate(_dropped(best, one_weight, single))
 
 
 def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.ndarray:
@@ -328,7 +350,7 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     ratios = np.reshape(1.0 - 1.0 / ks, ks.shape + (1,) * coeffs.ndim)
     terms = np.abs(coeffs) * ratios ** np.arange(coeffs.shape[-1])
     norms = np.sum(terms, axis=-1) if flavor == "sum" else np.max(terms, axis=-1)
-    return float(norms) if np.ndim(norms) == 0 else norms
+    return _dropped(norms)
 
 
 # -- operator norm bounds ------------------------------------------------------
@@ -362,7 +384,7 @@ def operator_norm_witness(
     witnesses: list[TaylorSeries],
     radii: int = DEFAULT_RADII,
     angles: int = DEFAULT_ANGLES,
-) -> NormEstimate | list:
+) -> NormEstimate:
     """Witness-ratio estimate of the operator norm on the weighted space.
 
     Returns the largest ratio ``|image of w| / |w|`` of weighted sup-norm
@@ -377,14 +399,11 @@ def operator_norm_witness(
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are
     stacked once, followed by their images for every t, and the stack is
     measured in one :func:`weighted_sup_norm` call for all weights.  The
-    result has one :class:`NormEstimate` per (weight, t): a list per weight
-    of lists per t, where a single t or a single weight drops its level, so
-    one t and one weight give one estimate.  Each entry equals the call for
-    its t and weight alone.
+    :class:`NormEstimate` holds a (weights x t) array, shaped as the module
+    docstring says.
     """
     single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
-    ts = [t] if single_t else list(t)
-    weights = [v] if one_weight else list(v)
+    ts, weights = _listed(t, single_t), _listed(v, one_weight)
     if not ts or not all(0.0 <= x < 1.0 for x in ts):
         raise ValueError("weighted operator norms are defined for t in [0, 1) only")
     if not witnesses:
@@ -394,13 +413,8 @@ def operator_norm_witness(
     for x in ts:
         op = CesaroOperator(x)
         series.extend(apply(op, w) for w in witnesses)
-    table = []
-    for estimates in weighted_sup_norm(series, weights, radii, angles):
-        values = np.array([e.value for e in estimates])
-        denoms = values[:count]
-        if np.any(denoms <= 0.0):
-            raise ValueError("every witness must have positive weighted norm")
-        ratios = values[count:].reshape(len(ts), count) / denoms
-        row = [NormEstimate(float(np.max(r))) for r in ratios]
-        table.append(row[0] if single_t else row)
-    return table[0] if one_weight else table
+    values = weighted_sup_norm(series, weights, radii, angles).value
+    if np.any(values[:, :count] <= 0.0):
+        raise ValueError("every witness must have positive weighted norm")
+    ratios = values[:, count:].reshape(len(weights), len(ts), count) / values[:, None, :count]
+    return NormEstimate(_dropped(np.max(ratios, axis=-1), one_weight, single_t))

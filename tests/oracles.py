@@ -13,6 +13,12 @@ import scipy.signal
 from scipy.special import comb
 
 
+def bits(values):
+    """Shape and bytes of float values: equal exactly when the values are equal bit for bit."""
+    values = np.asarray(values, dtype=float)
+    return values.shape, values.tobytes()
+
+
 def brute_circle_max(coeffs, r, angles):
     """Max of |f(r e^{i theta})| over a uniform angle grid, term by term."""
     best = 0.0

@@ -26,7 +26,7 @@ from cesaro.acceptance import (
 
 def _verdict(result):
     print(result.line())
-    assert result.passed, result.detail
+    assert result.passed is True, result.detail
 
 
 def test_criterion_01_operator_norm_formula():

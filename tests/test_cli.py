@@ -461,11 +461,14 @@ def test_a_flag_before_the_subcommand_says_where_it_goes(series_file, capsys):
 # --- report ---------------------------------------------------------------------------------
 
 
+STUB_RESULTS = [
+    CheckResult("first-check", True, "value 1.00e-14 (tol 1e-13)"),
+    CheckResult("second-check", False, "margin -2.5e-03, \"quoted\""),
+]
+
+
 def test_report_json_artifact_round_trips(tmp_path, monkeypatch, capsys):
-    results = [
-        CheckResult("first-check", True, "value 1.00e-14 (tol 1e-13)"),
-        CheckResult("second-check", False, "margin -2.5e-03, \"quoted\""),
-    ]
+    results = STUB_RESULTS
     monkeypatch.setattr(cli, "run_all_checks", lambda: results)
     out = tmp_path / "report.json"
     assert run("report", "--format", "json", "--out", str(out)) == EXIT_INTERNAL
@@ -473,6 +476,28 @@ def test_report_json_artifact_round_trips(tmp_path, monkeypatch, capsys):
     payload = json.loads(out.read_text())
     assert [CheckResult(**row) for row in payload["rows"]] == results
     assert set(payload) == {"rows", "config"}
+
+
+def test_report_json_without_out_replaces_the_text_on_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: STUB_RESULTS)
+    assert run("report", "--format", "json") == EXIT_INTERNAL
+    shown = capsys.readouterr().out
+    payload = json.loads(shown)  # the whole of stdout is the artifact
+    assert [CheckResult(**row) for row in payload["rows"]] == STUB_RESULTS
+    assert set(payload) == {"rows", "config"}
+    out = tmp_path / "report.json"
+    assert run("report", "--format", "json", "--out", str(out)) == EXIT_INTERNAL
+    assert out.read_text() == shown
+
+
+def test_report_text_is_the_same_with_and_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: STUB_RESULTS)
+    text = "".join(r.line() + "\n" for r in STUB_RESULTS) + "1/2 checks passed\n"
+    assert run("report") == EXIT_INTERNAL
+    assert capsys.readouterr().out == text
+    for fmt in ("csv", "json"):
+        assert run("report", "--format", fmt, "--out", str(tmp_path / f"report.{fmt}")) == EXIT_INTERNAL
+        assert capsys.readouterr().out == text
 
 
 def test_report_runs_the_full_suite(tmp_path, capsys):

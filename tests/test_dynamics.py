@@ -21,7 +21,7 @@ from cesaro import (
 )
 from cesaro import dynamics
 from cesaro.acceptance import check_mean_ergodicity
-from oracles import plain_iterates, scalar_weighted_sup_norm, step_loop_trace, trial_loop_certificate
+from oracles import bits, plain_iterates, scalar_weighted_sup_norm, step_loop_trace, trial_loop_certificate
 
 
 # --- iterates -----------------------------------------------------------------
@@ -107,8 +107,8 @@ def test_trace_past_the_fixed_point_equals_the_step_loop():
     checkpoints = [1, 8, 64, 100, 512, 2048]
     n = np.arange(97)
     norm = lambda c: float(np.max(np.abs(c) * 0.5**n))
-    for trace, f in zip(ergodic_trace(0.5, pool, checkpoints, "ksup:2"), pool):
-        assert list(trace.distances) == step_loop_trace(0.5, f.coeffs, checkpoints, norm)
+    got = ergodic_trace(0.5, pool, checkpoints, "ksup:2").distances
+    assert bits(got) == bits([step_loop_trace(0.5, f.coeffs, checkpoints, norm) for f in pool])
 
 
 # --- ergodic means ---------------------------------------------------------------
@@ -250,15 +250,16 @@ def test_trace_batch_equals_the_step_loop():
         "gamma:2.5": (lambda c: scalar_weighted_sup_norm(c, Weight.standard(2.5), 64, 1024), 1e-14),
     }
     for tag, (norm, rtol) in norms.items():
-        traces = ergodic_trace(0.6, pool, checkpoints, tag)
-        assert len(traces) == len(pool)
-        for trace, f in zip(traces, pool):
-            assert trace.n_values == tuple(checkpoints) and trace.norm_tag == tag
-            want = step_loop_trace(0.6, f.coeffs, checkpoints, norm)
-            np.testing.assert_allclose(trace.distances, want, rtol=rtol, atol=0.0)
+        trace = ergodic_trace(0.6, pool, checkpoints, tag)
+        assert trace.n_values == tuple(checkpoints) and trace.norm_tag == tag
+        assert trace.distances.shape == (len(pool), len(checkpoints))
+        want = [step_loop_trace(0.6, f.coeffs, checkpoints, norm) for f in pool]
+        np.testing.assert_allclose(trace.distances, want, rtol=rtol, atol=0.0)
+    # One series drops the series axis.
     single = ergodic_trace(0.6, pool[1], checkpoints)
     assert isinstance(single, ErgodicTrace)
-    assert single == ergodic_trace(0.6, pool, checkpoints)[1]
+    assert single.n_values == tuple(checkpoints) and single.norm_tag == "ksup:2"
+    assert bits(single.distances) == bits(ergodic_trace(0.6, pool, checkpoints).distances[1])
 
 
 def test_trace_batch_needs_series_of_one_truncation():
@@ -293,16 +294,31 @@ def test_certificate_equals_the_trial_loop():
         assert report.weighted_excess == weighted_excess
 
 
-def test_certificate_per_k_equals_its_single_k_calls():
+def test_certificate_per_k_equals_its_single_k_calls(monkeypatch):
     args = dict(trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
     ks = (2, 3, 10)
     for t in (0.0, 0.5, 0.9):
-        reports = power_bound_certificate(t, k=ks, **args)
-        assert [report.k for report in reports] == list(ks)
-        assert reports == [power_bound_certificate(t, k=k, **args) for k in ks]
-    assert power_bound_certificate(0.5, k=[5], gammas=(), trials=3, n_max=4) == [
-        power_bound_certificate(0.5, k=5, gammas=(), trials=3, n_max=4)
-    ]
+        report = power_bound_certificate(t, k=ks, **args)
+        singles = [power_bound_certificate(t, k=k, **args) for k in ks]
+        assert all(isinstance(single.sup_norm_excess, float) for single in singles)
+        # one excess per k, in the order of ks
+        assert bits(report.sup_norm_excess) == bits([single.sup_norm_excess for single in singles])
+        assert all(single.weighted_excess == report.weighted_excess for single in singles)
+    one = power_bound_certificate(0.5, k=[5], gammas=(), trials=3, n_max=4)
+    alone = power_bound_certificate(0.5, k=5, gammas=(), trials=3, n_max=4)
+    assert bits(one.sup_norm_excess) == bits([alone.sup_norm_excess])
+    assert one.weighted_excess == alone.weighted_excess == {}
+    # The excesses above are all 0, so the order of the k axis is checked with
+    # a norm that reads k times the number of earlier calls.
+    calls = []
+
+    def growing(f, k, flavor):
+        calls.append(flavor)
+        return np.multiply.outer(k, np.full(len(f), len(calls) - 1.0))
+
+    monkeypatch.setattr(dynamics, "frechet_norm", growing)
+    got = power_bound_certificate(0.5, k=ks, **args)  # the trials, then 12 iterates
+    assert got.sup_norm_excess.tolist() == [12.0 * k for k in ks]
 
 
 def test_certificate_measures_all_gammas_in_one_sweep_per_stack(monkeypatch):
@@ -316,7 +332,8 @@ def test_certificate_measures_all_gammas_in_one_sweep_per_stack(monkeypatch):
         return sweep(f, v, *rest, **keywords)
 
     monkeypatch.setattr(dynamics, "weighted_sup_norm", counted)
-    assert power_bound_certificate(0.5, **args) == want
+    got = power_bound_certificate(0.5, **args)
+    assert bits(got.sup_norm_excess) == bits(want.sup_norm_excess) and got.weighted_excess == want.weighted_excess
     # the trials, then each of the 12 iterates (at t = 0.5 they settle near step 60)
     assert calls == [((6, 41), ["gamma:1", "gamma:2"])] * 13
 
@@ -334,7 +351,7 @@ def test_trace_makes_one_frechet_norm_call_per_checkpoint(monkeypatch):
         return norm(f, k, flavor)
 
     monkeypatch.setattr(dynamics, "frechet_norm", counted)
-    assert ergodic_trace(0.6, pool, checkpoints, "ksup:2") == want
+    assert bits(ergodic_trace(0.6, pool, checkpoints, "ksup:2").distances) == bits(want.distances)
     assert calls == [((4, 97), 2, "sup")] * len(checkpoints)
 
 

@@ -22,7 +22,7 @@ from cesaro import (
     weighted_sup_norm,
 )
 from cesaro import weights
-from oracles import brute_circle_max, scalar_circle_max, scalar_weighted_sup_norm
+from oracles import bits, brute_circle_max, scalar_circle_max, scalar_weighted_sup_norm
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 complex_coeff = st.builds(complex, finite, finite)
@@ -196,8 +196,9 @@ def test_batched_weighted_norm_equals_the_per_series_oracle(spec):
         rtol = 1e-14 if refine and spec not in ("unit", "table") else 0.0
         want = [scalar_weighted_sup_norm(f.coeffs, v, 32, 256, refine) for f in pool]
         for batch in (pool, _padded_stack(pool)):
-            got = weighted_sup_norm(batch, v, radii=32, angles=256, refine=refine)
-            np.testing.assert_allclose([e.value for e in got], want, rtol=rtol, atol=0.0)
+            got = weighted_sup_norm(batch, v, radii=32, angles=256, refine=refine).value
+            assert got.shape == (len(pool),)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
         single = weighted_sup_norm(pool[3], v, radii=32, angles=256, refine=refine)
         np.testing.assert_allclose(single.value, want[3], rtol=rtol, atol=0.0)
 
@@ -218,19 +219,21 @@ SWEEP_TS = (0.1, 0.6, 0.95)
 def test_weight_sweep_equals_one_call_per_weight(refine):
     pool = _ragged_pool(np.random.default_rng(53), 4)
     for batch in (pool, _padded_stack(pool), pool[2]):
-        swept = weighted_sup_norm(batch, SWEEP_WEIGHTS, radii=16, angles=256, refine=refine)
-        assert swept == [weighted_sup_norm(batch, v, 16, 256, refine) for v in SWEEP_WEIGHTS]
+        swept = weighted_sup_norm(batch, SWEEP_WEIGHTS, radii=16, angles=256, refine=refine).value
+        # (weights x series), or one value per weight for one series
+        assert bits(swept) == bits([weighted_sup_norm(batch, v, 16, 256, refine).value for v in SWEEP_WEIGHTS])
 
 
 def test_every_sweep_entry_equals_its_single_witness_call():
     pool = _ragged_pool(np.random.default_rng(59), 4)
-    single = lambda t, v: operator_norm_witness(t, v, pool, radii=16, angles=256)
-    table = operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=256)
-    assert table == [[single(t, v) for t in SWEEP_TS] for v in SWEEP_WEIGHTS]
-    # A single t or a single weight drops its level of the table.
-    assert single(SWEEP_TS, SWEEP_WEIGHTS[2]) == table[2]
-    assert single(SWEEP_TS[1], SWEEP_WEIGHTS) == [row[1] for row in table]
-    assert single([SWEEP_TS[0]], [SWEEP_WEIGHTS[3]]) == [[table[3][0]]]
+    single = lambda t, v: operator_norm_witness(t, v, pool, radii=16, angles=256).value
+    table = operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=256).value
+    assert isinstance(single(SWEEP_TS[0], SWEEP_WEIGHTS[0]), float)
+    assert bits(table) == bits([[single(t, v) for t in SWEEP_TS] for v in SWEEP_WEIGHTS])
+    # A single t or a single weight drops its axis of the table.
+    assert bits(single(SWEEP_TS, SWEEP_WEIGHTS[2])) == bits(table[2])
+    assert bits(single(SWEEP_TS[1], SWEEP_WEIGHTS)) == bits(table[:, 1])
+    assert bits(single([SWEEP_TS[0]], [SWEEP_WEIGHTS[3]])) == bits(table[3:, :1])
 
 
 def test_a_sweep_shares_one_grid_pass(monkeypatch):
