@@ -20,8 +20,15 @@ the subcommand does not take).
 keywords; ``COMMANDS`` gives each subcommand its handler, help, the settings
 flags it reads and its own arguments; all take ``--config``, ``--out`` and
 ``--format``.  A flat ``key = value`` config file may set any field, read or
-not; flags win.  CSV output is deterministic for a fixed config and seed: '.'
-decimal, ',' separator, LF line endings, a header row, a trailing config hash.
+not; flags win.  ``main`` validates the config once and calls
+``handler(args, cfg)``; a size above ``MAX_SIZE`` exits 2 before allocation.
+
+``write_table`` is the one artifact writer.  CSV is deterministic for a fixed
+config and seed ('.' decimal, ',' separator, LF line endings): a header row,
+the rows, ``# key=value`` meta lines and a trailing config hash.  JSON is
+``{**meta, "rows", "config"}``, or the payload of three callers: ``spectrum``
+``{"eigenvalues", "config"}``, ``eigen`` ``{**meta, "coefficients"}``, and
+``apply`` and ``resolvent`` the bare [re, im] pair list.
 """
 
 from __future__ import annotations
@@ -58,6 +65,14 @@ EXIT_INTERNAL = 1
 EXIT_VALIDATION = 2
 EXIT_USAGE = 64
 
+MAX_SIZE = 2**22  # the longest array a flag may ask for: 64 MiB of complex doubles
+
+
+def _within_limit(flag: str, size: int):
+    """Refuse a size above MAX_SIZE; called before anything that long is allocated."""
+    if size > MAX_SIZE:
+        raise ValueError(f"{flag} = {size} exceeds the size limit {MAX_SIZE}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -90,6 +105,8 @@ class ExperimentConfig:
             raise ValueError("every t must lie in [0, 1]")
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
+        for flag in ("N", "radii", "angles", "degree"):
+            _within_limit(f"--{flag}", getattr(self, FLAGS[flag][0]))
         if self.fmt not in ("csv", "json"):
             raise ValueError("format must be 'csv' or 'json'")
         specs.parse("weight spec", self.weight, specs.WEIGHTS)  # the grammar only: norm opens a table
@@ -184,47 +201,33 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", newline="\n") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def write_table(header, rows, cfg: ExperimentConfig, meta: dict, payload=None):
+    """The one artifact writer, to ``cfg.out`` or stdout.
 
-
-def write_csv(header, rows, cfg: ExperimentConfig, meta: dict | None = None):
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
-    for key, value in (meta or {}).items():
-        lines.append(f"# {key}={_fmt_cell(value)}")
-    lines.append(f"# config={cfg.short_hash()}")
-    _emit("\n".join(lines) + "\n", cfg.out)
-
-
-def write_json(payload, cfg: ExperimentConfig):
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", cfg.out)
-
-
-def _plain(value):
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def write_table(header, rows, cfg: ExperimentConfig, meta: dict):
-    """A table artifact: CSV with ``# key=value`` meta lines, or JSON ``{**meta, "rows", "config"}``."""
+    CSV: the header, the rows, ``# key=value`` meta lines and ``# config=<hash>``.
+    JSON: ``payload`` when given, else ``{**meta, "rows", "config"}``.
+    """
     if cfg.fmt == "json":
-        records = [{key: _plain(cell) for key, cell in zip(header, row)} for row in rows]
-        plain_meta = {key: _plain(value) for key, value in meta.items()}
-        write_json({**plain_meta, "rows": records, "config": cfg.short_hash()}, cfg)
+        if payload is None:
+            payload = {**meta, "rows": [dict(zip(header, row)) for row in rows], "config": cfg.short_hash()}
+        text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)  # numpy scalars as plain
     else:
-        write_csv(header, rows, cfg, meta)
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
+        lines.extend(f"# {key}={_fmt_cell(value)}" for key, value in meta.items())
+        lines.append(f"# config={cfg.short_hash()}")
+        text = "\n".join(lines)
+    if cfg.out:
+        with open(cfg.out, "w", newline="\n") as handle:
+            handle.write(text + "\n")
+    else:
+        sys.stdout.write(text + "\n")
 
 
-def _series_artifact(f: TaylorSeries, cfg: ExperimentConfig, meta: dict | None = None):
-    if cfg.fmt == "json":
-        write_json(to_pairs(f), cfg)
-    else:
-        rows = [(n, float(c.real), float(c.imag)) for n, c in enumerate(f.coeffs)]
-        write_csv(("n", "re", "im"), rows, cfg, meta)
+def _series_artifact(f: TaylorSeries, cfg: ExperimentConfig, meta: dict, payload=None):
+    """A series as CSV rows n,re,im, or as JSON ``payload`` (default: its [re, im] pairs)."""
+    rows = [(n, float(c.real), float(c.imag)) for n, c in enumerate(f.coeffs)]
+    write_table(("n", "re", "im"), rows, cfg, meta, to_pairs(f) if payload is None else payload)
 
 
 def load_series(path: str) -> TaylorSeries:
@@ -289,18 +292,18 @@ def _build_witnesses(parsed, t: float | None, cfg: ExperimentConfig):
 # -- subcommands -------------------------------------------------------------------
 
 
-def cmd_apply(args) -> int:
-    cfg = _config_from(args)
+def cmd_apply(args, cfg: ExperimentConfig) -> int:
     f = load_series(args.input)
     op = CesaroOperator(_single_t(cfg))
     _series_artifact(apply(op, f), cfg, {"t": op.t})
     return EXIT_OK
 
 
-def cmd_norm(args) -> int:
-    cfg = _config_from(args)
+def cmd_norm(args, cfg: ExperimentConfig) -> int:
     v = Weight.from_spec(cfg.weight)
     parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
+    pool = sum(arg for name, arg in parsed if name == "random") * (cfg.degree + 1)
+    _within_limit("--witness random:<count> x (--degree + 1)", pool)
     if cfg.angles < 4 * cfg.truncation:
         print(
             f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "
@@ -328,41 +331,31 @@ def cmd_norm(args) -> int:
     return EXIT_OK if all(row[4] for row in rows) else EXIT_INTERNAL
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _config_from(args)
+def cmd_spectrum(args, cfg: ExperimentConfig) -> int:
     t = _single_t(cfg)  # validate() has range-checked t and N
     values = eigenvalues(cfg.truncation)
-    if cfg.fmt == "json":
-        write_json({"eigenvalues": [float(v) for v in values], "config": cfg.short_hash()}, cfg)
-    else:
-        write_csv(("n", "eigenvalue"), list(enumerate(values)), cfg, {"t": t})
+    payload = {"eigenvalues": [float(v) for v in values], "config": cfg.short_hash()}
+    write_table(("n", "eigenvalue"), list(enumerate(values)), cfg, {"t": t}, payload)
     return EXIT_OK
 
 
-def cmd_eigen(args) -> int:
-    cfg = _config_from(args)
+def cmd_eigen(args, cfg: ExperimentConfig) -> int:
     pair = eigenpair(_single_t(cfg), args.m, cfg.truncation)
-    if cfg.fmt == "json":
-        write_json(
-            {"m": pair.m, "eigenvalue": pair.eigenvalue, "coefficients": to_pairs(pair.series)},
-            cfg,
-        )
-    else:
-        _series_artifact(pair.series, cfg, {"m": pair.m, "eigenvalue": pair.eigenvalue})
+    meta = {"m": pair.m, "eigenvalue": pair.eigenvalue}
+    _series_artifact(pair.series, cfg, meta, {**meta, "coefficients": to_pairs(pair.series)})
     return EXIT_OK
 
 
-def cmd_resolvent(args) -> int:
-    cfg = _config_from(args)
+def cmd_resolvent(args, cfg: ExperimentConfig) -> int:
     rhs = load_series(args.rhs)
     query = ResolventQuery(specs.parse_arg("nu", args.nu, "re[,im]"), rhs)
-    series = resolvent_apply(query, _single_t(cfg))
-    _series_artifact(series, cfg, {"nu": args.nu, "t": _single_t(cfg)})
+    t = _single_t(cfg)
+    _series_artifact(resolvent_apply(query, t), cfg, {"nu": args.nu, "t": t})
     return EXIT_OK
 
 
-def cmd_lemma_bounds(args) -> int:
-    cfg = _config_from(args)
+def cmd_lemma_bounds(args, cfg: ExperimentConfig) -> int:
+    _within_limit("--nmax", args.nmax)
     report = product_bound_scan(specs.parse_arg("nu", args.nu, "re[,im]"), args.nmax)
     rows = zip(report.n_values, report.p_values, report.scaled)
     meta = {
@@ -376,9 +369,9 @@ def cmd_lemma_bounds(args) -> int:
     return EXIT_OK
 
 
-def cmd_ergodic(args) -> int:
-    cfg = _config_from(args)
+def cmd_ergodic(args, cfg: ExperimentConfig) -> int:
     f = load_series(args.input)
+    _within_limit("--nmax", args.nmax)
     checkpoints = []
     n = 1
     while n < args.nmax:
@@ -390,8 +383,7 @@ def cmd_ergodic(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    cfg = _config_from(args)
+def cmd_report(args, cfg: ExperimentConfig) -> int:
     results = run_all_checks()
     failed = [r for r in results if not r.passed]
     if cfg.out or cfg.fmt == "csv":  # the text table; without --out, JSON on stdout replaces it
@@ -487,7 +479,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.handler(args)
+        return args.handler(args, _config_from(args))
     except (ValueError, OSError) as exc:  # bad input: a spec, a value or an input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

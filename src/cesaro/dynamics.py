@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specs
-from .operators import cesaro_coefficients, shifted_solve
+from .operators import CesaroOperator, cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series, random_series
 from .weights import Weight, _dropped, _listed, frechet_norm, weighted_sup_norm
 
@@ -82,6 +82,7 @@ def _iterates(t: float, coeffs, n: int):
 
 def power_apply(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     """n-fold application of the parameter-t operator; exact on the prefix."""
+    CesaroOperator(t)  # refuses t outside [0, 1]
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     for coeffs in _iterates(t, f.coeffs, n):
@@ -95,6 +96,7 @@ def cesaro_mean(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     Accumulated incrementally: one operator application per step plus a
     running sum.
     """
+    CesaroOperator(t)
     if n < 1:
         raise ValueError("averaging horizon must be >= 1")
     total = np.zeros(len(f.coeffs), dtype=complex)
@@ -233,6 +235,7 @@ def power_bound_certificate(
     weights r_k**n of the norm depend on k, so the trials are iterated once
     for all of them; each k's excess equals the call for that k alone.
     """
+    CesaroOperator(t)
     single = np.ndim(k) == 0
     ks = _listed(k, single)
     if not ks or any(x < 2 for x in ks):

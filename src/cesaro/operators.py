@@ -104,16 +104,14 @@ def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: 
     """Value of the image at ``z`` via Gauss-Legendre quadrature of the integral form.
 
     Integrates ``f(s z)/(1 - s t z)`` over ``s`` in [0, 1].  The integrand is
-    analytic on the segment whenever ``t |z| < 1``, so the node count buys
-    exponential accuracy; 64 nodes are ample for degree <= 128 inputs.  A
-    reference route, independent of the recurrence, for the acceptance
-    checks and the tests.
+    analytic on the segment, as ``t |z| < 1`` for ``|z| < 1``, so the node
+    count buys exponential accuracy; 64 nodes are ample for degree <= 128
+    inputs.  A reference route, independent of the recurrence, for the
+    acceptance checks and the tests.
     """
     z = complex(z)
     if abs(z) >= 1.0:
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    if op.t * abs(z) >= 1.0:
-        raise ValueError("integral form needs t*|z| < 1")
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")
     if z == 0:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -15,6 +16,7 @@ from cesaro.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VALIDATION,
+    MAX_SIZE,
     ExperimentConfig,
     load_config_file,
     load_series,
@@ -186,6 +188,54 @@ def test_ergodic_trace_artifact(tmp_path):
     assert distances[-1] < distances[0]
 
 
+# Each subcommand's artifact layout: argv, CSV header, CSV meta keys in order,
+# and the JSON form ("pairs" is a list of [re, im] pairs, a set the top-level keys).
+TABLE = {"rows", "config"}
+LAYOUTS = {
+    "apply": (("--t", "0.5", "--input", "{series}"), "n,re,im", ["t"], "pairs"),
+    "norm": (("--t", "0.5", "--N", "16", "--angles", "64"), "t,estimate,log_bound,weight_bound,ok", ["weight"],
+             {"weight"} | TABLE),
+    "spectrum": (("--t", "0.5", "--N", "8"), "n,eigenvalue", ["t"], {"config", "eigenvalues"}),
+    "eigen": (("--t", "0.5", "--m", "1", "--N", "8"), "n,re,im", ["m", "eigenvalue"],
+              {"coefficients", "eigenvalue", "m"}),
+    "resolvent": (("--t", "0.5", "--nu=2,0", "--rhs", "{series}"), "n,re,im", ["nu", "t"], "pairs"),
+    "lemma-bounds": (("--nu=0.4,0.8", "--nmax", "100"), "n,p_n,scaled", ["nu", "alpha", "d_hat", "D_hat", "tail_slope"],
+                     {"nu", "alpha", "d_hat", "D_hat", "tail_slope"} | TABLE),
+    "ergodic": (("--t", "0.5", "--input", "{series}", "--nmax", "8"), "n,distance", ["norm"], {"norm"} | TABLE),
+    "report": ((), "name,passed,detail", [], TABLE),
+}
+
+
+def test_the_layouts_cover_every_subcommand():
+    assert set(LAYOUTS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(LAYOUTS))
+def test_each_artifact_keeps_its_layout(command, fmt, tmp_path, series_file, monkeypatch):
+    monkeypatch.setattr(cli, "run_all_checks", lambda: STUB_RESULTS[:1])
+    argv, header, meta_keys, json_form = LAYOUTS[command]
+    out = tmp_path / f"artifact.{fmt}"
+    argv = [arg.replace("{series}", series_file) for arg in argv]
+    assert run(command, *argv, "--format", fmt, "--out", str(out)) == EXIT_OK
+    text = out.read_text()
+    if fmt == "csv":
+        lines = text.splitlines()
+        assert lines[0] == header
+        comments = [line for line in lines if line.startswith("#")]
+        assert [line[2:].split("=", 1)[0] for line in comments[:-1]] == meta_keys
+        assert lines[-1] == comments[-1] and re.fullmatch(r"# config=[0-9a-f]{12}", lines[-1])
+        return
+    payload = json.loads(text)
+    if json_form == "pairs":
+        assert isinstance(payload, list) and all(len(pair) == 2 for pair in payload)
+        return
+    assert set(payload) == json_form
+    if "rows" in payload:
+        assert re.fullmatch(r"[0-9a-f]{12}", payload["config"])
+        assert all(list(row) == sorted(header.split(",")) for row in payload["rows"])
+
+
 # --- reproducibility ------------------------------------------------------------------
 
 
@@ -224,6 +274,35 @@ def test_missing_command_is_usage_error():
 def test_t_one_with_weighted_norm_is_validation_error():
     assert run("norm", "--t", "1.0", "--weight", "logpow:1") == EXIT_VALIDATION
     assert run("norm", "--t", "1.0", "--weight", "unit") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("spectrum", "--t", "0.5", "--N", "1000000000000000000"), "--N"),
+        (("norm", "--t", "0.5", "--radii", "4194305"), "--radii"),
+        (("norm", "--t", "0.5", "--angles", "4194305"), "--angles"),
+        (("norm", "--t", "0.5", "--degree", "4194305"), "--degree"),
+        (("norm", "--t", "0.5", "--witness", "f1,random:65536", "--degree", "64"), "--witness random:<count>"),
+        (("lemma-bounds", "--nu=2", "--nmax", "1000000000000000000"), "--nmax"),
+        (("ergodic", "--t", "0.5", "--input", "{series}", "--nmax", "4194305"), "--nmax"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_a_size_above_the_limit_is_refused_before_allocation(argv, flag, series_file, capsys):
+    assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_VALIDATION
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {flag}") and line.endswith(f"exceeds the size limit {MAX_SIZE}")
+
+
+def test_the_size_limit_applies_to_config_files_and_ends_at_the_limit(tmp_path, capsys):
+    assert ExperimentConfig(truncation=MAX_SIZE, angles=MAX_SIZE, radii=MAX_SIZE, degree=MAX_SIZE).validate()
+    with pytest.raises(ValueError, match="--N = 4194305 exceeds"):
+        ExperimentConfig(truncation=MAX_SIZE + 1).validate()
+    path = tmp_path / "big.toml"
+    path.write_text("truncation = 5000000\n")
+    assert run("spectrum", "--t", "0.5", "--config", str(path)) == EXIT_VALIDATION
+    assert "--N = 5000000 exceeds the size limit" in capsys.readouterr().err
 
 
 def test_near_spectral_resolvent_is_validation_error(series_file):

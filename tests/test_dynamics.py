@@ -49,6 +49,21 @@ def test_power_apply_requires_positive_count():
         power_apply(0.5, TaylorSeries([1.0]), 0)
 
 
+@pytest.mark.parametrize("t", [1.5, -0.1, float("nan")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: power_apply(t, TaylorSeries([1.0, 2.0]), 3),
+        lambda t: cesaro_mean(t, TaylorSeries([1.0, 2.0]), 3),
+        lambda t: power_bound_certificate(t, k=2, trials=2, n_max=5, gammas=()),
+    ],
+    ids=["power_apply", "cesaro_mean", "power_bound_certificate"],
+)
+def test_iterates_refuse_t_outside_the_unit_interval(call, t):
+    with pytest.raises(ValueError, match=r"operator parameter must lie in \[0, 1\]"):
+        call(t)
+
+
 # --- the stop at the floating-point fixed point -----------------------------------
 
 
