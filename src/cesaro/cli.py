@@ -37,7 +37,6 @@ import argparse
 import hashlib
 import json
 import sys
-import warnings
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -55,10 +54,11 @@ from .series import (
     geometric_series,
     log_power_series,
     random_series,
+    read_csv,
     to_pairs,
 )
 from .spectral import ResolventQuery, eigenpair, eigenvalues, product_bound_scan, resolvent_apply
-from .weights import Weight, log_norm_bound, norm_upper_bound, operator_norm_witness
+from .weights import DEFAULT_ANGLES, DEFAULT_RADII, Weight, log_norm_bound, norm_upper_bound, operator_norm_witness
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -79,8 +79,8 @@ class ExperimentConfig:
     """Experiment-wide defaults; every field is overridable by a flag."""
 
     truncation: int = DEFAULT_TRUNCATION
-    radii: int = 64
-    angles: int = 1024
+    radii: int = DEFAULT_RADII
+    angles: int = DEFAULT_ANGLES
     t_list: tuple[float, ...] = (0.5,)
     weight: str = "unit"
     seed: int = 0
@@ -234,13 +234,7 @@ def load_series(path: str) -> TaylorSeries:
     """Read a series file: JSON array of [re, im] pairs, or CSV rows n,re,im."""
     p = Path(path)
     if p.suffix.lower() == ".csv":
-        with warnings.catch_warnings():  # an empty file is refused below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(p, delimiter=",", comments="#", ndmin=2, skiprows=1)
-        if rows.size == 0:
-            raise ValueError(f"series CSV {path} has no rows of the columns n,re,im")
-        if rows.shape[1] < 3:
-            raise ValueError(f"series CSV {path} needs the columns n,re,im")
+        rows = read_csv(path, "series CSV", "n,re,im", header=True)
         index = rows[:, 0]
         bad = index[~(np.isfinite(index) & (index >= 0) & (index == np.floor(index)))]
         if bad.size:
@@ -304,6 +298,11 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
     parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     pool = sum(arg for name, arg in parsed if name == "random") * (cfg.degree + 1)
     _within_limit("--witness random:<count> x (--degree + 1)", pool)
+    # the stack weighted_sup_norm measures: the witnesses and their images for every t, one FFT row each
+    count = sum(arg if name == "random" else 1 for name, arg in parsed)
+    width = max(cfg.degree if name == "random" else cfg.truncation for name, _ in parsed) + 1
+    stack = count * (1 + len(cfg.t_list)) * max(width, cfg.angles)
+    _within_limit("--witness count x (1 + number of t) x max(witness width, --angles)", stack)
     if cfg.angles < 4 * cfg.truncation:
         print(
             f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "

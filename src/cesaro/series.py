@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import reprlib
+import warnings
 
 import numpy as np
 
@@ -33,7 +34,7 @@ class TaylorSeries:
     ``TaylorSeries([1, 0.5, 0.25])`` represents ``1 + 0.5 z + 0.25 z**2``.
     Coefficient ``n`` is the n-th Taylor coefficient of the function the
     series truncates.  Two series are equal iff their coefficient vectors
-    agree after stripping trailing zeros.
+    agree after zero-padding to one length.
 
     The coefficient array is read-only; operations return new instances.
     """
@@ -70,19 +71,11 @@ class TaylorSeries:
             return self.padded(degree)
         return TaylorSeries(self.coeffs[: degree + 1])
 
-    def trimmed(self) -> "TaylorSeries":
-        """Strip trailing zero coefficients (keeping at least the constant term)."""
-        arr = np.trim_zeros(self.coeffs, "b")
-        if arr.size == 0:
-            arr = np.zeros(1, dtype=complex)
-        return TaylorSeries(arr)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaylorSeries):
             return NotImplemented
-        a = self.trimmed().coeffs
-        b = other.trimmed().coeffs
-        return len(a) == len(b) and bool(np.all(a == b))
+        with np.errstate(over="ignore"):  # coefficients more than the double range apart differ by inf
+            return max_coeff_diff(self, other) == 0.0
 
     __hash__ = None
 
@@ -231,3 +224,18 @@ def from_pairs(pairs, source: str = "series") -> TaylorSeries:
             raise ValueError(f"{source} has the non-finite item {reprlib.repr(item)} at index {i}")
         coeffs.append(value)
     return TaylorSeries(coeffs)
+
+
+def read_csv(path, what: str, columns: str, header: bool = False) -> np.ndarray:
+    """The rows of a numeric CSV (``#`` comments; ``header`` skips line 1) with at least the ``columns``.
+
+    A refusal names the file as ``what`` and ``path``.
+    """
+    with warnings.catch_warnings():  # an empty file is refused below, not warned about
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
+    if rows.size == 0:
+        raise ValueError(f"{what} {path} has no rows of the columns {columns}")
+    if rows.shape[1] < len(columns.split(",")):
+        raise ValueError(f"{what} {path} needs the columns {columns}")
+    return rows

@@ -45,7 +45,6 @@ ratios that estimate those norms from grid estimates.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -53,11 +52,13 @@ import numpy as np
 
 from . import specs
 from .operators import CesaroOperator, apply
-from .series import TaylorSeries
+from .series import TaylorSeries, read_csv
 
 #: Default grid sizes for weighted-norm estimation.
 DEFAULT_RADII = 64
 DEFAULT_ANGLES = 1024
+#: The largest radial grid: its last radius 1 - 2**(-215/4) is below 1, the next rounds to 1.
+MAX_RADII = 216
 
 _MONOTONE_SLACK = 1e-12
 
@@ -81,7 +82,7 @@ class Weight:
 
     @classmethod
     def unit(cls) -> "Weight":
-        return cls("unit", "unit", lambda r: np.ones_like(np.asarray(r, dtype=float)))
+        return cls("unit", "unit", np.ones_like)
 
     @classmethod
     def standard(cls, gamma: float) -> "Weight":
@@ -89,8 +90,7 @@ class Weight:
         if gamma <= 0:
             raise ValueError("gamma must be positive")
         gamma = float(gamma)
-        ev = lambda r: (1.0 - np.asarray(r, dtype=float)) ** gamma
-        w = cls("standard_gamma", f"gamma:{gamma:g}", ev)
+        w = cls("standard_gamma", f"gamma:{gamma:g}", lambda r: (1.0 - r) ** gamma)
         w.gamma = gamma
         return w
 
@@ -100,8 +100,7 @@ class Weight:
         n = int(n)
         if n < 1:
             raise ValueError("log-power exponent must be a positive integer")
-        ev = lambda r: (1.0 - np.log1p(-np.asarray(r, dtype=float))) ** (-float(n))
-        return cls("log_power", f"logpow:{n}", ev)
+        return cls("log_power", f"logpow:{n}", lambda r: (1.0 - np.log1p(-r)) ** (-float(n)))
 
     @classmethod
     def from_table(cls, radii, values) -> "Weight":
@@ -116,7 +115,7 @@ class Weight:
             raise ValueError("table weight values must be strictly positive")
         if np.any(np.diff(values) > _MONOTONE_SLACK):
             raise ValueError("table weight values must be non-increasing")
-        return cls("table", "table", lambda r: np.interp(np.asarray(r, dtype=float), radii, values))
+        return cls("table", "table", lambda r: np.interp(r, radii, values))
 
     @classmethod
     def from_spec(cls, spec: str) -> "Weight":
@@ -128,23 +127,19 @@ class Weight:
             return cls.standard(arg)
         if name == "logpow":
             return cls.log_power(arg)
-        with warnings.catch_warnings():  # an empty table is refused below, not warned about
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            rows = np.loadtxt(arg, delimiter=",", ndmin=2)
-        if rows.size == 0:
-            raise ValueError(f"weight table {arg} has no rows of the columns r,v")
-        if rows.shape[1] < 2:
-            raise ValueError(f"weight table {arg} needs the columns r,v")
+        rows = read_csv(arg, "weight table", "r,v")
         return cls.from_table(rows[:, 0], rows[:, 1])
 
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, r):
-        return self._evaluator(r)
+        """``v(r)``, a scalar for a scalar; evaluated as a 1-d array, so a radius has one value in any array."""
+        r = np.asarray(r, dtype=float)
+        return self._evaluator(r.reshape(-1)).reshape(r.shape)[()]
 
     def _check_shape(self):
         rs = 1.0 - 2.0 ** (-np.linspace(0.0, 20.0, 257))
-        vals = np.asarray(self(rs), dtype=float)
+        vals = self(rs)
         if np.all(np.isfinite(vals) & (vals >= 0)) and np.any(vals == 0):
             raise ValueError(f"weight {self.label} underflows to 0 in double precision near r = 1")
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
@@ -191,8 +186,9 @@ def circle_max(f, r, angles: int):
 
     Folds the r-scaled coefficients modulo the grid size and takes one FFT,
     which reproduces the grid maximum exactly (the uniform grid is closed
-    under the FFT's angle sign convention).  Accepts r = 0.  By the maximum
-    principle this also samples the compact-set norm sup_{|z| <= r} |f(z)|.
+    under the FFT's angle sign convention); at r = 0 that is |c0| in every
+    bin.  By the maximum principle this also samples the compact-set norm
+    sup_{|z| <= r} |f(z)|.
 
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
@@ -209,12 +205,7 @@ def circle_max(f, r, angles: int):
     coeffs = _coefficient_stack(f)
     rows, width = coeffs.shape
     n = np.arange(width)
-    # |f(0)| by hypot, which rounds like the scalar modulus (np.abs of a
-    # complex array may differ from it in the last bit).
-    center = np.hypot(coeffs[:, 0].real, coeffs[:, 0].imag)
     if r.ndim == 0:
-        if r == 0.0:
-            return _dropped(center, single)
         powers = float(r) ** n  # one radius: computed once, broadcast over the rows
     else:
         last = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
@@ -227,8 +218,6 @@ def circle_max(f, r, angles: int):
         buf[:, :width] = scaled
         scaled = buf.reshape(rows, folds, angles).sum(axis=1)
     peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
-    if r.ndim:
-        peak = np.where(r == 0.0, center, peak)
     return _dropped(peak, single)
 
 
@@ -274,11 +263,14 @@ def weighted_sup_norm(
     the :class:`NormEstimate` holds a (weights x series) array, shaped as
     the module docstring says.  The grid pass runs once for all weights:
     one stacked ``circle_max`` per radius gives a series x radii profile,
-    which each weight scales by ``v(r)`` (evaluated one radius at a time)
-    before its own argmax and polish (one stacked ``circle_max`` per step).
+    which each weight scales by ``v(r)`` before its own argmax and polish
+    (one stacked ``circle_max`` per step).  At most ``MAX_RADII`` radii:
+    beyond, the grid radius 1 - 2**(-j/4) rounds to 1.
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
+    if radii > MAX_RADII:
+        raise ValueError(f"weighted norm grids take at most {MAX_RADII} radii, got {radii}")
     single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
     weights = _listed(v, one_weight)
     if not weights:
@@ -290,7 +282,7 @@ def weighted_sup_norm(
         profile[:, col] = circle_max(stack, float(r), angles)
     best = np.empty((len(weights), len(stack)))
     for row, w in zip(best, weights):
-        vals = profile * np.array([float(w(r)) for r in rs])
+        vals = profile * w(rs)
         j = np.argmax(vals, axis=1)
         row[:] = vals[np.arange(len(stack)), j]
         if refine:

@@ -166,8 +166,6 @@ def harmonic_number(m):
 def scalar_circle_max(coeffs, r, angles):
     """One series, one radius: fold the r-scaled coefficients and take one FFT."""
     scaled = np.asarray(coeffs, dtype=complex) * (r ** np.arange(len(coeffs)))
-    if r == 0.0:
-        return float(abs(scaled[0]))
     width = int(np.ceil(len(scaled) / angles)) * angles
     buf = np.zeros(width, dtype=complex)
     buf[: len(scaled)] = scaled

@@ -43,6 +43,12 @@ def test_config_defaults_validate():
     assert cfg.truncation >= 8 and cfg.fmt == "csv"
 
 
+def test_config_grid_defaults_are_the_library_defaults():
+    cfg = ExperimentConfig()
+    assert (cfg.radii, cfg.angles) == (weights.DEFAULT_RADII, weights.DEFAULT_ANGLES)
+    assert cfg.short_hash() == "19f898aa9fc8"  # the hash of the defaults stays put
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(truncation=4).validate()
@@ -284,6 +290,7 @@ def test_t_one_with_weighted_norm_is_validation_error():
         (("norm", "--t", "0.5", "--angles", "4194305"), "--angles"),
         (("norm", "--t", "0.5", "--degree", "4194305"), "--degree"),
         (("norm", "--t", "0.5", "--witness", "f1,random:65536", "--degree", "64"), "--witness random:<count>"),
+        (("norm", "--t", "0.1,0.5,0.9", "--witness", "f1,g0", "--N", "600000", "--angles", "8"), "--witness count"),
         (("lemma-bounds", "--nu=2", "--nmax", "1000000000000000000"), "--nmax"),
         (("ergodic", "--t", "0.5", "--input", "{series}", "--nmax", "4194305"), "--nmax"),
     ],
@@ -293,6 +300,20 @@ def test_a_size_above_the_limit_is_refused_before_allocation(argv, flag, series_
     assert run(*(arg.replace("{series}", series_file) for arg in argv)) == EXIT_VALIDATION
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {flag}") and line.endswith(f"exceeds the size limit {MAX_SIZE}")
+
+
+def test_the_norm_stack_is_sized_before_the_pool_is_built(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_build_witnesses", lambda *args: pytest.fail("the pool was built"))
+    assert run("norm", "--t", "0.5", "--witness", "random:2000", "--degree", "64", "--angles", "4096") == EXIT_VALIDATION
+    # 2000 witnesses and their images at one t, 4096 angles per FFT row
+    assert f"= {2000 * 2 * 4096} exceeds the size limit" in capsys.readouterr().err
+
+
+def test_a_radial_grid_beyond_216_radii_is_refused(capsys):
+    assert run("norm", "--t", "0.5", "--radii", "216", "--N", "16", "--angles", "64") == EXIT_OK
+    capsys.readouterr()
+    assert run("norm", "--t", "0.5", "--radii", "217", "--N", "16", "--angles", "64") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: weighted norm grids take at most 216 radii, got 217\n"
 
 
 def test_the_size_limit_applies_to_config_files_and_ends_at_the_limit(tmp_path, capsys):

@@ -37,6 +37,13 @@ def test_equality_ignores_trailing_zeros():
     assert TaylorSeries([1, 2, 0, 0]) == TaylorSeries([1, 2])
     assert TaylorSeries([1, 2, 0, 3]) != TaylorSeries([1, 2])
     assert TaylorSeries([0, 0]) == TaylorSeries([0])
+    assert TaylorSeries([1, -0.0]) == TaylorSeries([1])
+    assert TaylorSeries([complex(-0.0, -0.0)]) == TaylorSeries([0])
+    assert TaylorSeries([1, 2j, 0, 0, 0]) == TaylorSeries([1, 2j, 0])
+    assert TaylorSeries([1, 2]) != TaylorSeries([1, 2, 1e-300])
+    assert TaylorSeries([1, 2, 0]) != TaylorSeries([1, 2 + 1e-300j])
+    assert TaylorSeries([1e308]) != TaylorSeries([-1e308])
+    assert TaylorSeries([1]).__eq__([1]) is NotImplemented
 
 
 def test_coefficients_are_read_only():

@@ -62,6 +62,20 @@ def test_a_weight_that_underflows_says_so(spec):
         Weight.from_spec(spec)
 
 
+@pytest.mark.parametrize("spec", ["unit", "gamma:0.5", "gamma:5", "logpow:2", "table"])
+def test_a_radius_has_the_same_weight_alone_and_inside_any_array(spec):
+    v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
+    rs = np.random.default_rng(31).random(5000)
+    whole = v(rs)
+    alone = [v(float(r)) for r in rs]
+    assert all(np.ndim(value) == 0 for value in alone[:10])
+    assert bits(alone) == bits(whole)
+    # any length and any position in the array
+    pieces = np.concatenate([v(rs[:1]), v(rs[1:8]), v(rs[8:1001]), v(rs[1001:])])
+    assert bits(pieces) == bits(whole)
+    assert bits(v(rs.reshape(50, 100))) == bits(whole.reshape(50, 100))
+
+
 def test_weight_spec_parsing():
     assert Weight.from_spec("unit").kind == "unit"
     assert Weight.from_spec("gamma:2.5").gamma == 2.5
@@ -147,6 +161,14 @@ def test_weighted_norm_grid_preconditions():
         weighted_sup_norm(constant_one(), Weight.unit(), angles=4)
 
 
+def test_the_radial_grid_count_ends_where_its_last_radius_stays_below_one():
+    assert radial_grid(216)[-1] < 1.0 and radial_grid(217)[-1] == 1.0
+    f = geometric_series(0.5, 16)
+    assert weighted_sup_norm(f, Weight.standard(0.5), radii=216, angles=64).value > 0.0
+    with pytest.raises(ValueError, match="at most 216 radii, got 217"):
+        weighted_sup_norm(f, Weight.standard(0.5), radii=217, angles=64)
+
+
 def _ragged_pool(rng, count):
     """Random series of degrees 8 and 2048 and of count - 2 degrees in between."""
     degrees = [8, 2048, *rng.integers(9, 2048, count - 2)]
@@ -174,6 +196,19 @@ def test_stacked_circle_max_equals_the_per_row_oracle():
         assert np.array_equal(circle_max(stack, radii, angles), want)
 
 
+def test_circle_max_at_radius_zero_is_the_modulus_of_the_constant_term():
+    rng = np.random.default_rng(37)
+    for width in (5, 300):  # below and above the angle count
+        stack = rng.standard_normal((40, width)) + 1j * rng.standard_normal((40, width))
+        center = np.abs(stack[:, 0])
+        assert bits(circle_max(stack, 0.0, 64)) == bits(center)
+        assert circle_max(TaylorSeries(stack[3]), 0.0, 64) == center[3]
+        radii = np.where(np.arange(40) % 3 == 0, 0.0, 0.5)
+        got = circle_max(stack, radii, 64)
+        assert bits(got[radii == 0.0]) == bits(center[radii == 0.0])
+        assert bits(got[radii > 0.0]) == bits(circle_max(stack[radii > 0.0], 0.5, 64))
+
+
 def test_circle_max_rejects_a_bad_radius_in_a_stack():
     stack = np.ones((2, 4), dtype=complex)
     for radii in (np.array([0.5, 1.0]), np.array([-0.1, 0.5]), np.array([0.5, np.nan])):
@@ -189,18 +224,15 @@ def test_batched_weighted_norm_equals_the_per_series_oracle(spec):
     v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
     pool = _ragged_pool(np.random.default_rng(43), 9)
     for refine in (False, True):
-        # The polish evaluates the weight on an array of radii, the oracle on
-        # one radius at a time; numpy may round power and log1p of the two in
-        # a different last bit.  The weights whose evaluation is exact must
-        # agree exactly, the others to a few ulps.
-        rtol = 1e-14 if refine and spec not in ("unit", "table") else 0.0
+        # A radius gets the same v(r) alone and inside an array, so the
+        # one-radius-at-a-time oracle agrees bit for bit.
         want = [scalar_weighted_sup_norm(f.coeffs, v, 32, 256, refine) for f in pool]
         for batch in (pool, _padded_stack(pool)):
             got = weighted_sup_norm(batch, v, radii=32, angles=256, refine=refine).value
             assert got.shape == (len(pool),)
-            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=0.0)
         single = weighted_sup_norm(pool[3], v, radii=32, angles=256, refine=refine)
-        np.testing.assert_allclose(single.value, want[3], rtol=rtol, atol=0.0)
+        np.testing.assert_allclose(single.value, want[3], rtol=0.0, atol=0.0)
 
 
 def test_witness_bound_equals_the_largest_per_witness_ratio():
@@ -252,6 +284,15 @@ def test_a_sweep_shares_one_grid_pass(monkeypatch):
     # Without the polish a weight sweep is the grid pass alone.
     weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
     assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42 + 16
+
+
+def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
+    calls = []
+    original = Weight.__call__
+    monkeypatch.setattr(Weight, "__call__", lambda self, r: calls.append(np.shape(r)) or original(self, r))
+    pool = _ragged_pool(np.random.default_rng(67), 3)
+    weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
+    assert calls == [(16,)] * len(SWEEP_WEIGHTS)
 
 
 def test_sweep_preconditions():
