@@ -20,7 +20,6 @@ from .series import (
     evaluate_many,
     from_pairs,
     geometric_series,
-    log_one_minus_series,
     log_power_series,
     max_coeff_diff,
     random_series,

@@ -36,7 +36,6 @@ from .series import (
     constant_one,
     evaluate,
     geometric_series,
-    log_one_minus_series,
     log_power_series,
     max_coeff_diff,
     random_series,
@@ -399,7 +398,7 @@ def check_log_weight_divergence(
     angles: int = 256,
 ) -> CheckResult:
     v = Weight.log_power(1)
-    witness = log_one_minus_series(truncation)
+    witness = log_power_series(1, truncation)
     estimates = operator_norm_witness(t_values, v, [witness], radii=radii, angles=angles).value.tolist()
     increasing = all(a < b for a, b in zip(estimates, estimates[1:]))
     ratio = estimates[-1] / estimates[0]

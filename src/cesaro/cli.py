@@ -273,8 +273,6 @@ def _build_witnesses(parsed, t: float | None, cfg: ExperimentConfig):
         if name == "f1":
             out.append(constant_one(cfg.truncation))
         elif name == "g0":
-            if t >= 1.0:
-                raise ValueError("the g0 witness needs t < 1")
             out.append(geometric_series(t, cfg.truncation))
         elif name == "logpow":
             out.append(log_power_series(arg, cfg.truncation))
@@ -296,13 +294,13 @@ def cmd_apply(args, cfg: ExperimentConfig) -> int:
 def cmd_norm(args, cfg: ExperimentConfig) -> int:
     v = Weight.from_spec(cfg.weight)
     parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
-    pool = sum(arg for name, arg in parsed if name == "random") * (cfg.degree + 1)
-    _within_limit("--witness random:<count> x (--degree + 1)", pool)
-    # the stack weighted_sup_norm measures: the witnesses and their images for every t, one FFT row each
+    per_t = any(name == "g0" for name, _ in parsed)  # the g0 witness depends on t: one pool and one call per t
+    # the stack one weighted_sup_norm call measures: the witnesses and their images at its t, one FFT row each
+    per_witness, per_witness_text = (2, "2") if per_t else (1 + len(cfg.t_list), "(1 + number of t)")
     count = sum(arg if name == "random" else 1 for name, arg in parsed)
     width = max(cfg.degree if name == "random" else cfg.truncation for name, _ in parsed) + 1
-    stack = count * (1 + len(cfg.t_list)) * max(width, cfg.angles)
-    _within_limit("--witness count x (1 + number of t) x max(witness width, --angles)", stack)
+    stack = count * per_witness * max(width, cfg.angles)
+    _within_limit(f"--witness count x {per_witness_text} x max(witness width, --angles)", stack)
     if cfg.angles < 4 * cfg.truncation:
         print(
             f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "
@@ -310,7 +308,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
             file=sys.stderr,
         )
     grid = {"radii": cfg.radii, "angles": cfg.angles}
-    if any(name == "g0" for name, _ in parsed):  # the g0 witness depends on t
+    if per_t:
         values = [operator_norm_witness(t, v, _build_witnesses(parsed, t, cfg), **grid).value for t in cfg.t_list]
     else:  # one pool for every t: one sweep, each entry equal to its single call
         values = operator_norm_witness(cfg.t_list, v, _build_witnesses(parsed, None, cfg), **grid).value.tolist()
@@ -326,7 +324,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
                 f"weight_bound={bound:.6f}  {flag}"
             )
     else:
-        write_table(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": v.label})
+        write_table(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": cfg.weight})
     return EXIT_OK if all(row[4] for row in rows) else EXIT_INTERNAL
 
 

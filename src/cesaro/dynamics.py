@@ -125,8 +125,6 @@ def range_preimage(t: float, g: TaylorSeries) -> TaylorSeries:
     BN of C = N^{-1} (I - tS)^{-1}, row 0 reads 0 = g(0) and is replaced by
     f[0] = 0.  Exact on the prefix of degree deg(g).
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("range preimage is defined for t in [0, 1)")
     c = g.coeffs
     if abs(c[0]) > 1e-14 * max(1.0, float(np.linalg.norm(c, np.inf))):
         raise ValueError("g is not in the range of (C - I): g(0) must vanish")

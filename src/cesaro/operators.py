@@ -19,6 +19,9 @@ For ``t < 1`` the operator is invertible on coefficient space: the inverse
 Multiplied through by BN, every shifted system (sigma C_t - nu I) x = c is
 lower bidiagonal, and :func:`shifted_solve` is its one kernel: the
 resolvent, the eigenpairs and the range preimage of (C_t - I) are calls of it.
+:class:`InverseOperator` is the one place that decides where the inverse
+exists, t in [0, 1): the kernel constructs one, so its callers refuse every
+other t with that one message.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ def shifted_solve(t: float, sigma, nu, c, pin=None) -> np.ndarray:
     ``pin=(k, value)`` replaces row k, singular where sigma = nu (k+1), by
     x[k] = value.  Overflow is not trapped; it shows as non-finite entries.
     """
+    InverseOperator(t)  # refuses t outside [0, 1)
     rhs = inverse_coefficients(t, c)
     n = np.arange(len(rhs))
     ab = np.zeros((2, len(rhs)), dtype=complex)  # LAPACK band storage: diagonal, subdiagonal

@@ -160,21 +160,18 @@ def geometric_series(ratio: complex, degree: int) -> TaylorSeries:
     return TaylorSeries(np.asarray(ratio, dtype=complex) ** np.arange(degree + 1))
 
 
-def log_one_minus_series(degree: int) -> TaylorSeries:
-    """Truncation of ``log(1-z)``: coefficient 0 is 0, coefficient k is ``-1/k``."""
-    out = np.zeros(degree + 1, dtype=complex)
-    out[1:] = -1.0 / np.arange(1, degree + 1)
-    return TaylorSeries(out)
-
-
 def log_power_series(n: int, truncation: int) -> TaylorSeries:
     """Truncation of ``(log(1-z))**n`` for n >= 1, by repeated Cauchy products.
 
-    Every product is capped at degree ``truncation``; the prefix is exact.
+    The base ``log(1-z)`` (n = 1) has coefficient 0 equal to 0 and coefficient
+    k equal to ``-1/k``.  Every product is capped at degree ``truncation``;
+    the prefix is exact.
     """
     if n < 1:
         raise ValueError("log-power exponent must be >= 1")
-    base = log_one_minus_series(truncation)
+    coeffs = np.zeros(truncation + 1, dtype=complex)
+    coeffs[1:] = -1.0 / np.arange(1, truncation + 1)
+    base = TaylorSeries(coeffs)
     power = base
     for _ in range(n - 1):
         power = cauchy_product(power, base, max_degree=truncation)

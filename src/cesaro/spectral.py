@@ -8,11 +8,11 @@ computations break down; everything here measures distances to that set.
 
 Eigenpairs and resolvents, like the range preimage in :mod:`cesaro.dynamics`,
 are calls of the one kernel for (sigma C_t - nu I) x = c,
-:func:`cesaro.operators.shifted_solve`: the resolvent at sigma = 1, an
-eigenvector as the null vector of (m+1) C_t - I with x[m] pinned to 1.  The
-binomial closed form C(n, m) t**(n-m) of the eigenvectors and the displayed
-closed form of the resolvent are validated against these solves in the
-tests, never used by them.
+:func:`cesaro.operators.shifted_solve`, which refuses t outside [0, 1): the
+resolvent at sigma = 1, an eigenvector as the null vector of (m+1) C_t - I
+with x[m] pinned to 1.  The binomial closed form C(n, m) t**(n-m) of the
+eigenvectors and the displayed closed form of the resolvent are validated
+against these solves in the tests, never used by them.
 """
 
 from __future__ import annotations
@@ -80,8 +80,6 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
     t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double precision
     the call is refused with a ValueError.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("eigenpairs are computed for t in [0, 1)")
     if m < 0:
         raise ValueError("eigenvalue index must be >= 0")
     if m >= truncation:
@@ -126,8 +124,6 @@ def resolvent_apply(query: ResolventQuery, t: float) -> TaylorSeries:
     One O(N) forward substitution of the shifted kernel at sigma = 1, on the
     degree of the right-hand side.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("resolvent is computed for t in [0, 1)")
     return TaylorSeries(shifted_solve(t, 1, complex(query.nu), query.rhs.coeffs))
 
 

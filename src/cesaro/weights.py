@@ -383,9 +383,9 @@ def operator_norm_witness(
     grid estimates, each polished along the radius, over the witness list.
     Both grid estimates sit below their true norms, so the ratio is not a
     certified bound on either side: it is a ratio of two grid estimates.
-    Rejects t = 1: the averaging operator does not act on the weighted
-    sup-norm spaces at t = 1 (its image of a bounded function need not be
-    bounded), so no norm is defined there.
+    Rejects t = 1, as this library's policy.  ``C_1`` is unbounded on
+    ``H^inf``, since ``C_1 1 = -log(1-z)/z``, but on the spaces of the
+    weights (1 - r)**gamma the radial majorant bounds it by max(1, 1/gamma).
 
     ``t`` is one parameter or a sequence of them, and ``v`` one
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are

@@ -277,9 +277,13 @@ def test_missing_command_is_usage_error():
     assert run() == EXIT_USAGE
 
 
-def test_t_one_with_weighted_norm_is_validation_error():
+def test_t_one_with_weighted_norm_is_validation_error(capsys):
     assert run("norm", "--t", "1.0", "--weight", "logpow:1") == EXIT_VALIDATION
     assert run("norm", "--t", "1.0", "--weight", "unit") == EXIT_VALIDATION
+    capsys.readouterr()
+    # the g0 pool at t = 1 is built, and the witness ratio refuses it
+    assert run("norm", "--t", "1.0", "--witness", "g0", "--N", "16", "--angles", "64") == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: weighted operator norms are defined for t in [0, 1) only\n"
 
 
 @pytest.mark.parametrize(
@@ -289,8 +293,10 @@ def test_t_one_with_weighted_norm_is_validation_error():
         (("norm", "--t", "0.5", "--radii", "4194305"), "--radii"),
         (("norm", "--t", "0.5", "--angles", "4194305"), "--angles"),
         (("norm", "--t", "0.5", "--degree", "4194305"), "--degree"),
-        (("norm", "--t", "0.5", "--witness", "f1,random:65536", "--degree", "64"), "--witness random:<count>"),
-        (("norm", "--t", "0.1,0.5,0.9", "--witness", "f1,g0", "--N", "600000", "--angles", "8"), "--witness count"),
+        pytest.param(("norm", "--t", "0.5", "--witness", "f1,random:65536", "--degree", "64"), "--witness count",
+                     id="norm---witness random:<count>"),
+        # a g0 pool is built per t: 2 witnesses x 2 rows x 1100001 coefficients
+        (("norm", "--t", "0.1,0.5,0.9", "--witness", "f1,g0", "--N", "1100000", "--angles", "8"), "--witness count"),
         (("lemma-bounds", "--nu=2", "--nmax", "1000000000000000000"), "--nmax"),
         (("ergodic", "--t", "0.5", "--input", "{series}", "--nmax", "4194305"), "--nmax"),
     ],
@@ -307,6 +313,32 @@ def test_the_norm_stack_is_sized_before_the_pool_is_built(monkeypatch, capsys):
     assert run("norm", "--t", "0.5", "--witness", "random:2000", "--degree", "64", "--angles", "4096") == EXIT_VALIDATION
     # 2000 witnesses and their images at one t, 4096 angles per FFT row
     assert f"= {2000 * 2 * 4096} exceeds the size limit" in capsys.readouterr().err
+
+
+def test_a_g0_stack_is_counted_per_call(monkeypatch):
+    pools = []
+
+    def measured(t, v, witnesses, **grid):
+        pools.append((t, [len(w) for w in witnesses]))
+        return weights.NormEstimate(1.0)
+
+    monkeypatch.setattr(cli, "operator_norm_witness", measured)
+    # 2 witnesses x 2 rows x 600001 coefficients per call; 1 + 3 rows per witness would exceed the limit
+    assert run("norm", "--t", "0.1,0.5,0.9", "--witness", "f1,g0", "--N", "600000", "--angles", "8") == EXIT_OK
+    assert pools == [(t, [600001, 600001]) for t in (0.1, 0.5, 0.9)]
+
+
+@pytest.mark.parametrize("spec", ["unit", "gamma:2", "gamma:0.5", "logpow:1", "gamma:0.1234567", "table:{path}"])
+def test_norm_artifacts_name_the_weight_spec_as_given(spec, tmp_path):
+    table = tmp_path / "w.csv"
+    table.write_text("0.0,1.0\n0.5,0.7\n0.999,0.1\n")
+    spec = spec.replace("{path}", str(table))
+    argv = ("--t", "0.5", "--weight", spec, "--N", "16", "--angles", "64")
+    out = tmp_path / "norms"
+    assert run("norm", *argv, "--out", str(out)) == EXIT_OK
+    assert f"# weight={spec}" in out.read_text().splitlines()
+    assert run("norm", *argv, "--format", "json", "--out", str(out)) == EXIT_OK
+    assert json.loads(out.read_text())["weight"] == spec
 
 
 def test_a_radial_grid_beyond_216_radii_is_refused(capsys):

@@ -7,6 +7,7 @@ import scipy.linalg
 from cesaro import (
     CesaroOperator,
     InverseOperator,
+    ResolventQuery,
     TaylorSeries,
     Weight,
     apply,
@@ -15,12 +16,15 @@ from cesaro import (
     cesaro_coefficients,
     circle_max,
     constant_one,
+    eigenpair,
     evaluate,
     evaluate_many,
     geometric_series,
     log_power_series,
     max_coeff_diff,
     operator_matrix,
+    range_preimage,
+    resolvent_apply,
     weighted_sup_norm,
 )
 from cesaro import operators
@@ -246,9 +250,21 @@ def test_shifted_solve_refuses_an_unpinned_singular_row():
             shifted_solve(0.5, 2.0 * (k + 1), 2.0, np.ones(8))
 
 
-def test_inverse_rejects_t_one():
-    with pytest.raises(ValueError):
-        InverseOperator(1.0)
+INVERSE_USERS = {
+    "InverseOperator": InverseOperator,
+    "eigenpair": lambda t: eigenpair(t, 1, 8),
+    "resolvent_apply": lambda t: resolvent_apply(ResolventQuery(2.0, TaylorSeries([1.0, 2.0])), t),
+    "range_preimage": lambda t: range_preimage(t, TaylorSeries([0.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("t", [1.0, -0.1, math.nan])
+@pytest.mark.parametrize("user", list(INVERSE_USERS))
+def test_the_inverse_and_its_users_refuse_t_outside_0_1_with_one_message(user, t):
+    # InverseOperator decides where the inverse exists; the shifted kernel constructs one
+    with pytest.raises(ValueError) as refusal:
+        INVERSE_USERS[user](t)
+    assert str(refusal.value) == f"inverse parameter must lie in [0, 1), got {t}"
 
 
 # --- classical t=1 log images ------------------------------------------------------------

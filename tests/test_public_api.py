@@ -20,3 +20,6 @@ def test_deleted_names_stay_gone():
     # finite_section_spectrum(t, size) returned eigenvalues(size) whatever t was
     assert not hasattr(cesaro, "finite_section_spectrum")
     assert "finite_section_spectrum" not in cesaro.__all__
+    # log_one_minus_series(N) was log_power_series(1, N), bit for bit
+    assert not hasattr(cesaro, "log_one_minus_series")
+    assert "log_one_minus_series" not in cesaro.__all__

@@ -9,7 +9,6 @@ from cesaro import (
     evaluate,
     from_pairs,
     geometric_series,
-    log_one_minus_series,
     log_power_series,
     max_coeff_diff,
     to_pairs,
@@ -149,7 +148,7 @@ def test_from_pairs_accepts_bare_reals():
 
 
 def test_log_series_coefficients():
-    f = log_one_minus_series(4)
+    f = log_power_series(1, 4)
     assert f.coeffs[0] == 0
     assert f.coeffs[1] == -1.0
     assert f.coeffs[2] == -0.5
@@ -157,12 +156,12 @@ def test_log_series_coefficients():
 
 
 def test_log_power_series_is_the_capped_convolution_power():
-    base = log_one_minus_series(12).coeffs
+    base = np.r_[0.0, -1.0 / np.arange(1, 13)]  # log(1-z)
     want = base
     for _ in range(2):
         want = naive_convolution(want, base)[:13]
     np.testing.assert_allclose(log_power_series(3, 12).coeffs, want, rtol=0, atol=1e-15)
-    assert log_power_series(1, 12) == log_one_minus_series(12)
+    assert log_power_series(1, 12) == TaylorSeries(base)
 
 
 def test_log_power_series_rejects_nonpositive_exponent():

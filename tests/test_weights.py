@@ -15,7 +15,7 @@ from cesaro import (
     frechet_norm,
     geometric_series,
     log_norm_bound,
-    log_one_minus_series,
+    log_power_series,
     norm_upper_bound,
     operator_norm_witness,
     radial_grid,
@@ -431,7 +431,7 @@ def test_log_weight_estimates_grow_toward_t_one():
     # witnesses: truncations of log(1-z); the weighted norms of the images
     # blow up as t -> 1 because the t=1 image leaves the space
     v = Weight.log_power(1)
-    witness = log_one_minus_series(2048)
+    witness = log_power_series(1, 2048)
     values = [
         operator_norm_witness(t, v, [witness], radii=48, angles=64).value
         for t in (0.9, 0.99)
