@@ -241,7 +241,8 @@ def check_resolvent(
         t = float(rng.random() * 0.99)
         rhs = random_series(truncation, rng)
         a = resolvent_apply(ResolventQuery(nu, rhs), t)
-        section = operator_matrix(t, truncation + 1) - nu * np.eye(truncation + 1)
+        section = operator_matrix(t, truncation + 1).astype(complex)
+        section[np.diag_indices(truncation + 1)] -= nu
         reference = scipy.linalg.solve_triangular(section, rhs.coeffs, lower=True)
         worst_formula = max(
             worst_formula,

@@ -101,8 +101,8 @@ class ExperimentConfig:
             raise ValueError("grid counts must be >= 8")
         if not self.t_list:
             raise ValueError("t_list must be non-empty")
-        if any(not 0.0 <= t <= 1.0 for t in self.t_list):
-            raise ValueError("every t must lie in [0, 1]")
+        for t in self.t_list:
+            CesaroOperator(t)
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
         for flag in ("N", "radii", "angles", "degree"):
@@ -156,7 +156,7 @@ def load_config_file(path: str) -> dict:
 _CONFIG_KEYS = {field.name for field in fields(ExperimentConfig)}
 
 FLAGS = {
-    "t": ("t_list", {"help": "operator parameter(s) in [0, 1], comma-separated"}),
+    "t": ("t_list", {"help": "operator parameter(s) in [0, 1], comma-separated (norm: t = 1 with gamma:<g> only)"}),
     "N": ("truncation", {"type": int, "help": "truncation degree"}),
     "radii": ("radii", {"type": int, "help": "radial grid count"}),
     "angles": ("angles", {"type": int, "help": "angle grid count"}),
@@ -293,6 +293,7 @@ def cmd_apply(args, cfg: ExperimentConfig) -> int:
 
 def cmd_norm(args, cfg: ExperimentConfig) -> int:
     v = Weight.from_spec(cfg.weight)
+    bounds = [norm_upper_bound(t, v) for t in cfg.t_list]  # refuses t = 1 for this weight before any work
     parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     per_t = any(name == "g0" for name, _ in parsed)  # the g0 witness depends on t: one pool and one call per t
     # the stack one weighted_sup_norm call measures: the witnesses and their images at its t, one FFT row each
@@ -313,8 +314,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
     else:  # one pool for every t: one sweep, each entry equal to its single call
         values = operator_norm_witness(cfg.t_list, v, _build_witnesses(parsed, None, cfg), **grid).value.tolist()
     rows = []
-    for t, value in zip(cfg.t_list, values):
-        bound = norm_upper_bound(t, v)
+    for t, value, bound in zip(cfg.t_list, values, bounds):
         rows.append((float(t), value, log_norm_bound(t), float(bound), value <= bound + 1e-3))
     if cfg.out is None and cfg.fmt == "csv":
         for t, est, log_bound, bound, ok in rows:

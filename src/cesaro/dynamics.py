@@ -1,16 +1,17 @@
 """Iterates, ergodic averages and the rank-one limit projection.
 
-For t in [0, 1) the averaging operator is power bounded: the sup-flavor
+For every t in [0, 1], the range :class:`CesaroOperator` decides for every
+routine here, the averaging operator is power bounded: the sup-flavor
 coefficient norms satisfy |||image|||_k <= |||f|||_k for every k, so all
 iterates stay inside the same ball.  Its ergodic averages
 
     mean_n(f) = (1/n) (C f + C^2 f + ... + C^n f)
 
 converge to the projection of f onto the fixed-point line spanned by the
-geometric series g0(z) = 1/(1 - t z), along the hyperplane {g : g(0) = 0}.
-Since the fixed-point component of f is determined by the constant term
-(anything in the complementary hyperplane vanishes at 0), the limit is
-simply f[0] * g0.
+geometric series g0(z) = 1/(1 - t z), along the hyperplane {g : g(0) = 0}
+(at t = 1 coefficientwise, at the rate 1/n).  Since the fixed-point
+component of f is determined by the constant term (anything in the
+complementary hyperplane vanishes at 0), the limit is simply f[0] * g0.
 
 The hyperplane {g(0) = 0} is exactly the range of (C - I); the constructive
 preimage below inverts that map, fixing the kernel-direction ambiguity by
@@ -110,10 +111,9 @@ def ergodic_limit_projection(t: float, f: TaylorSeries) -> TaylorSeries:
 
     Projects onto the kernel of (I - C) along the range {g : g(0) = 0};
     those two subspaces split the whole space, and the kernel is the line
-    through g0.
+    through g0, for every t in [0, 1].
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("the ergodic projection is defined for t in [0, 1)")
+    CesaroOperator(t)
     g0 = geometric_series(t, f.degree)
     return TaylorSeries(f.coeffs[0] * g0.coeffs)
 

@@ -13,15 +13,16 @@ and the two realizations agree coefficient by coefficient.  Because the
 coefficient matrix is lower triangular, applying the operator to a degree-N
 truncation reproduces the first N+1 coefficients of the exact image.
 
-For ``t < 1`` the operator is invertible on coefficient space: the inverse
-``f -> (1 - t z) (z f)'`` is the lower-bidiagonal product BN with B = I - tS
-(S the shift) and N = diag(n + 1), so C_t = N^{-1} (I - tS)^{-1}.
-Multiplied through by BN, every shifted system (sigma C_t - nu I) x = c is
-lower bidiagonal, and :func:`shifted_solve` is its one kernel: the
-resolvent, the eigenpairs and the range preimage of (C_t - I) are calls of it.
-:class:`InverseOperator` is the one place that decides where the inverse
-exists, t in [0, 1): the kernel constructs one, so its callers refuse every
-other t with that one message.
+For every t in [0, 1], t = 1 included, the operator is invertible on
+coefficient space: the inverse ``f -> (1 - t z) (z f)'`` is BN, with B = I - tS
+unit lower bidiagonal (S the shift) and N = diag(n + 1), so
+C_t = N^{-1} (I - tS)^{-1}.  Multiplied through by BN, every shifted system
+(sigma C_t - nu I) x = c is lower bidiagonal, and :func:`shifted_solve` is
+its one kernel: the resolvent, the eigenpairs and the range preimage of
+(C_t - I) are calls of it.  :class:`CesaroOperator` is the one test of t in
+[0, 1] on coefficient space: the inverse, the kernel and their callers
+construct one.  Whether C_t is bounded on a weighted space at t = 1 is
+decided by the weight, in :func:`cesaro.weights.norm_upper_bound`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ from .series import TaylorSeries, evaluate_many
 class CesaroOperator:
     """Averaging operator with parameter ``t``, applied by the O(N) recurrence.
 
-    ``t = 1`` is allowed: the operator is well defined on coefficient space.
-    Weighted-norm routines, not this class, refuse ``t = 1``.
+    The one test of ``t`` on coefficient space: [0, 1], ``t = 1`` included.
     """
 
     t: float
@@ -54,13 +54,12 @@ class CesaroOperator:
 
 @dataclass(frozen=True)
 class InverseOperator:
-    """The exact inverse ``f -> (1 - t z)(z f)'``, defined for ``t`` in [0, 1)."""
+    """The exact inverse ``f -> (1 - t z)(z f)'``, for ``t`` in [0, 1] as :class:`CesaroOperator` decides."""
 
     t: float
 
     def __post_init__(self):
-        if not 0.0 <= self.t < 1.0:
-            raise ValueError(f"inverse parameter must lie in [0, 1), got {self.t}")
+        CesaroOperator(self.t)
 
 
 def cesaro_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
@@ -143,7 +142,7 @@ def shifted_solve(t: float, sigma, nu, c, pin=None) -> np.ndarray:
     ``pin=(k, value)`` replaces row k, singular where sigma = nu (k+1), by
     x[k] = value.  Overflow is not trapped; it shows as non-finite entries.
     """
-    InverseOperator(t)  # refuses t outside [0, 1)
+    CesaroOperator(t)  # refuses t outside [0, 1]
     rhs = inverse_coefficients(t, c)
     n = np.arange(len(rhs))
     ab = np.zeros((2, len(rhs)), dtype=complex)  # LAPACK band storage: diagonal, subdiagonal

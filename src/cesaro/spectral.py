@@ -8,11 +8,11 @@ computations break down; everything here measures distances to that set.
 
 Eigenpairs and resolvents, like the range preimage in :mod:`cesaro.dynamics`,
 are calls of the one kernel for (sigma C_t - nu I) x = c,
-:func:`cesaro.operators.shifted_solve`, which refuses t outside [0, 1): the
-resolvent at sigma = 1, an eigenvector as the null vector of (m+1) C_t - I
-with x[m] pinned to 1.  The binomial closed form C(n, m) t**(n-m) of the
-eigenvectors and the displayed closed form of the resolvent are validated
-against these solves in the tests, never used by them.
+:func:`cesaro.operators.shifted_solve`, at every t in [0, 1] (t = 1 too, as
+:class:`CesaroOperator` decides): the resolvent at sigma = 1, an eigenvector as
+the null vector of (m+1) C_t - I with x[m] pinned to 1.  The binomial closed
+form C(n, m) t**(n-m) of the eigenvectors and the displayed closed form of the
+resolvent are validated against these solves in the tests, never used by them.
 """
 
 from __future__ import annotations

@@ -349,25 +349,27 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
 
 
 def log_norm_bound(t: float) -> float:
-    """-log(1-t)/t, with its limit 1 at t = 0: the operator norm on the unit-weight space."""
-    return 1.0 if t == 0.0 else -math.log1p(-t) / t
+    """-log(1-t)/t, with its limits 1 at t = 0 and inf at t = 1: the operator norm on the unit-weight space."""
+    return 1.0 if t == 0.0 else math.inf if t == 1.0 else -math.log1p(-t) / t
 
 
 def norm_upper_bound(t: float, v: Weight) -> float:
     """Proven upper bound for the operator norm on the weighted space of ``v``.
 
-    Every weight admits -log(1-t)/t.  Standard weights sharpen this: the norm
-    equals 1 for gamma >= 1, and min(-log(1-t)/t, 1/gamma) bounds it for
-    gamma in (0, 1).
+    The one rule for where the operator is bounded on a weighted space.  For
+    t < 1 every weight admits -log(1-t)/t.  Standard weights sharpen this: the
+    norm equals 1 for gamma >= 1, and min(-log(1-t)/t, 1/gamma) bounds it for
+    gamma in (0, 1), max(1, 1/gamma) at t = 1.  Other weights refuse t = 1.
     """
-    if not 0.0 <= t < 1.0:
-        raise ValueError("norm bounds are available for t in [0, 1) only")
-    generic = log_norm_bound(t)
+    CesaroOperator(t)
     if v.kind == "standard_gamma":
-        if v.gamma >= 1.0:
-            return 1.0
-        return min(generic, 1.0 / v.gamma)
-    return generic
+        return 1.0 if v.gamma >= 1.0 else min(log_norm_bound(t), 1.0 / v.gamma)
+    if t == 1.0:
+        raise ValueError(
+            f"t = 1 needs a gamma:<g> weight, got {v.label}: C_1 1 = -log(1-z)/z is not in H^inf, "
+            "C_1 is unbounded on the logpow spaces and bounded here only on the (1-r)**gamma spaces"
+        )
+    return log_norm_bound(t)
 
 
 def operator_norm_witness(
@@ -383,9 +385,7 @@ def operator_norm_witness(
     grid estimates, each polished along the radius, over the witness list.
     Both grid estimates sit below their true norms, so the ratio is not a
     certified bound on either side: it is a ratio of two grid estimates.
-    Rejects t = 1, as this library's policy.  ``C_1`` is unbounded on
-    ``H^inf``, since ``C_1 1 = -log(1-z)/z``, but on the spaces of the
-    weights (1 - r)**gamma the radial majorant bounds it by max(1, 1/gamma).
+    Every (weight, t) must pass :func:`norm_upper_bound`, which decides t = 1.
 
     ``t`` is one parameter or a sequence of them, and ``v`` one
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are
@@ -396,15 +396,15 @@ def operator_norm_witness(
     """
     single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
     ts, weights = _listed(t, single_t), _listed(v, one_weight)
-    if not ts or not all(0.0 <= x < 1.0 for x in ts):
-        raise ValueError("weighted operator norms are defined for t in [0, 1) only")
+    if not ts:
+        raise ValueError("t list must be non-empty")
+    for w in weights:
+        for x in ts:
+            norm_upper_bound(x, w)
     if not witnesses:
         raise ValueError("witness list must be non-empty")
     count = len(witnesses)
-    series = list(witnesses)
-    for x in ts:
-        op = CesaroOperator(x)
-        series.extend(apply(op, w) for w in witnesses)
+    series = list(witnesses) + [apply(CesaroOperator(x), w) for x in ts for w in witnesses]
     values = weighted_sup_norm(series, weights, radii, angles).value
     if np.any(values[:, :count] <= 0.0):
         raise ValueError("every witness must have positive weighted norm")

@@ -277,13 +277,43 @@ def test_missing_command_is_usage_error():
     assert run() == EXIT_USAGE
 
 
+T_ONE_UNIT_REFUSAL = (
+    "error: t = 1 needs a gamma:<g> weight, got unit: C_1 1 = -log(1-z)/z is not in H^inf, "
+    "C_1 is unbounded on the logpow spaces and bounded here only on the (1-r)**gamma spaces\n"
+)
+
+
 def test_t_one_with_weighted_norm_is_validation_error(capsys):
     assert run("norm", "--t", "1.0", "--weight", "logpow:1") == EXIT_VALIDATION
     assert run("norm", "--t", "1.0", "--weight", "unit") == EXIT_VALIDATION
     capsys.readouterr()
-    # the g0 pool at t = 1 is built, and the witness ratio refuses it
+    # norm_upper_bound refuses t = 1 for the unit weight before the g0 pool is built
     assert run("norm", "--t", "1.0", "--witness", "g0", "--N", "16", "--angles", "64") == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: weighted operator norms are defined for t in [0, 1) only\n"
+    assert capsys.readouterr().err == T_ONE_UNIT_REFUSAL
+
+
+def test_a_later_t_one_is_refused_before_any_weighted_norm_pass(monkeypatch, capsys):
+    def measured(*args, **kwargs):
+        raise AssertionError("operator_norm_witness was called")
+
+    monkeypatch.setattr(cli, "operator_norm_witness", measured)
+    assert run("norm", "--t", "0.5,1", "--witness", "g0") == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == T_ONE_UNIT_REFUSAL
+
+
+def test_t_one_norm_under_a_gamma_weight_is_an_answer(capsys):
+    argv = ("norm", "--t", "0.9,1", "--weight", "gamma:0.5", "--witness", "f1,g0", "--N", "64", "--angles", "256")
+    assert run(*argv, "--format", "json") == EXIT_OK
+    text = capsys.readouterr().out
+    assert '"log_bound": Infinity' in text  # -log(1-t)/t at t = 1, read back by json.loads as inf
+    rows = json.loads(text)["rows"]
+    assert [row["t"] for row in rows] == [0.9, 1.0]
+    assert all(row["ok"] is True for row in rows)
+    assert rows[1]["weight_bound"] == 2.0 and rows[1]["log_bound"] == math.inf
+    assert run(*argv[:2], "1", *argv[3:]) == EXIT_OK  # the text table
+    assert "bound[-log(1-t)/t]=inf  weight_bound=2.000000  ok" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,18 @@ def test_decomposition_is_exact():
         assert ergodic_limit_projection(t, rem) == TaylorSeries(np.zeros(65))
 
 
+def test_the_means_at_t_one_tend_to_the_projection_at_the_rate_one_over_n():
+    # at t = 1 the fixed point g0 is (1, 1, ...): the limit is f[0] g0, reached coefficientwise like 1/n
+    f = random_series(64, np.random.default_rng(11))
+    limit = ergodic_limit_projection(1.0, f)
+    assert limit == TaylorSeries(f.coeffs[0] * np.ones(65))
+    gaps = {n: max_coeff_diff(cesaro_mean(1.0, f, n), limit) for n in (256, 1024, 4096)}
+    constant = 256 * gaps[256]
+    assert 0 < constant < 10
+    for n, gap in gaps.items():
+        assert gap <= 1.001 * constant / n
+
+
 # --- range preimage ---------------------------------------------------------------------
 
 
@@ -298,6 +310,12 @@ def test_certificate_reports_roundoff_level_excess():
     report = power_bound_certificate(0.5, k=2, trials=10, n_max=50, seed=1)
     assert report.sup_norm_excess <= 1e-12
     assert report.weighted_excess[1.0] <= 1e-3
+
+
+def test_certificate_holds_at_t_one():
+    report = power_bound_certificate(1.0, k=[2, 5], gammas=(1.0, 2.0))
+    assert np.all(report.sup_norm_excess <= 1e-15)
+    assert all(excess <= 1e-15 for excess in report.weighted_excess.values())
 
 
 def test_certificate_equals_the_trial_loop():

@@ -14,22 +14,36 @@ from cesaro import (
     apply_integral,
     apply_inverse,
     cesaro_coefficients,
+    cesaro_mean,
     circle_max,
     constant_one,
     eigenpair,
+    ergodic_limit_projection,
     evaluate,
     evaluate_many,
     geometric_series,
     log_power_series,
     max_coeff_diff,
+    norm_upper_bound,
     operator_matrix,
+    operator_norm_witness,
+    random_series,
     range_preimage,
     resolvent_apply,
     weighted_sup_norm,
 )
 from cesaro import operators
+from cesaro.cli import ExperimentConfig
 from cesaro.operators import shifted_solve
-from oracles import elementwise_operator_matrix, harmonic_number, naive_cesaro_apply, naive_convolution
+from oracles import (
+    binomial_eigenvector,
+    elementwise_operator_matrix,
+    harmonic_number,
+    mp_resolvent,
+    naive_cesaro_apply,
+    naive_convolution,
+    triangular_resolvent_solve,
+)
 
 
 # --- apply: the defining examples ------------------------------------------------
@@ -250,21 +264,61 @@ def test_shifted_solve_refuses_an_unpinned_singular_row():
             shifted_solve(0.5, 2.0 * (k + 1), 2.0, np.ones(8))
 
 
-INVERSE_USERS = {
+T_USERS = {
+    "CesaroOperator": CesaroOperator,
     "InverseOperator": InverseOperator,
     "eigenpair": lambda t: eigenpair(t, 1, 8),
     "resolvent_apply": lambda t: resolvent_apply(ResolventQuery(2.0, TaylorSeries([1.0, 2.0])), t),
     "range_preimage": lambda t: range_preimage(t, TaylorSeries([0.0, 1.0])),
+    "ergodic_limit_projection": lambda t: ergodic_limit_projection(t, TaylorSeries([1.0, 2.0])),
+    "cesaro_mean": lambda t: cesaro_mean(t, TaylorSeries([1.0, 2.0]), 3),
+    "norm_upper_bound": lambda t: norm_upper_bound(t, Weight.standard(0.5)),
+    "operator_norm_witness": lambda t: operator_norm_witness(t, Weight.standard(0.5), [constant_one(8)]),
+    "ExperimentConfig": lambda t: ExperimentConfig(t_list=(t,)).validate(),
 }
 
 
-@pytest.mark.parametrize("t", [1.0, -0.1, math.nan])
-@pytest.mark.parametrize("user", list(INVERSE_USERS))
+@pytest.mark.parametrize("t", [1.5, -0.1, math.nan])
+@pytest.mark.parametrize("user", list(T_USERS))
 def test_the_inverse_and_its_users_refuse_t_outside_0_1_with_one_message(user, t):
-    # InverseOperator decides where the inverse exists; the shifted kernel constructs one
+    # CesaroOperator decides t in [0, 1]; the inverse, the kernel, the weighted bound and the CLI config construct one
     with pytest.raises(ValueError) as refusal:
-        INVERSE_USERS[user](t)
-    assert str(refusal.value) == f"inverse parameter must lie in [0, 1), got {t}"
+        T_USERS[user](t)
+    assert str(refusal.value) == f"operator parameter must lie in [0, 1], got {t}"
+
+
+# --- t = 1 on coefficient space: B = I - S is unit lower bidiagonal ----------------------
+
+
+@pytest.mark.parametrize("m", [0, 1, 3, 7, 20])
+def test_eigenpairs_at_t_one_are_the_binomials(m):
+    # x[n] = C(n, m), exact in doubles up to this truncation
+    pair = eigenpair(1.0, m, 40)
+    assert pair.eigenvalue == 1.0 / (m + 1.0)
+    assert np.array_equal(pair.series.coeffs, binomial_eigenvector(1.0, m, 40))
+
+
+@pytest.mark.parametrize("nu", [2.0, -1.0, 1 + 1j, 0.4 + 0.8j])
+def test_resolvent_at_t_one_matches_the_dense_and_high_precision_solves(nu):
+    rhs = random_series(200, np.random.default_rng(3))
+    got = resolvent_apply(ResolventQuery(nu, rhs), 1.0).coeffs
+    for want in (triangular_resolvent_solve(nu, 1.0, rhs.coeffs), mp_resolvent(nu, 1.0, rhs.coeffs)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_range_preimage_at_t_one_round_trips():
+    g = random_series(64, np.random.default_rng(5))
+    g = TaylorSeries(np.concatenate(([0.0], g.coeffs[1:])))
+    f = range_preimage(1.0, g)
+    assert f.coeffs[0] == 0
+    assert max_coeff_diff(apply(CesaroOperator(1.0), f) - f, g) < 1e-13
+
+
+def test_the_inverse_at_t_one_inverts_apply():
+    f = random_series(64, np.random.default_rng(7))
+    op, inv = CesaroOperator(1.0), InverseOperator(1.0)
+    assert max_coeff_diff(apply_inverse(inv, apply(op, f)), f) < 1e-13
+    assert max_coeff_diff(apply(op, apply_inverse(inv, f)), f) < 1e-13
 
 
 # --- classical t=1 log images ------------------------------------------------------------

@@ -121,9 +121,9 @@ def test_eigenpair_preconditions():
     with pytest.raises(ValueError):
         eigenpair(0.5, 8, 8)
     with pytest.raises(ValueError):
-        eigenpair(1.0, 0, 8)
-    with pytest.raises(ValueError):
         eigenpair(0.5, -1, 8)
+    # t = 1 is an ordinary parameter on coefficient space: the m = 0 eigenvector is (1, 1, ...)
+    assert eigenpair(1.0, 0, 8).series == TaylorSeries(np.ones(9))
 
 
 # --- resolvent -----------------------------------------------------------------------

@@ -301,9 +301,9 @@ def test_sweep_preconditions():
         weighted_sup_norm(constant_one(8), [])
     with pytest.raises(ValueError, match="weight list"):
         operator_norm_witness(0.5, [], pool)
-    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+    with pytest.raises(ValueError, match="t list must be non-empty"):
         operator_norm_witness([], Weight.unit(), pool)
-    with pytest.raises(ValueError, match=r"t in \[0, 1\)"):
+    with pytest.raises(ValueError, match="t = 1 needs a gamma:<g> weight, got unit"):
         operator_norm_witness([0.5, 1.0], Weight.unit(), pool)
 
 
@@ -402,6 +402,46 @@ def test_log_norm_bound_is_the_unit_weight_norm():
     for t in (1e-9, 0.3, 0.9, 0.999):
         assert log_norm_bound(t) == -math.log1p(-t) / t
         assert norm_upper_bound(t, Weight.unit()) == log_norm_bound(t)
+    assert log_norm_bound(1.0) == math.inf
+
+
+# --- t = 1: bounded on the (1 - r)**gamma spaces only ---------------------------------
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
+def test_upper_bound_at_t_one_is_max_of_one_and_one_over_gamma(gamma):
+    assert norm_upper_bound(1.0, Weight.standard(gamma)) == max(1.0, 1.0 / gamma)
+
+
+T_ONE_REFUSED = {
+    "unit": Weight.unit(),
+    "logpow:1": Weight.log_power(1),
+    "table": Weight.from_table([0.0, 0.5, 0.9], [1.0, 0.8, 0.5]),
+}
+
+
+@pytest.mark.parametrize("spec", list(T_ONE_REFUSED))
+def test_t_one_is_refused_with_one_message_outside_the_gamma_weights(spec):
+    v = T_ONE_REFUSED[spec]
+    message = (
+        f"t = 1 needs a gamma:<g> weight, got {v.label}: C_1 1 = -log(1-z)/z is not in H^inf, "
+        "C_1 is unbounded on the logpow spaces and bounded here only on the (1-r)**gamma spaces"
+    )
+    for call in (lambda: norm_upper_bound(1.0, v), lambda: operator_norm_witness([0.5, 1.0], v, [constant_one(8)])):
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert str(refusal.value) == message
+
+
+def test_t_one_witness_ratios_rise_toward_the_gamma_bound():
+    # the truncated (1 - z)**(-1/2) has positive coefficients and weighted norm <= 1 under gamma:0.5
+    v = Weight.standard(0.5)
+    ratios = []
+    for truncation in (256, 1024):
+        k = np.arange(1, truncation + 1)
+        witness = TaylorSeries(np.concatenate(([1.0], np.cumprod((k - 0.5) / k))))
+        ratios.append(operator_norm_witness(1.0, v, [witness], angles=4 * truncation).value)
+    assert 1.0 < ratios[0] < ratios[1] <= norm_upper_bound(1.0, v) == 2.0
 
 
 # --- operator norm witnesses --------------------------------------------------------
