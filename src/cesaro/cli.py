@@ -112,9 +112,12 @@ class ExperimentConfig:
         specs.parse("weight spec", self.weight, specs.WEIGHTS)  # the grammar only: norm opens a table
         return self
 
-    def short_hash(self) -> str:
+    def short_hash(self, weight: Weight | None = None) -> str:
+        """The config's 12-hex-digit hash; ``weight``, built from the ``weight`` spec, names a table by its rows."""
         fields = asdict(self)
         fields.pop("out")  # the artifact destination is not part of the experiment
+        if weight is not None and weight.kind == "table":  # the table read, not the path it was read from
+            fields["weight"] = ["table", weight.table.tolist()]
         payload = json.dumps(fields, sort_keys=True, default=list)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
@@ -201,21 +204,23 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def write_table(header, rows, cfg: ExperimentConfig, meta: dict, payload=None):
+def write_table(header, rows, cfg: ExperimentConfig, meta: dict, payload=None, weight: Weight | None = None):
     """The one artifact writer, to ``cfg.out`` or stdout.
 
     CSV: the header, the rows, ``# key=value`` meta lines and ``# config=<hash>``.
-    JSON: ``payload`` when given, else ``{**meta, "rows", "config"}``.
+    JSON: ``payload`` when given, else ``{**meta, "rows", "config"}``.  The
+    hash is ``cfg.short_hash(weight)``: a subcommand that measures a weight
+    passes it.
     """
     if cfg.fmt == "json":
         if payload is None:
-            payload = {**meta, "rows": [dict(zip(header, row)) for row in rows], "config": cfg.short_hash()}
+            payload = {**meta, "rows": [dict(zip(header, row)) for row in rows], "config": cfg.short_hash(weight)}
         text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)  # numpy scalars as plain
     else:
         lines = [",".join(header)]
         lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
         lines.extend(f"# {key}={_fmt_cell(value)}" for key, value in meta.items())
-        lines.append(f"# config={cfg.short_hash()}")
+        lines.append(f"# config={cfg.short_hash(weight)}")
         text = "\n".join(lines)
     if cfg.out:
         with open(cfg.out, "w", newline="\n") as handle:
@@ -324,7 +329,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
                 f"weight_bound={bound:.6f}  {flag}"
             )
     else:
-        write_table(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": cfg.weight})
+        write_table(("t", "estimate", "log_bound", "weight_bound", "ok"), rows, cfg, {"weight": cfg.weight}, weight=v)
     return EXIT_OK if all(row[4] for row in rows) else EXIT_INTERNAL
 
 

@@ -23,11 +23,13 @@ are series zero-padded to one width, and :func:`weighted_sup_norm` takes a
 list of series of any degrees.  :func:`weighted_sup_norm` also takes a
 sequence of weights, :func:`frechet_norm` a sequence of ``k``, and
 :func:`operator_norm_witness` sequences of ``t`` and of weights.  A batch
-costs one FFT call per grid radius and one per polish step (one radius per
-row there); a weight sweep shares the grid pass, and each weight then runs
-its own argmax and polish; a witness sweep stacks the witnesses once,
-followed by their images for every ``t``, and measures the stack in one
-:func:`weighted_sup_norm` call.
+costs at most one FFT call per grid radius, plus one per distinct seed
+radius, and one per polish step (one radius per row there): the grid pass
+measures only the (row, radius) pairs whose upper bound sum_n |f[n]| r**n
+can reach the row's best measured value under some weight.  A weight sweep
+shares the grid pass, and each weight then runs its own argmax and polish;
+a witness sweep stacks the witnesses once, followed by their images for
+every ``t``, and measures the stack in one :func:`weighted_sup_norm` call.
 
 Shapes: a batched call returns its values as one array (the ``value`` of
 one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
@@ -104,7 +106,7 @@ class Weight:
 
     @classmethod
     def from_table(cls, radii, values) -> "Weight":
-        """Linear interpolation of sampled (r, v(r)); monotonicity-checked at load."""
+        """Linear interpolation of sampled (r, v(r)); monotonicity-checked at load; ``table`` holds the rows."""
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or len(radii) < 2:
@@ -115,7 +117,9 @@ class Weight:
             raise ValueError("table weight values must be strictly positive")
         if np.any(np.diff(values) > _MONOTONE_SLACK):
             raise ValueError("table weight values must be non-increasing")
-        return cls("table", "table", lambda r: np.interp(r, radii, values))
+        w = cls("table", "table", lambda r: np.interp(r, radii, values))
+        w.table = np.column_stack((radii, values))
+        return w
 
     @classmethod
     def from_spec(cls, spec: str) -> "Weight":
@@ -193,8 +197,8 @@ def circle_max(f, r, angles: int):
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
     to the maximum of that row alone).  With a stack, ``r`` is one radius
-    for all rows or one radius per row; per-row powers are only computed up
-    to each row's last nonzero coefficient.
+    for all rows or one radius per row; per-row powers are only computed at
+    each row's nonzero coefficients.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):
@@ -208,9 +212,8 @@ def circle_max(f, r, angles: int):
     if r.ndim == 0:
         powers = float(r) ** n  # one radius: computed once, broadcast over the rows
     else:
-        last = width - 1 - np.argmax(coeffs[:, ::-1] != 0, axis=1)
-        powers = np.zeros(coeffs.shape)
-        np.power(r[:, None], n, out=powers, where=n <= last[:, None])
+        powers = np.zeros(coeffs.shape)  # a zero coefficient times any power is zero: skip those powers
+        np.power(r[:, None], n, out=powers, where=coeffs != 0)
     scaled = coeffs * powers
     if width > angles:
         folds = -(-width // angles)
@@ -261,11 +264,13 @@ def weighted_sup_norm(
     ``f`` is a :class:`TaylorSeries`, a list of series or a (batch x
     coefficients) stack, and ``v`` a :class:`Weight` or a sequence of them;
     the :class:`NormEstimate` holds a (weights x series) array, shaped as
-    the module docstring says.  The grid pass runs once for all weights:
-    one stacked ``circle_max`` per radius gives a series x radii profile,
-    which each weight scales by ``v(r)`` before its own argmax and polish
-    (one stacked ``circle_max`` per step).  At most ``MAX_RADII`` radii:
-    beyond, the grid radius 1 - 2**(-j/4) rounds to 1.
+    the module docstring says.  The grid pass runs once for all weights and
+    gives a series x radii profile (see :func:`_grid_profile`: it measures
+    only the pairs that can hold a row's maximum, at most one stacked
+    ``circle_max`` per radius), which each weight scales by ``v(r)`` before
+    its own argmax and polish (one stacked ``circle_max`` per step).  At
+    most ``MAX_RADII`` radii: beyond, the grid radius 1 - 2**(-j/4) rounds
+    to 1.
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
@@ -277,12 +282,11 @@ def weighted_sup_norm(
         raise ValueError("weight list must be non-empty")
     stack = _coefficient_stack(f)
     rs = radial_grid(radii)
-    profile = np.empty((len(stack), radii))
-    for col, r in enumerate(rs):
-        profile[:, col] = circle_max(stack, float(r), angles)
+    vs = [w(rs) for w in weights]
+    profile = _grid_profile(stack, rs, vs, angles)
     best = np.empty((len(weights), len(stack)))
-    for row, w in zip(best, weights):
-        vals = profile * w(rs)
+    for row, w, v in zip(best, weights, vs):
+        vals = profile * v
         j = np.argmax(vals, axis=1)
         row[:] = vals[np.arange(len(stack)), j]
         if refine:
@@ -292,6 +296,85 @@ def weighted_sup_norm(
             weighted = lambda r: w(r) * circle_max(stack, r, angles)
             row[:] = np.maximum(row, _golden_max(weighted, lo, hi))
     return NormEstimate(_dropped(best, one_weight, single))
+
+
+def _rounding_slack(width: int, angles: int) -> tuple[float, float]:
+    """(relative, absolute) slack with computed ``circle_max`` <= computed A * (1 + relative) + absolute.
+
+    A = sum_n |c_n| p_n bounds the circle maximum M, and both are computed
+    from the same powers p_n = r**n.  With u = 2**-53, W = ``width``,
+    N = ``angles`` and S the exact sum_n |c_n| p_n of those powers:
+
+    * A: ``np.abs`` is within one ulp (2u), each product rounds once and a
+      sum of W nonnegative terms in any order loses at most (W - 1)u, so
+      A >= S (1 - (W + 2)u) to first order;
+    * M: each product c_n p_n rounds once per part (modulus <= (1 + u)),
+      each folded entry sums F = ceil(W/N) <= W terms, so the folded vector
+      f has ||f||_1 <= S (1 + F u).  Its DFT y has |y_k| <= ||f||_1, and
+      the computed one errs by at most eta sqrt(N) ||f||_2 <= eta sqrt(N)
+      ||f||_1, with eta the FFT's normwise relative error: about
+      7u log2 N for radix 2 (Higham, Accuracy and Stability, Thm. 24.2).
+      The last ``np.abs`` may be one ulp high (2u).
+
+    So M <= A (1 + (2W + 4)u + 7u log2 N sqrt(N)) to first order for a
+    power-of-two N.  The FFT term is taken as 32u (1 + log2 N) sqrt(N) for
+    every N: for pocketfft's other radices and its Bluestein lengths (N with
+    a large prime factor, run as three FFTs of a composite length >= 2N - 1
+    with chirp products) this is an empirical margin, not a derived bound.
+    On positive-coefficient rows (M = A exactly, so the excess is rounding
+    alone) the computed M / A - 1 reached at most 2.7e-3 of the relative
+    slack, at widths 2 to 65537 and at N = 8, 9, 97, 1000, 1024, 3072,
+    4093, 4096, 8186 and 65521 (97, 4093 and 65521 prime, 8186 = 2 x 4093),
+    the counts the slack property test checks.  The whole is doubled to
+    cover the second-order terms.  Subnormal results break the
+    relative model: each rounding there errs by at most 2**-1075, and the
+    absolute term counts every rounding that reaches one value (the FFT's
+    spread is at most N (1 + log2 N) of them), with the same doubling:
+    2 * 2**-1075 = 2**-1074, the smallest subnormal.
+    """
+    u = 2.0**-53
+    fft = 32.0 * (1.0 + math.log2(angles)) * math.sqrt(angles)
+    return 2.0 * u * (2 * width + 4 + fft), 2.0**-1074 * (4 * width + 8 * angles * (1.0 + math.log2(angles)))
+
+
+def _grid_profile(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int) -> np.ndarray:
+    """The grid's (rows x radii) circle maxima where one can be a row's grid maximum; -inf elsewhere.
+
+    M(r) <= A(r) = sum_n |c_n| r**n, so ``upper`` (A with its rounding
+    slack, :func:`_rounding_slack`) bounds every computed ``circle_max``.
+    First each weight's seed pair, the radius of the row's largest
+    v * upper, is measured.  A pair whose v * upper lies below the row's
+    best measured v * M under every weight ``v`` of ``vs`` is strictly below
+    that weight's grid maximum, so it is skipped; every other pair is
+    measured.  Ties are measured, so each weight's argmax and maximum equal
+    those of the full grid bit for bit (rounding is monotone: M <= upper
+    gives fl(v M) <= fl(v upper)).  One stacked ``circle_max`` per radius
+    with pairs to measure, in each of the two stages.
+    """
+    rows, width = stack.shape
+    n = np.arange(width)
+    magnitudes = np.abs(stack)
+    upper = np.empty((rows, len(rs)))
+    for col, r in enumerate(rs):  # one radius at a time: a radii x width table could take gigabytes
+        upper[:, col] = magnitudes @ (float(r) ** n)  # the powers circle_max builds for r
+    relative, absolute = _rounding_slack(width, angles)
+    upper = upper * (1.0 + relative) + absolute
+    profile = np.full((rows, len(rs)), -np.inf)
+
+    def measure(todo):
+        for col in np.flatnonzero(todo.any(axis=0)):
+            hit = np.flatnonzero(todo[:, col])
+            profile[hit, col] = circle_max(stack[hit], float(rs[col]), angles)
+
+    seeds = np.zeros(profile.shape, dtype=bool)
+    for v in vs:
+        seeds[np.arange(rows), np.argmax(upper * v, axis=1)] = True
+    measure(seeds)
+    survivors = np.zeros(profile.shape, dtype=bool)
+    for v in vs:  # "not below" keeps ties, and keeps every pair of a row holding a NaN
+        survivors |= ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
+    measure(survivors & ~seeds)
+    return profile
 
 
 def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.ndarray:

@@ -112,3 +112,36 @@ def test_a_gain_must_win_nine_in_ten_of_all_pairs_run():
     assert entry["pairs"] == 10 and entry["incomplete_pairs"] == 2 and not entry["more_failed"]
     assert entry["metrics"]["wall_ref"]["change_wins"] == 8  # all 8 complete pairs, but only 8 of 10 run
     assert entry["metrics"]["wall_ref"]["verdict"] == "within bound"
+
+
+def test_the_layer_script_times_the_grid_pass_and_the_full_call(tmp_path):
+    # The script on the reduced pool, so the test stays quick; the timed calls are the same.
+    script = bench_pairs.LAYER_SCRIPT.replace("NormPool(1)", "NormPool(1, smoke=True)")
+    assert script != bench_pairs.LAYER_SCRIPT
+    seconds = bench_pairs._run_json(["-c", script], _PATH.parent.parent, 600)
+    assert set(seconds) == {"weighted_sup_norm.grid_s", "weighted_sup_norm.full_s"}
+    assert all(value > 0.0 for value in seconds.values())
+    assert set(bench_pairs.layer_run(tmp_path)) == {"error"}  # no source there
+
+
+def test_layer_timings_alternate_the_sides_and_keep_each_best(monkeypatch):
+    order = []
+
+    def canned(checkout):
+        order.append(checkout)
+        if checkout == "broken":
+            return {"error": "exit 1: no source"}
+        run = sum(1 for side in order if side == checkout)
+        return {"grid_s": (2.0 if checkout == "parent" else 1.0) + run, "full_s": 4.0 / run}
+
+    monkeypatch.setattr(bench_pairs, "layer_run", canned)
+    monkeypatch.setattr(bench_pairs, "LAYER_REPEATS", 3)
+    layers = bench_pairs.layer_timings({"parent": "parent", "change": "change"})
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    assert layers["parent"]["grid_s"] == {"best_s": 3.0, "runs_s": [3.0, 4.0, 5.0]}
+    assert layers["change"]["full_s"] == {"best_s": 4.0 / 3, "runs_s": [4.0, 2.0, 4.0 / 3]}
+    assert layers["change_over_parent"] == {"grid_s": 2.0 / 3.0, "full_s": 1.0}
+    monkeypatch.setattr(bench_pairs, "LAYER_REPEATS", 1)
+    failed = bench_pairs.layer_timings({"parent": "parent", "change": "broken"})
+    assert failed["change"] == {"error": "exit 1: no source"} and set(failed["parent"]) == {"grid_s", "full_s"}
+    assert failed["change_over_parent"] == {"grid_s": None, "full_s": None}

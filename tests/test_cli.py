@@ -49,6 +49,28 @@ def test_config_grid_defaults_are_the_library_defaults():
     assert cfg.short_hash() == "19f898aa9fc8"  # the hash of the defaults stays put
 
 
+def test_the_config_hash_names_a_table_weight_by_its_rows(tmp_path, monkeypatch):
+    hashes = []
+    for folder, text in (("a", "0.0,1.0\n0.5,0.7\n"), ("b", "0.0,1.0\n0.5,0.7\n"), ("c", "0.0,1.0\n0.5,0.6\n")):
+        (tmp_path / folder).mkdir()
+        (tmp_path / folder / "w.csv").write_text(text)
+        monkeypatch.chdir(tmp_path / folder)
+        assert run("norm", "--weight", "table:w.csv", "--N", "16", "--angles", "64", "--out", "n.csv") == EXIT_OK
+        hashes.append(Path("n.csv").read_text().splitlines()[-1])
+    assert hashes[0] == hashes[1]  # one table in two directories
+    assert hashes[2] != hashes[0]  # an edited table
+    assert ExperimentConfig(weight="table:w.csv").short_hash() != hashes[0][len("# config=") :]  # the path alone
+
+
+def test_a_subcommand_without_a_weight_opens_no_weight_table(tmp_path):
+    path = tmp_path / "exp.toml"
+    path.write_text(f'weight = "table:{tmp_path / "missing.csv"}"\n')
+    out = tmp_path / "spec.csv"
+    assert run("spectrum", "--t", "0.5", "--N", "8", "--config", str(path), "--out", str(out)) == EXIT_OK
+    cfg = ExperimentConfig(truncation=8, weight=f"table:{tmp_path / 'missing.csv'}")  # t_list defaults to (0.5,)
+    assert out.read_text().splitlines()[-1] == f"# config={cfg.short_hash()}"  # the spec text, as before
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(truncation=4).validate()
@@ -130,28 +152,29 @@ def test_norm_stdout_mentions_formula(capsys):
 
 
 def test_norm_without_g0_measures_one_pool_for_every_t(tmp_path, monkeypatch):
-    calls = []
+    polish = []
     circle_max = weights.circle_max
 
-    def counted(*args):
-        calls.append(args)
-        return circle_max(*args)
+    def counted(f, r, angles):
+        if np.ndim(r) == 1:  # a polish step: one radius per row
+            polish.append(r)
+        return circle_max(f, r, angles)
 
     monkeypatch.setattr(weights, "circle_max", counted)
 
     def norm_rows(t, witness):
-        calls.clear()
+        polish.clear()
         out = tmp_path / "norms.csv"
         argv = ("--t", t, "--witness", witness, "--seed", "3", "--N", "128", "--angles", "512", "--out", str(out))
         assert run("norm", *argv) == EXIT_OK
-        return [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")], len(calls)
+        return [line for line in out.read_text().splitlines()[1:] if not line.startswith("#")], len(polish)
 
-    rows, sweep_calls = norm_rows("0.1,0.5,0.9", "random:20")
+    rows, sweep_polish = norm_rows("0.1,0.5,0.9", "random:20")
     singles = [norm_rows(t, "random:20") for t in ("0.1", "0.5", "0.9")]
     assert rows == [single_rows[0] for single_rows, _ in singles]
-    assert sweep_calls == singles[0][1] == 106  # one grid pass (64 radii) and one polish, not three
-    _, g0_calls = norm_rows("0.1,0.5,0.9", "g0,random:20")
-    assert g0_calls == 3 * sweep_calls  # the g0 witness changes with t: one pool per t
+    assert sweep_polish == singles[0][1] == 42  # one polish (2 + 40 steps) for the whole sweep, not three
+    _, g0_polish = norm_rows("0.1,0.5,0.9", "g0,random:20")
+    assert g0_polish == 3 * 42  # the g0 witness changes with t: one pool, and one polish, per t
 
 
 def test_eigen_artifact(tmp_path):

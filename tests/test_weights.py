@@ -19,6 +19,7 @@ from cesaro import (
     norm_upper_bound,
     operator_norm_witness,
     radial_grid,
+    random_series,
     weighted_sup_norm,
 )
 from cesaro import weights
@@ -268,22 +269,42 @@ def test_every_sweep_entry_equals_its_single_witness_call():
     assert bits(single([SWEEP_TS[0]], [SWEEP_WEIGHTS[3]])) == bits(table[3:, :1])
 
 
-def test_a_sweep_shares_one_grid_pass(monkeypatch):
-    calls = []
+def _counted_circle_max(monkeypatch):
+    """Record each ``circle_max`` call: (stack, radius) for a grid call, the radii array for a polish call."""
+    grid, polish = [], []
     original = weights.circle_max
 
-    def counted(*args):
-        calls.append(args[1])
-        return original(*args)
+    def counted(f, r, angles):
+        if np.ndim(r) == 0:
+            grid.append((f, r))
+        else:
+            polish.append(r)
+        return original(f, r, angles)
 
     monkeypatch.setattr(weights, "circle_max", counted)
+    return grid, polish
+
+
+def test_a_sweep_shares_one_grid_pass(monkeypatch):
+    grid, polish = _counted_circle_max(monkeypatch)
     pool = _ragged_pool(np.random.default_rng(61), 3)
     operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64)
-    # One call per grid radius for the whole stack, then 2 + 40 polish steps per weight.
-    assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42
-    # Without the polish a weight sweep is the grid pass alone.
-    weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
-    assert len(calls) == 16 + len(SWEEP_WEIGHTS) * 42 + 16
+    stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for t in SWEEP_TS for f in pool])
+    row_of = {row.tobytes(): i for i, row in enumerate(stack)}
+    assert len(row_of) == len(stack)
+    pairs = [(row_of[row.tobytes()], r) for f, r in grid for row in f]
+    assert len(pairs) == len(set(pairs)) < len(stack) * 16  # no pair twice, and some pruned
+    # At most one call per grid radius, plus one per radius where a weight's bound v * A peaks.
+    rs = radial_grid(16)
+    bounds = np.abs(stack) @ (rs[None, :] ** np.arange(stack.shape[1])[:, None])
+    seed_radii = {int(j) for v in SWEEP_WEIGHTS for j in np.argmax(bounds * v(rs), axis=1)}
+    assert len(grid) <= 16 + len(seed_radii)
+    assert len(polish) == len(SWEEP_WEIGHTS) * 42  # 2 + 40 polish steps per weight
+    # Without the polish a weight sweep is the same grid pass alone.
+    grid.clear()
+    polish.clear()
+    weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
+    assert [(row_of[row.tobytes()], r) for f, r in grid for row in f] == pairs and not polish
 
 
 def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
@@ -293,6 +314,54 @@ def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
     pool = _ragged_pool(np.random.default_rng(67), 3)
     weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
     assert calls == [(16,)] * len(SWEEP_WEIGHTS)
+
+
+def _prune_pool():
+    """Rows the grid prune must get right: every radius tied, positive coefficients, zero, constant, r = 0 maxima."""
+    rng = np.random.default_rng(71)
+    f1 = constant_one(64)  # under the unit weight every radius ties at 1
+    images = [apply(CesaroOperator(t), f) for t in (0.3, 0.95) for f in (f1, geometric_series(0.5, 100))]
+    return [
+        f1,
+        TaylorSeries(np.zeros(5)),
+        TaylorSeries([2.5 - 1.0j]),  # degree 0: A = M = |c0| at every radius
+        TaylorSeries([3.0, 0.1, -0.2]),  # largest at r = 0 under every decreasing weight
+        geometric_series(0.9, 300),
+        *images,  # positive coefficients: M = A, so only rounding tells them apart
+        *(TaylorSeries(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) for d in (12, 700)),
+    ]
+
+
+@pytest.mark.parametrize("radii", [8, 16, 64, 216])
+def test_the_pruned_grid_equals_the_full_grid_oracle(radii):
+    pool = _prune_pool()
+    sweep = [Weight.unit(), Weight.standard(2.0), Weight.log_power(1), TABLE_WEIGHT]
+    for refine in (False, True):
+        got = weighted_sup_norm(pool, sweep, radii=radii, angles=64, refine=refine).value
+        want = [[scalar_weighted_sup_norm(f.coeffs, v, radii, 64, refine) for f in pool] for v in sweep]
+        assert bits(got) == bits(want)
+
+
+def test_the_rounding_slack_covers_circle_max_on_positive_coefficients():
+    rng = np.random.default_rng(73)
+    for width in (2, 3, 17, 1000, 4097, 65537):
+        n = np.arange(width)
+        rows = (np.ones(width), rng.random(width), 0.5 ** (n % 60), rng.random(width) * 1e-310)  # last: subnormal
+        stack = np.vstack(rows)
+        magnitudes = np.abs(stack.astype(complex))
+        for angles in (8, 9, 97, 1000, 1024, 3072, 4093, 4096, 8186, 65521):  # 97, 4093, 65521 prime: Bluestein
+            relative, absolute = weights._rounding_slack(width, angles)
+            for r in (0.0, 0.5, 0.9, radial_grid(216)[-1]):
+                bound = (magnitudes @ (float(r) ** n)) * (1.0 + relative) + absolute
+                assert np.all(circle_max(stack, r, angles) <= bound)
+
+
+def test_the_grid_prunes_a_norm_pool_query_under_gamma_two(monkeypatch):
+    rng = np.random.default_rng(79)
+    pool = [constant_one(512)] + [random_series(int(d), rng) for d in (40, 300, 900, 2048)]
+    grid, _ = _counted_circle_max(monkeypatch)
+    operator_norm_witness(0.7, Weight.standard(2.0), pool, radii=64, angles=1024)
+    assert sum(len(f) for f, _ in grid) < 2 * len(pool) * 64
 
 
 def test_sweep_preconditions():

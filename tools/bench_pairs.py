@@ -12,8 +12,11 @@ For every workload of ``BENCHMARK.json`` and every seed, ``benchmarks/run.py``
 runs once on each side (one pair) for the spec's ``run_seconds``, one run at
 a time, and the side that goes first alternates from
 pair to pair.  Then each side runs once more with ``--trace 1`` on the first
-seed for its per-layer counts.  The temporary directories are removed
-afterwards.
+seed for its per-layer counts.  Last come the layer timings, in process
+(:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
+the ``weighted_sup_norm`` calls of seed 1's ``norm_pool`` queries, the
+grid pass alone (``refine=False``) and the full call.  The temporary
+directories are removed afterwards.
 
 The output holds every run's result object, and per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's values with their
@@ -21,8 +24,9 @@ median and quartiles (as ``benchmarks/baseline.py`` computes them), the
 pairs the change wins, the relative change of the medians and a verdict
 (``gain``, ``within bound``, ``beyond bound`` or ``unresolved``; see
 :func:`summarize`); per workload, each side's failed and attempted
-operations.  It also records the versions, ``nproc``, both commits and the
-seeds.
+operations; under ``layers``, each side's best-of-k seconds per pass of
+every timed layer, its k runs, and the change's best over the parent's.  It
+also records the versions, ``nproc``, both commits and the seeds.
 """
 
 from __future__ import annotations
@@ -41,6 +45,33 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 from baseline import environment, quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
+#: The runs behind each layer timing's best, one process per run, alternating sides.
+LAYER_REPEATS = 5
+#: The ``norm_pool`` seed whose stacks the layer timings measure.
+LAYER_SEED = 1
+
+#: One layer-timing run in a checkout (run there as ``python -c LAYER_SCRIPT``; prints one JSON object of
+#: seconds).  The ``norm_pool`` queries run once while ``weights.weighted_sup_norm`` records its arguments,
+#: so the stacks are the ones ``operator_norm_witness`` builds; then those calls are timed over the whole
+#: pass, grid only (``refine=False``) and full.
+LAYER_SCRIPT = f"""
+import json, sys, time
+sys.path[:0] = ["src", "benchmarks"]
+from cesaro import weights
+from workloads import NormPool, Tally
+pool, calls, measure = NormPool({LAYER_SEED}), [], weights.weighted_sup_norm
+weights.weighted_sup_norm = lambda *args: calls.append(args) or measure(*args)
+for i in range(len(pool)):
+    pool.run_query(i, Tally())
+weights.weighted_sup_norm = measure
+seconds = {{}}
+for name, refine in (("weighted_sup_norm.grid_s", False), ("weighted_sup_norm.full_s", True)):
+    start = time.perf_counter()
+    for args in calls:
+        measure(*args, refine=refine)
+    seconds[name] = time.perf_counter() - start
+print(json.dumps(seconds))
+"""
 
 
 def _git(*args: str) -> str:
@@ -80,15 +111,51 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run in ``checkout``: its result object, or an ``error`` entry."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=30 * seconds + 300)
+def _run_json(args: list, checkout: Path, timeout: float) -> dict:
+    """Run ``python <args>`` in ``checkout``: the object on its last output line, or an ``error`` entry."""
+    proc = subprocess.run([sys.executable, *args], cwd=checkout, capture_output=True, text=True, timeout=timeout)
     try:
         return parse_result(proc.stdout)
     except ValueError:  # json.JSONDecodeError is a ValueError too
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-2000:]}"}
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One benchmark run in ``checkout``: its result object, or an ``error`` entry."""
+    args = ["benchmarks/run.py", "--workload", workload, "--seed", str(seed)]
+    args += ["--seconds", str(seconds), "--trace", str(trace)]
+    return _run_json(args, checkout, 30 * seconds + 300)
+
+
+def layer_run(checkout: Path) -> dict:
+    """One run of :data:`LAYER_SCRIPT` in ``checkout``: seconds per timed layer, or an ``error`` entry."""
+    return _run_json(["-c", LAYER_SCRIPT], checkout, 600)
+
+
+def layer_timings(checkouts: dict) -> dict:
+    """Per side and timed layer, the runs and their best; per layer, the change's best over the parent's.
+
+    Each side runs :data:`LAYER_REPEATS` times, the sides alternating which
+    runs first.  A side with a failed run holds that run's ``error`` entry
+    instead, and its ratios are None.
+    """
+    runs = {side: [] for side in SIDES}
+    for k in range(LAYER_REPEATS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(layer_run(checkouts[side]))
+    out = {}
+    for side, side_runs in runs.items():
+        failed = [run for run in side_runs if "error" in run]
+        out[side] = failed[0] if failed else {
+            name: {"best_s": min(run[name] for run in side_runs), "runs_s": [run[name] for run in side_runs]}
+            for name in side_runs[0]
+        }
+    timed = [out[side] for side in SIDES if "error" not in out[side]]
+    out["change_over_parent"] = {
+        name: out["change"][name]["best_s"] / out["parent"][name]["best_s"] if len(timed) == 2 else None
+        for name in dict.fromkeys(name for side in timed for name in side)
+    }
+    return out
 
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
@@ -195,9 +262,11 @@ def main(argv=None) -> int:
             traced[workload] = {
                 side: run_once(checkouts[side], workload, seeds[0], spec["run_seconds"], 1) for side in SIDES
             }
+        layers = layer_timings(checkouts)
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     report["summary"] = summarize(runs, spec["end_to_end"])
     report["traced"] = traced
+    report["layers"] = layers
     report["runs"] = runs
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
@@ -208,6 +277,8 @@ def main(argv=None) -> int:
                 f"  {m['relative_change']:+.1%}  wins {m['change_wins']}/{entry['pairs']}"
                 f"  {m['verdict']}"
             )
+    for name, ratio in layers["change_over_parent"].items():
+        print(f"layer {name}: change/parent best {ratio if ratio is None else f'{ratio:.3f}'}")
     return 0
 
 
