@@ -12,7 +12,10 @@ are calls of the one kernel for (sigma C_t - nu I) x = c,
 :class:`CesaroOperator` decides): the resolvent at sigma = 1, an eigenvector as
 the null vector of (m+1) C_t - I with x[m] pinned to 1.  The binomial closed
 form C(n, m) t**(n-m) of the eigenvectors and the displayed closed form of the
-resolvent are validated against these solves in the tests, never used by them.
+resolvent are validated against these solves in the tests, never used by them;
+the eigenvector's log-magnitude only decides how long a prefix the solve gets,
+since past it every entry is below the smallest normal double and is returned
+as an exact 0.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import shifted_solve
+from .operators import CesaroOperator, shifted_solve
 from .series import TaylorSeries
 
 #: Distance to Lambda_0 below which resolvent queries are refused.  Closer
@@ -31,6 +34,14 @@ from .series import TaylorSeries
 LAMBDA_TOL = 1e-6
 
 _MAX_INDEX = float(2**62)
+
+#: The smallest normal double; eigenvector entries below it are returned as exact 0.
+_TINY = 2.0**-1022
+#: The log-magnitude past which an eigenvector entry is cut: 40 below log(_TINY).
+_LOG_CUT = math.log(_TINY) - 40.0
+#: The exact zero the kernel returns where an eigenvector entry past m underflows (its imaginary part is
+#: -0.0); flushed and cut entries take it too, so an output that held no subnormal keeps its bits.
+_UNDERFLOW = complex(0.0, -0.0)
 
 
 def eigenvalues(count: int) -> np.ndarray:
@@ -76,19 +87,55 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
 
     Multiplied through by BN, rows n > m read (m - n) x[n] + t n x[n-1] = 0:
     x[n] = t n x[n-1] / (n - m), and rows n < m give x[n] = 0 exactly.
-    ``operator(x) = x / (m+1)`` holds exactly on the truncation prefix; for
-    t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double precision
-    the call is refused with a ValueError.
+    ``operator(x) = x / (m+1)`` holds exactly on the truncation prefix, up to
+    the entries below 2**-1022 (the smallest normal double), which are
+    returned as exact 0: the solve runs only on the prefix that can hold a
+    normal entry (:func:`_normal_prefix`), and row n depends on row n-1 alone,
+    so every normal entry is the one the full-length solve gives, bit for
+    bit.  For t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double
+    precision the call is refused with a ValueError.
     """
     if m < 0:
         raise ValueError("eigenvalue index must be >= 0")
     if m >= truncation:
         raise ValueError(f"index m={m} must be smaller than the truncation {truncation}")
+    CesaroOperator(t)  # refuses t outside [0, 1] before log(t) is taken
+    cut = _normal_prefix(t, m, truncation)
     # row m, the singular one, is replaced by the normalization x[m] = 1
-    x = shifted_solve(t, m + 1, 1, np.zeros(truncation + 1), pin=(m, 1))
+    x = shifted_solve(t, m + 1, 1, np.zeros(cut), pin=(m, 1))
     if not np.all(np.isfinite(x)):
         raise ValueError(f"eigenvector of index m={m} overflows double precision at truncation {truncation}")
-    return EigenPair(m, 1.0 / (m + 1.0), TaylorSeries(x))
+    x[(x != 0.0) & (np.abs(x) < _TINY)] = _UNDERFLOW
+    return EigenPair(m, 1.0 / (m + 1.0), TaylorSeries(np.r_[x, np.full(truncation + 1 - cut, _UNDERFLOW)]))
+
+
+def _normal_prefix(t: float, m: int, truncation: int) -> int:
+    """Length of the eigenvector prefix [0, cut) past which every |x[n]| < 2**-1022.
+
+    log x[n] = lgamma(n+1) - lgamma(m+1) - lgamma(n-m+1) + (n-m) log t rises
+    up to the peak n = m/(1-t) (the step ratio t n/(n-m) is >= 1 there) and
+    falls past it, so bisection from the peak finds the last n with log x[n]
+    >= :data:`_LOG_CUT`; its margin of 40 below log 2**-1022 covers the
+    rounding of lgamma many times over.  The peak, and with it any overflow,
+    lies inside the prefix.  At t = 0 the prefix is [0, m]; at t = 1 the
+    entries C(n, m) never fall, and nothing is cut.
+    """
+    if t == 0.0:
+        return m + 1
+    if t == 1.0:
+        return truncation + 1
+    log_t = math.log(t)
+
+    def above(n: int) -> bool:
+        return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1) + (n - m) * log_t >= _LOG_CUT
+
+    lo, hi = min(max(m, math.floor(m / (1.0 - t))), truncation), truncation  # above(lo) holds: x[lo] >= 1
+    if above(hi):
+        return truncation + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
 
 
 # -- resolvent ----------------------------------------------------------------

@@ -156,6 +156,12 @@ def binomial_eigenvector(t, m, truncation):
     return x
 
 
+def mp_eigenvector_entry(t, m, n, dps=40):
+    """Entry n of the index-m eigenvector, C(n, m) t**(n-m), in ``dps``-digit arithmetic (t as its exact binary value)."""
+    with mpmath.workdps(dps):
+        return mpmath.binomial(n, m) * mpmath.mpf(float(t)) ** (n - m)
+
+
 def harmonic_number(m):
     return sum(1.0 / k for k in range(1, m + 1))
 

@@ -18,9 +18,11 @@ from cesaro import (
     resolvent_apply,
     spectrum_distance,
 )
+from cesaro.operators import shifted_solve
 from oracles import (
     binomial_eigenvector,
     literal_resolvent_coefficients,
+    mp_eigenvector_entry,
     mp_resolvent,
     prefix_ratio_resolvent,
     recurrence_eigenvector,
@@ -115,6 +117,34 @@ def test_eigenpair_overflow_is_refused_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow"):
             eigenpair(0.9, 1000, 8192)
+
+
+TINY = 2.0**-1022  # the smallest normal double
+
+
+@pytest.mark.parametrize(
+    "t, m, truncation",
+    [(0.7, 10, 131072), (0.5, 10, 100000), (0.035, 64, 114950), (0.99, 256, 2**17), (0.0, 5, 4096),
+     (1.0, 3, 4096), (5e-324, 0, 100)],
+)
+def test_eigenpair_is_the_full_solve_with_every_entry_below_the_normal_range_an_exact_zero(t, m, truncation):
+    full = shifted_solve(t, m + 1, 1, np.zeros(truncation + 1), pin=(m, 1))
+    if not np.all(np.isfinite(full)):  # refused exactly where the full-length solve overflows
+        with pytest.raises(ValueError, match="overflows double precision"):
+            eigenpair(t, m, truncation)
+        return
+    x = eigenpair(t, m, truncation).series.coeffs
+    parts = np.abs(x.view(float))
+    assert not np.any((parts > 0.0) & (parts < TINY))  # no subnormal real or imaginary part
+    normal = np.abs(full) >= TINY
+    assert x[normal].tobytes() == full[normal].tobytes()
+    assert np.array_equal(x == 0.0, ~normal)
+    zeroed = np.flatnonzero(x[m:] == 0.0) + m
+    if zeroed.size:
+        # past the peak m/(1-t) the true entries fall, so below 2**-1022 at the first zeroed index means at all
+        assert zeroed[0] > m / (1.0 - t)
+        for n in np.r_[zeroed[:: max(1, zeroed.size // 20)], zeroed[-1]]:
+            assert mp_eigenvector_entry(t, m, int(n)) < TINY
 
 
 def test_eigenpair_preconditions():

@@ -202,7 +202,11 @@ def test_circle_max_at_radius_zero_is_the_modulus_of_the_constant_term():
     for width in (5, 300):  # below and above the angle count
         stack = rng.standard_normal((40, width)) + 1j * rng.standard_normal((40, width))
         center = np.abs(stack[:, 0])
-        assert bits(circle_max(stack, 0.0, 64)) == bits(center)
+        for angles in (64, 1024):
+            assert bits(circle_max(stack, 0.0, angles)) == bits(center)
+        # 4093 is prime: pocketfft's Bluestein path rounds, within the grid prune's slack
+        relative, absolute = weights._rounding_slack(width, 4093)
+        assert np.all(np.abs(circle_max(stack, 0.0, 4093) - center) <= center * relative + absolute)
         assert circle_max(TaylorSeries(stack[3]), 0.0, 64) == center[3]
         radii = np.where(np.arange(40) % 3 == 0, 0.0, 0.5)
         got = circle_max(stack, radii, 64)

@@ -15,7 +15,8 @@ pair to pair.  Then each side runs once more with ``--trace 1`` on the first
 seed for its per-layer counts.  Last come the layer timings, in process
 (:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
 the ``weighted_sup_norm`` calls of seed 1's ``norm_pool`` queries, the
-grid pass alone (``refine=False``) and the full call.  The temporary
+grid pass alone (``refine=False``) and the full call, and the ``eigenpair``
+calls of seed 1's ``long_series`` queries.  The temporary
 directories are removed afterwards.
 
 The output holds every run's result object, and per workload and
@@ -47,28 +48,51 @@ from baseline import environment, quartiles  # noqa: E402
 SIDES = ("parent", "change")
 #: The runs behind each layer timing's best, one process per run, alternating sides.
 LAYER_REPEATS = 5
-#: The ``norm_pool`` seed whose stacks the layer timings measure.
+#: The seed of the workloads whose calls the layer timings measure.
 LAYER_SEED = 1
 
 #: One layer-timing run in a checkout (run there as ``python -c LAYER_SCRIPT``; prints one JSON object of
-#: seconds).  The ``norm_pool`` queries run once while ``weights.weighted_sup_norm`` records its arguments,
-#: so the stacks are the ones ``operator_norm_witness`` builds; then those calls are timed over the whole
-#: pass, grid only (``refine=False``) and full.
+#: seconds).  The ``norm_pool`` and ``long_series`` queries run once while ``weights.weighted_sup_norm`` and
+#: ``cesaro.eigenpair`` record their arguments, so the inputs are the ones the workloads pass; then the
+#: recorded calls are timed over the whole pass: ``weighted_sup_norm`` grid only (``refine=False``) and
+#: full, and ``eigenpair`` (its overflow refusals included).
 LAYER_SCRIPT = f"""
-import json, sys, time
+import json, sys, time, warnings
 sys.path[:0] = ["src", "benchmarks"]
+import cesaro
 from cesaro import weights
-from workloads import NormPool, Tally
-pool, calls, measure = NormPool({LAYER_SEED}), [], weights.weighted_sup_norm
-weights.weighted_sup_norm = lambda *args: calls.append(args) or measure(*args)
-for i in range(len(pool)):
-    pool.run_query(i, Tally())
-weights.weighted_sup_norm = measure
+from workloads import LongSeries, NormPool, Tally
+warnings.simplefilter("ignore", RuntimeWarning)  # the eigenpair overflow regime warns before it raises
+
+
+def recorded(module, name, workload):
+    calls, measure = [], getattr(module, name)
+    setattr(module, name, lambda *args: calls.append(args) or measure(*args))
+    for i in range(len(workload)):
+        workload.run_query(i, Tally())
+    setattr(module, name, measure)
+    return measure, calls
+
+
+def eigenpairs():
+    for args in eigen_calls:
+        try:
+            solve(*args)
+        except ValueError:  # an overflow refusal, timed like an answer
+            pass
+
+
+measure, norm_calls = recorded(weights, "weighted_sup_norm", NormPool({LAYER_SEED}))
+solve, eigen_calls = recorded(cesaro, "eigenpair", LongSeries({LAYER_SEED}))
+passes = {{
+    "weighted_sup_norm.grid_s": lambda: [measure(*args, refine=False) for args in norm_calls],
+    "weighted_sup_norm.full_s": lambda: [measure(*args) for args in norm_calls],
+    "eigenpair_s": eigenpairs,
+}}
 seconds = {{}}
-for name, refine in (("weighted_sup_norm.grid_s", False), ("weighted_sup_norm.full_s", True)):
+for name, run in passes.items():
     start = time.perf_counter()
-    for args in calls:
-        measure(*args, refine=refine)
+    run()
     seconds[name] = time.perf_counter() - start
 print(json.dumps(seconds))
 """
