@@ -31,6 +31,13 @@ shares the grid pass, and each weight then runs its own argmax and polish;
 a witness sweep stacks the witnesses once, followed by their images for
 every ``t``, and measures the stack in one :func:`weighted_sup_norm` call.
 
+Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
+bounds take r**n from one rule, which calls ``pow`` only below the radius's
+underflow index, where n log2(r) reaches 20 binades below 2**-1074, and
+writes +0.0 from there on.  ``pow`` returns exactly that +0.0 there, but on
+a slow path, so the cut saves time and changes no bit of any power,
+maximum or estimate.  Subnormal powers are still computed.
+
 Shapes: a batched call returns its values as one array (the ``value`` of
 one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
 axes are the inputs given as sequences, in the order weights, then ``t``,
@@ -202,7 +209,9 @@ def circle_max(f, r, angles: int):
     (batch x coefficients) stack (returns one maximum per row, each equal
     to the maximum of that row alone).  With a stack, ``r`` is one radius
     for all rows or one radius per row; per-row powers are only computed at
-    each row's nonzero coefficients.
+    each row's nonzero coefficients.  Either way the powers r**n stop at the
+    radius's underflow index (:func:`_powers`), past which ``pow`` returns
+    +0.0 anyway, so every power and every maximum is the full computation's.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):
@@ -212,13 +221,8 @@ def circle_max(f, r, angles: int):
     single = isinstance(f, TaylorSeries)
     coeffs = _coefficient_stack(f)
     rows, width = coeffs.shape
-    n = np.arange(width)
-    if r.ndim == 0:
-        powers = float(r) ** n  # one radius: computed once, broadcast over the rows
-    else:
-        powers = np.zeros(coeffs.shape)  # a zero coefficient times any power is zero: skip those powers
-        np.power(r[:, None], n, out=powers, where=coeffs != 0)
-    scaled = coeffs * powers
+    # one radius: computed once, broadcast over the rows; per row: only at the nonzero coefficients
+    scaled = coeffs * _powers(r, width, None if r.ndim == 0 else coeffs != 0)
     if width > angles:
         folds = -(-width // angles)
         buf = np.zeros((rows, folds * angles), dtype=complex)
@@ -226,6 +230,38 @@ def circle_max(f, r, angles: int):
         scaled = buf.reshape(rows, folds, angles).sum(axis=1)
     peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
     return _dropped(peak, single)
+
+
+#: log2 of the bound below which :func:`_powers` writes r**n as +0.0: 20 binades under 2**-1074.
+_UNDERFLOW_LOG2 = -1094.0
+
+
+def _powers(r, width: int, where: np.ndarray | None = None) -> np.ndarray:
+    """The powers r**n for n < ``width``: one row for one radius, or one row per radius of ``r`` masked by ``where``.
+
+    ``np.power`` runs only below the radius's underflow index, the first n
+    with n log2(r) <= -1094, and every later power is written as +0.0.
+    Past the index r**n < 2**-1094, far under the 2**-1075 below which the
+    rounded power is +0.0, and numpy's ``pow`` returns that +0.0 too, only
+    on a slow path (about 15 times the cost of a normal result).  So each
+    power is bit for bit the one the full-length call computes.  The
+    subnormal band 2**-1074 <= r**n < 2**-1022 lies below the index and is
+    computed as before: a subnormal power times a large coefficient can be a
+    normal product.  At r = 0 the index is 1, keeping 0**0 = 1.  Per
+    radius, a power is computed only where ``where`` is True, and is 0 elsewhere.
+    """
+    n = np.arange(width)
+    if where is None:
+        r = float(r)
+        stop = min(width, math.ceil(_UNDERFLOW_LOG2 / math.log2(r))) if r > 0.0 else 1
+        powers = np.zeros(width)
+        powers[:stop] = r ** n[:stop]
+        return powers
+    log2_r = np.log2(r, out=np.full(r.shape, -np.inf), where=r > 0.0)  # no divide warning at r = 0
+    stop = np.clip(np.ceil(_UNDERFLOW_LOG2 / log2_r), 1, width)
+    powers = np.zeros(where.shape)
+    np.power(r[:, None], n, out=powers, where=where & (n < stop[:, None]))
+    return powers
 
 
 def radial_grid(count: int) -> np.ndarray:
@@ -356,11 +392,10 @@ def _grid_profile(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int) -> n
     with pairs to measure, in each of the two stages.
     """
     rows, width = stack.shape
-    n = np.arange(width)
     magnitudes = np.abs(stack)
     upper = np.empty((rows, len(rs)))
     for col, r in enumerate(rs):  # one radius at a time: a radii x width table could take gigabytes
-        upper[:, col] = magnitudes @ (float(r) ** n)  # the powers circle_max builds for r
+        upper[:, col] = magnitudes @ _powers(r, width)  # the powers circle_max builds for r
     relative, absolute = _rounding_slack(width, angles)
     upper = upper * (1.0 + relative) + absolute
     profile = np.full((rows, len(rs)), -np.inf)

@@ -162,6 +162,17 @@ def mp_eigenvector_entry(t, m, n, dps=40):
         return mpmath.binomial(n, m) * mpmath.mpf(float(t)) ** (n - m)
 
 
+def mp_log_product(nu, n, dps=40):
+    """log p_n = sum_{k<=n} log |1 - 1/(k nu)| in ``dps``-digit arithmetic (nu as its exact binary value).
+
+    With w = 1/nu, prod_{k<=n} (k - w) / k = Gamma(n + 1 - w) / (Gamma(1 - w) Gamma(n + 1)), so
+    log p_n is the real part of three log-gammas: no sum over k.
+    """
+    with mpmath.workdps(dps):
+        w = 1 / mpmath.mpc(complex(nu))
+        return mpmath.re(mpmath.loggamma(n + 1 - w) - mpmath.loggamma(1 - w)) - mpmath.loggamma(n + 1)
+
+
 def harmonic_number(m):
     return sum(1.0 / k for k in range(1, m + 1))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ def _padded_stack(pool):
     return stack
 
 
+#: Radii where r**n underflows at once, soon, late or never: 0, the smallest subnormal, the smallest
+#: normal, deep in the normal range, small grid radii (0.159 is r_1), and the largest double below 1.
+EDGE_RADII = (0.0, 5e-324, 2.0**-1022, 1e-300, 0.05, 0.159, 0.5, 0.7, 1.0 - 2.0**-53)
+
+
+def _edge_stack(width):
+    """Rows a cut power can meet: zeros, interior zeros, subnormal and near-overflow coefficients."""
+    rng = np.random.default_rng(101)
+    noise = rng.standard_normal((4, width)) + 1j * rng.standard_normal((4, width))
+    holes = noise[0] * (rng.random(width) < 0.5)  # interior zeros
+    holes[0] = 0.0
+    huge = noise[2] * 1e300
+    huge[: width // 2] = 0.0  # its maximum comes from subnormal powers where r**(width // 2) is subnormal
+    return np.vstack([np.zeros(width), holes, noise[1] * 1e-310, huge, noise[3]])
+
+
 def test_stacked_circle_max_equals_the_per_row_oracle():
     rng = np.random.default_rng(41)
     pool = _ragged_pool(rng, 9)
@@ -195,6 +212,17 @@ def test_stacked_circle_max_equals_the_per_row_oracle():
         radii = np.concatenate([[0.0], rng.random(len(pool) - 1)])
         want = [scalar_circle_max(f.coeffs, r, angles) for f, r in zip(pool, radii)]
         assert np.array_equal(circle_max(stack, radii, angles), want)
+    # Rows and radii where the powers stop early, late or never, at Bluestein (97, 4093) and power-of-two
+    # angle counts: the cut powers give the full-length powers' maxima bit for bit.
+    for angles in (8, 97, 1024, 4093):
+        for width in (3, 1025, 5000):
+            stack = _edge_stack(width)
+            for r in (*EDGE_RADII, *radial_grid(216)[::23], 2.0 ** (-1060 / (width // 2))):
+                want = [scalar_circle_max(row, r, angles) for row in stack]
+                assert bits(circle_max(stack, r, angles)) == bits(want), (angles, width, r)
+            for radii in (np.resize(EDGE_RADII, len(stack)), np.resize(EDGE_RADII[::-1], len(stack))):
+                want = [scalar_circle_max(row, r, angles) for row, r in zip(stack, radii)]
+                assert bits(circle_max(stack, radii, angles)) == bits(want), (angles, width)
 
 
 def test_circle_max_at_radius_zero_is_the_modulus_of_the_constant_term():
@@ -219,6 +247,55 @@ def test_circle_max_rejects_a_bad_radius_in_a_stack():
     for radii in (np.array([0.5, 1.0]), np.array([-0.1, 0.5]), np.array([0.5, np.nan])):
         with pytest.raises(ValueError, match="radius"):
             circle_max(stack, radii, 16)
+
+
+#: Odd widths exercise numpy's SIMD remainder loops; 2**17 is the longest long_series truncation.
+POWER_WIDTHS = (1, 2, 7, 8, 9, 63, 1000, 2049, 4097, 65537, 2**17)
+
+
+def _power_radii():
+    rng = np.random.default_rng(83)
+    random = rng.random(3000) ** rng.integers(1, 64, 3000)  # many radii small enough to underflow early
+    return np.concatenate([EDGE_RADII, radial_grid(216), random])
+
+
+def test_the_power_rule_equals_the_full_length_power_bitwise():
+    radii = _power_radii()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # log2(0) must not warn
+        longest = (*EDGE_RADII, *radial_grid(216)[::8])  # the two longest widths for these radii only
+        for r in radii[: len(EDGE_RADII) + 216]:  # one radius
+            for width in POWER_WIDTHS if r in longest else POWER_WIDTHS[:-2]:
+                assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
+        for r, width in zip(radii, np.random.default_rng(89).integers(1, 2**12, len(radii))):
+            assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
+        # Per row: the masked full-width np.power, with interior zeros in the mask.
+        rng = np.random.default_rng(97)
+        for rows, width in ((radii[: len(EDGE_RADII)], 2**17), (radii, 1025), (radii[::7], 4097)):
+            where = rng.random((len(rows), width)) < 0.9
+            want = np.zeros(where.shape)
+            np.power(rows[:, None], np.arange(width), out=want, where=where)
+            assert bits(weights._powers(rows, width, where)) == bits(want)
+    assert weights._powers(0.0, 3).tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("spec", ["gamma:5", "logpow:2"])
+def test_a_norm_peaking_at_the_smallest_grid_radii_equals_the_per_series_oracle(spec):
+    # A dominant constant term with a long small tail: the grid argmax sits at r_0 to r_2, where most
+    # powers of the tail underflow, and the polish brackets reach down to r = 0.
+    v, rng = Weight.from_spec(spec), np.random.default_rng(103)
+    pool = []
+    for degree, scale in ((2048, 0.02), (700, 0.3), (1500, 0.6)):
+        coeffs = scale * (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+        coeffs[0] = 1.0
+        pool.append(TaylorSeries(coeffs))
+    rs = radial_grid(64)
+    for f in pool:
+        profile = [float(v(r)) * scalar_circle_max(f.coeffs, float(r), 1024) for r in rs]
+        assert int(np.argmax(profile)) <= 2
+    for refine in (False, True):
+        want = [scalar_weighted_sup_norm(f.coeffs, v, 64, 1024, refine) for f in pool]
+        assert bits(weighted_sup_norm(pool, v, radii=64, angles=1024, refine=refine).value) == bits(want)
 
 
 TABLE_WEIGHT = Weight.from_table([0.0, 0.5, 0.9, 0.99], [1.0, 0.6, 0.1, 0.01])
