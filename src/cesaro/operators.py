@@ -19,10 +19,14 @@ unit lower bidiagonal (S the shift) and N = diag(n + 1), so
 C_t = N^{-1} (I - tS)^{-1}.  Multiplied through by BN, every shifted system
 (sigma C_t - nu I) x = c is lower bidiagonal, and :func:`shifted_solve` is
 its one kernel: the resolvent, the eigenpairs and the range preimage of
-(C_t - I) are calls of it.  :class:`CesaroOperator` is the one test of t in
-[0, 1] on coefficient space: the inverse, the kernel and their callers
-construct one.  Whether C_t is bounded on a weighted space at t = 1 is
-decided by the weight, in :func:`cesaro.weights.norm_upper_bound`.
+(C_t - I) are calls of it.  It writes the band in place, column-major as
+LAPACK stores it, and LAPACK solves in place in the fresh array BN c, so
+neither is copied; each band entry comes from the same floating-point
+operations as in a row-major band, so the solutions are the same bits.
+:class:`CesaroOperator` is the one test of t in [0, 1] on coefficient
+space: the inverse, the kernel and their callers construct one.  Whether
+C_t is bounded on a weighted space at t = 1 is decided by the weight, in
+:func:`cesaro.weights.norm_upper_bound`.
 """
 
 from __future__ import annotations
@@ -141,17 +145,38 @@ def shifted_solve(t: float, sigma, nu, c, pin=None) -> np.ndarray:
     solved by one LAPACK ``ztbtrs`` call, O(N) and without pivoting.
     ``pin=(k, value)`` replaces row k, singular where sigma = nu (k+1), by
     x[k] = value.  Overflow is not trapped; it shows as non-finite entries.
+
+    The band is allocated once, column-major as ``ztbtrs`` stores it, so the
+    wrapper takes it without a transposing copy.  Its rows are written in
+    place by ``np.multiply`` and ``np.subtract`` with the operands of
+    ``sigma - nu * (n + 1.0)`` and ``(nu * t) * n`` in that order, so every
+    entry has the bits a row-major band holds: each ufunc picks its loop
+    from its inputs, so a real ``nu`` is still multiplied in real
+    arithmetic, and the complex subtraction after it gives the real part
+    the real subtraction gives and the imaginary part +0 - +0 = +0.  The
+    solve overwrites BN c, which :func:`inverse_coefficients` returns as a
+    fresh array, so ``c`` is never written and the result shares no memory
+    with it.
+
+    At t = 1 the solve is exact only while every step is: ``ztbsv``, the
+    BLAS solve inside ``ztbtrs``, divides by multiplying with the rounded
+    reciprocal of the diagonal, and 49 * (1/49) = 0.9999999999999999 in
+    doubles, so ``eigenpair(1.0, 0, 64)``, all ones in exact arithmetic,
+    leaves 1 first at n = 49.  Measured up to N = 131072, the eigenvectors
+    stay within a relative N * 2**-52 of the binomials C(n, m).
     """
     CesaroOperator(t)  # refuses t outside [0, 1]
-    rhs = inverse_coefficients(t, c)
-    n = np.arange(len(rhs))
-    ab = np.zeros((2, len(rhs)), dtype=complex)  # LAPACK band storage: diagonal, subdiagonal
-    ab[0] = sigma - nu * (n + 1.0)
-    ab[1, :-1] = nu * t * n[1:]
+    rhs = inverse_coefficients(t, c)  # a fresh array: the in-place solve never writes to c
+    index = np.arange(1.0, len(rhs) + 1)  # n + 1
+    ab = np.empty((len(rhs), 2), dtype=complex).T  # LAPACK band storage, column-major: diagonal, subdiagonal
+    np.multiply(nu, index, out=ab[0])
+    np.subtract(sigma, ab[0], out=ab[0])
+    np.multiply(nu * t, index[:-1], out=ab[1, :-1])
+    ab[1, -1:] = 0.0  # the unused last slot
     if pin is not None:  # for k = 0, ab[1, k - 1] is the unused last slot
         k, value = pin
         ab[0, k], ab[1, k - 1], rhs[k] = 1.0, 0.0, value
-    x, info = ztbtrs(ab, rhs, uplo="L")
+    x, info = ztbtrs(ab, rhs, uplo="L", overwrite_b=1)
     if info > 0:
         raise ValueError(f"shifted system is singular: diagonal entry {info - 1} is zero")
     return x

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.signal
+from scipy.linalg.lapack import ztbtrs
 from scipy.special import comb
 
 
@@ -175,6 +176,24 @@ def mp_log_product(nu, n, dps=40):
 
 def harmonic_number(m):
     return sum(1.0 / k for k in range(1, m + 1))
+
+
+def row_major_shifted_solve(t, sigma, nu, c, pin=None):
+    """(sigma C_t - nu I) x = c as solved from a C-ordered (2, N) band, which ``ztbtrs`` copies, as it does ``rhs``.
+
+    The row-major layout the column-major, in-place kernel replaced: the two must agree bit for bit.
+    """
+    c = np.asarray(c, dtype=complex)
+    n = np.arange(len(c))
+    rhs = (n + 1.0) * c
+    rhs[1:] -= t * n[1:] * c[:-1]
+    ab = np.zeros((2, len(c)), dtype=complex)
+    ab[0] = sigma - nu * (n + 1.0)
+    ab[1, :-1] = nu * t * n[1:]
+    if pin is not None:
+        k, value = pin
+        ab[0, k], ab[1, k - 1], rhs[k] = 1.0, 0.0, value
+    return ztbtrs(ab, rhs, uplo="L")[0]
 
 
 # --- the per-series loops the batched engine replaced -----------------------------

@@ -121,7 +121,7 @@ def test_the_layer_script_times_the_grid_pass_and_the_full_call(tmp_path):
         assert workload in script
         script = script.replace(workload, workload.replace(")", ", smoke=True)"))
     seconds = bench_pairs._run_json(["-c", script], _PATH.parent.parent, 600)
-    assert set(seconds) == {"weighted_sup_norm.grid_s", "weighted_sup_norm.full_s", "eigenpair_s"}
+    assert set(seconds) == {"weighted_sup_norm.grid_s", "weighted_sup_norm.full_s", "eigenpair_s", "shifted_solve_s"}
     assert all(value > 0.0 for value in seconds.values())
     assert set(bench_pairs.layer_run(tmp_path)) == {"error"}  # no source there
 

@@ -42,6 +42,7 @@ from oracles import (
     mp_resolvent,
     naive_cesaro_apply,
     naive_convolution,
+    row_major_shifted_solve,
     triangular_resolvent_solve,
 )
 
@@ -264,6 +265,54 @@ def test_shifted_solve_refuses_an_unpinned_singular_row():
             shifted_solve(0.5, 2.0 * (k + 1), 2.0, np.ones(8))
 
 
+SIZE = 40
+#: The forms of c the kernel's callers pass, each built from one complex draw of 2 * SIZE values.
+C_FORMS = {
+    "read-only TaylorSeries coeffs": lambda z: TaylorSeries(z[:SIZE]).coeffs,
+    "writable complex": lambda z: z[:SIZE].copy(),
+    "writable real": lambda z: z.real[:SIZE].copy(),
+    "strided view": lambda z: z[::2],
+}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("pin", [None, (0, 0.5 - 2.0j), (SIZE - 1, 3.0)])
+@pytest.mark.parametrize("form", list(C_FORMS))
+def test_the_in_place_solve_never_reaches_the_callers_c(form, pin, t):
+    rng = np.random.default_rng(59)
+    z = rng.normal(size=2 * SIZE) + 1j * rng.normal(size=2 * SIZE)
+    c = C_FORMS[form](z)
+    assert len(c) == SIZE and c.flags.writeable == (form != "read-only TaylorSeries coeffs")
+    c_bytes, z_bytes = c.tobytes(), z.tobytes()
+    first = shifted_solve(t, 2.0 - 1.0j, 1.0 + 0.5j, c, pin=pin)
+    assert c.tobytes() == c_bytes and z.tobytes() == z_bytes
+    assert not np.shares_memory(first, c) and not np.shares_memory(first, z)
+    second = shifted_solve(t, 2.0 - 1.0j, 1.0 + 0.5j, c, pin=pin)
+    assert second.tobytes() == first.tobytes() and not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, 0.5, 0.99, 1.0])
+def test_the_column_major_band_gives_the_row_major_bits(t):
+    # The callers' shifts: eigenpair's integers (m + 1, 1) pinned at m, the resolvent's (1, nu)
+    # and the range preimage's (1, 1) pinned at 0, plus real and complex shifts off those.
+    rng = np.random.default_rng(61)
+    for size in (1, 2, 97, 4096):
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        m = int(rng.integers(size))
+        shifts = [
+            (m + 1, 1, np.zeros(size), (m, 1)),
+            (1, complex(rng.normal(), rng.normal()), c, None),
+            (1, 1, c, (0, 0)),
+            (rng.normal(), rng.normal(), c.real, None),
+            (complex(rng.normal(), rng.normal()), 0.7, c, (size - 1, 2.0 - 1.0j)),
+        ]
+        for sigma, nu, rhs, pin in shifts:
+            with np.errstate(all="ignore"):  # the eigenvector at t near 1 may overflow; its bits still agree
+                got = shifted_solve(t, sigma, nu, rhs, pin=pin)
+                want = row_major_shifted_solve(t, sigma, nu, rhs, pin=pin)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (size, sigma, nu, pin)
+
+
 T_USERS = {
     "CesaroOperator": CesaroOperator,
     "InverseOperator": InverseOperator,
@@ -296,6 +345,19 @@ def test_eigenpairs_at_t_one_are_the_binomials(m):
     pair = eigenpair(1.0, m, 40)
     assert pair.eigenvalue == 1.0 / (m + 1.0)
     assert np.array_equal(pair.series.coeffs, binomial_eigenvector(1.0, m, 40))
+
+
+@pytest.mark.parametrize("size", [64, 200, 4096])
+@pytest.mark.parametrize("m", [0, 1, 7, 20])
+def test_eigenpairs_at_t_one_are_the_binomials_to_n_ulps(size, m):
+    # Past N = 40 the kernel is not exact: ztbsv divides by multiplying with a rounded
+    # reciprocal, and 49 * (1/49) = 0.9999999999999999, so eigenpair(1, 0, 64) leaves 1 at n = 49.
+    got = eigenpair(1.0, m, size).series.coeffs
+    want = binomial_eigenvector(1.0, m, size)
+    assert np.all(got[:m] == 0.0) and np.all(got.imag == 0.0)
+    assert np.max(np.abs(got[m:] - want[m:]) / want[m:].real) <= size * 2.0**-52
+    if m == 0 and size == 64:
+        assert np.all(got[:49] == 1.0) and got[49] == 0.9999999999999999
 
 
 @pytest.mark.parametrize("nu", [2.0, -1.0, 1 + 1j, 0.4 + 0.8j])

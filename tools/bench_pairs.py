@@ -15,9 +15,10 @@ pair to pair.  Then each side runs once more with ``--trace 1`` on the first
 seed for its per-layer counts.  Last come the layer timings, in process
 (:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
 the ``weighted_sup_norm`` calls of seed 1's ``norm_pool`` queries, the
-grid pass alone (``refine=False``) and the full call, and the ``eigenpair``
-calls of seed 1's ``long_series`` queries.  The temporary
-directories are removed afterwards.
+grid pass alone (``refine=False``) and the full call; the ``eigenpair``
+calls of seed 1's ``long_series`` queries, and its ``resolvent_apply`` and
+``range_preimage`` calls, the other two users of the shifted kernel.  The
+temporary directories are removed afterwards.
 
 The output holds every run's result object, and per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's values with their
@@ -52,10 +53,11 @@ LAYER_REPEATS = 5
 LAYER_SEED = 1
 
 #: One layer-timing run in a checkout (run there as ``python -c LAYER_SCRIPT``; prints one JSON object of
-#: seconds).  The ``norm_pool`` and ``long_series`` queries run once while ``weights.weighted_sup_norm`` and
-#: ``cesaro.eigenpair`` record their arguments, so the inputs are the ones the workloads pass; then the
-#: recorded calls are timed over the whole pass: ``weighted_sup_norm`` grid only (``refine=False``) and
-#: full, and ``eigenpair`` (its overflow refusals included).
+#: seconds).  The ``norm_pool`` and ``long_series`` queries run once while ``weights.weighted_sup_norm``,
+#: ``cesaro.eigenpair``, ``cesaro.resolvent_apply`` and ``cesaro.range_preimage`` record their arguments, so
+#: the inputs are the ones the workloads pass; then the recorded calls are timed over the whole pass:
+#: ``weighted_sup_norm`` grid only (``refine=False``) and full, ``eigenpair`` (its overflow refusals
+#: included), and the resolvents with the range preimages (``shifted_solve_s``).
 LAYER_SCRIPT = f"""
 import json, sys, time, warnings
 sys.path[:0] = ["src", "benchmarks"]
@@ -65,13 +67,15 @@ from workloads import LongSeries, NormPool, Tally
 warnings.simplefilter("ignore", RuntimeWarning)  # the eigenpair overflow regime warns before it raises
 
 
-def recorded(module, name, workload):
-    calls, measure = [], getattr(module, name)
-    setattr(module, name, lambda *args: calls.append(args) or measure(*args))
+def recorded(module, names, workload):
+    functions = {{name: (getattr(module, name), []) for name in names}}
+    for name, (measure, calls) in functions.items():
+        setattr(module, name, lambda *args, measure=measure, calls=calls: calls.append(args) or measure(*args))
     for i in range(len(workload)):
         workload.run_query(i, Tally())
-    setattr(module, name, measure)
-    return measure, calls
+    for name, (measure, _) in functions.items():
+        setattr(module, name, measure)
+    return functions.values()
 
 
 def eigenpairs():
@@ -82,12 +86,17 @@ def eigenpairs():
             pass
 
 
-measure, norm_calls = recorded(weights, "weighted_sup_norm", NormPool({LAYER_SEED}))
-solve, eigen_calls = recorded(cesaro, "eigenpair", LongSeries({LAYER_SEED}))
+[(measure, norm_calls)] = recorded(weights, ["weighted_sup_norm"], NormPool({LAYER_SEED}))
+(solve, eigen_calls), (resolve, resolvent_calls), (preimage, preimage_calls) = recorded(
+    cesaro, ["eigenpair", "resolvent_apply", "range_preimage"], LongSeries({LAYER_SEED})
+)
 passes = {{
     "weighted_sup_norm.grid_s": lambda: [measure(*args, refine=False) for args in norm_calls],
     "weighted_sup_norm.full_s": lambda: [measure(*args) for args in norm_calls],
     "eigenpair_s": eigenpairs,
+    "shifted_solve_s": lambda: (
+        [resolve(*args) for args in resolvent_calls] + [preimage(*args) for args in preimage_calls]
+    ),
 }}
 seconds = {{}}
 for name, run in passes.items():
