@@ -16,7 +16,11 @@ truncation reproduces the first N+1 coefficients of the exact image.
 For every t in [0, 1], t = 1 included, the operator is invertible on
 coefficient space: the inverse ``f -> (1 - t z) (z f)'`` is BN, with B = I - tS
 unit lower bidiagonal (S the shift) and N = diag(n + 1), so
-C_t = N^{-1} (I - tS)^{-1}.  Multiplied through by BN, every shifted system
+C_t = N^{-1} (I - tS)^{-1}.  The forward map :func:`cesaro_coefficients` is
+the ``diag="U"`` band solve of B followed by N^{-1}.  With a unit diagonal
+LAPACK reads neither row 0 of the band (the diagonal) nor the unused last
+slot of row 1, so the ones of B are never written: the band is one
+contiguous fill with -t.  Multiplied through by BN, every shifted system
 (sigma C_t - nu I) x = c is lower bidiagonal, and :func:`shifted_solve` is
 its one kernel: the resolvent, the eigenpairs and the range preimage of
 (C_t - I) are calls of it.  It writes the band in place, column-major as
@@ -37,14 +41,13 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
-from scipy.signal import lfilter
 
 from .series import TaylorSeries, evaluate_many
 
 
 @dataclass(frozen=True)
 class CesaroOperator:
-    """Averaging operator with parameter ``t``, applied by the O(N) recurrence.
+    """Averaging operator with parameter ``t``, applied by one O(N) band solve.
 
     The one test of ``t`` on coefficient space: [0, 1], ``t = 1`` included.
     """
@@ -67,14 +70,31 @@ class InverseOperator:
 
 
 def cesaro_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Raw-array fast path: prefix recurrence s[n] = t*s[n-1] + x[n], out = s/(n+1).
+    """The image C_t x = N^{-1} (I - tS)^{-1} x along the last axis: one band solve, then s[n] / (n+1).
 
-    Runs along the last axis, so a (batch x coefficients) stack of
-    equal-length series is one call; each row equals its own one-row result.
+    The partial sums s[n] = t s[n-1] + x[n] solve (I - tS) s = x: one LAPACK
+    ``ztbtrs`` call with ``uplo="L", diag="U"``.  The rows of any leading
+    axes are the right-hand sides of that one call, and each row equals its
+    own one-row result.  They are the fresh C-ordered array x + 0.0 (which
+    turns -0.0 parts into +0.0), handed over transposed, in the column-major
+    layout LAPACK stores, so it solves in place and ``coeffs`` is never
+    written.  The division by n + 1 is in place too: with one more array
+    of the input's size, each call at N = 131073 in a fresh process took
+    about 1760 minor page faults, as the freed heap went back to the
+    system, and ran twice as slow; in place it takes none.
+
+    The values equal those of the same recurrence run as a linear filter,
+    the tests' reference, bit for bit on inputs without zero parts; the
+    sign of an exact zero may differ, as the filter's follows the signs of
+    the previous input, and so may the sign bit of a NaN.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    prefix = lfilter([1.0], [1.0, -float(t)], coeffs, axis=-1)
-    return prefix / np.arange(1, coeffs.shape[-1] + 1)
+    rhs = np.add(coeffs, 0.0, dtype=complex, order="C")
+    width = rhs.shape[-1]
+    if rhs.size:  # never nrhs = 0: from N = 8193 on, that corrupts the heap (scipy 1.17.1)
+        ab = np.full((width, 2), -float(t), dtype=complex).T  # LAPACK reads only the subdiagonal row
+        solved = ztbtrs(ab, rhs.reshape(-1, width).T, uplo="L", diag="U", overwrite_b=1)[0]
+        rhs = solved.T.reshape(rhs.shape)
+    return np.divide(rhs, np.arange(1, width + 1), out=rhs)
 
 
 def operator_matrix(t: float, size: int) -> np.ndarray:
@@ -116,7 +136,7 @@ def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: 
     acceptance checks and the tests.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails it too
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
     if quad_nodes < 2:
         raise ValueError("quad_nodes must be >= 2")

@@ -112,7 +112,7 @@ def evaluate(f: TaylorSeries, z: complex) -> complex:
     underlying function inside the disc.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:  # NaN fails it too
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
     return complex(np.polynomial.polynomial.polyval(z, f.coeffs))
 
@@ -120,7 +120,7 @@ def evaluate(f: TaylorSeries, z: complex) -> complex:
 def evaluate_many(f: TaylorSeries, zs) -> np.ndarray:
     """Vectorized :func:`evaluate` over an array of points, all with ``|z| < 1``."""
     zs = np.asarray(zs, dtype=complex)
-    if zs.size and np.max(np.abs(zs)) >= 1.0:
+    if not np.all(np.abs(zs) < 1.0):  # NaN fails it too
         raise ValueError("all evaluation points must satisfy |z| < 1")
     return np.polynomial.polynomial.polyval(zs, f.coeffs)
 

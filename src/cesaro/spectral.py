@@ -153,7 +153,7 @@ class ResolventQuery:
     tol: float = LAMBDA_TOL
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails it too
             raise ValueError("tolerance must be positive")
         if not np.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu}")

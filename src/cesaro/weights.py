@@ -456,7 +456,7 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     one entry per k, each equal to the call for that k alone.
     """
     ks = np.asarray(k)
-    if np.any(ks < 2):
+    if not np.all(ks >= 2):  # NaN fails it too
         raise ValueError("norm index k must be >= 2")
     if flavor not in ("sum", "sup"):
         raise ValueError("flavor must be 'sum' or 'sup'")

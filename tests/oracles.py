@@ -244,16 +244,17 @@ def scalar_weighted_sup_norm(coeffs, v, radii, angles, refine=True):
     return best
 
 
-def _iterate(t, coeffs):
+def filter_step(t, coeffs):
+    """C_t of one coefficient vector as a linear filter: s[n] = t s[n-1] + x[n], then s[n] / (n+1)."""
     return scipy.signal.lfilter([1.0], [1.0, -t], coeffs) / np.arange(1, len(coeffs) + 1)
 
 
-def plain_iterates(t, stack, n):
-    """The iterates C^m x for m = 1..n of each row of ``stack``: n kernel calls per row, no early stop."""
+def plain_iterates(t, stack, n, step=filter_step):
+    """The iterates C^m x for m = 1..n of each row of ``stack``: n ``step`` calls per row, no early stop."""
     rows = [np.asarray(row, dtype=complex) for row in stack]
     out = []
     for _ in range(n):
-        rows = [_iterate(t, row) for row in rows]
+        rows = [step(t, row) for row in rows]
         out.append(np.array(rows))
     return out
 
@@ -271,7 +272,7 @@ def trial_loop_certificate(t, k, trials, n_max, degree, gammas, seed, radii, ang
         base_weighted = {g: norm(f, g) for g in gammas}
         current = f
         for _ in range(n_max):
-            current = _iterate(t, current)
+            current = filter_step(t, current)
             sup_excess = max(sup_excess, float(np.max(np.abs(current) * powers)) - base)
             for g in gammas:
                 weighted_excess[g] = max(weighted_excess[g], norm(current, g) - base_weighted[g])
@@ -286,7 +287,7 @@ def step_loop_trace(t, coeffs, n_values, norm):
     total = np.zeros(len(coeffs), dtype=complex)
     distances = []
     for step in range(1, max(n_values) + 1):
-        current = _iterate(t, current)
+        current = filter_step(t, current)
         total += current
         if step in n_values:
             distances.append(norm(total / step - limit))

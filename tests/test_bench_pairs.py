@@ -117,11 +117,13 @@ def test_a_gain_must_win_nine_in_ten_of_all_pairs_run():
 def test_the_layer_script_times_the_grid_pass_and_the_full_call(tmp_path):
     # The script on the reduced workloads, so the test stays quick; the timed calls are the same.
     script = bench_pairs.LAYER_SCRIPT
-    for workload in ("NormPool(1)", "LongSeries(1)"):
+    for workload in ("NormPool(1)", "LongSeries(1)", "PaperReport(1)"):
         assert workload in script
         script = script.replace(workload, workload.replace(")", ", smoke=True)"))
     seconds = bench_pairs._run_json(["-c", script], _PATH.parent.parent, 600)
-    assert set(seconds) == {"weighted_sup_norm.grid_s", "weighted_sup_norm.full_s", "eigenpair_s", "shifted_solve_s"}
+    assert set(seconds) == {
+        "weighted_sup_norm.grid_s", "weighted_sup_norm.full_s", "eigenpair_s", "shifted_solve_s", "cesaro_coefficients_s"
+    }
     assert all(value > 0.0 for value in seconds.values())
     assert set(bench_pairs.layer_run(tmp_path)) == {"error"}  # no source there
 

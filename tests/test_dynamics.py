@@ -7,6 +7,7 @@ from cesaro import (
     TaylorSeries,
     Weight,
     apply,
+    cesaro_coefficients,
     cesaro_mean,
     eigenpair,
     ergodic_limit_projection,
@@ -93,12 +94,17 @@ def test_iterates_past_the_fixed_point_equal_the_plain_loop(t, n, kernel_calls):
 
 
 def test_a_nan_row_equals_the_plain_loop():
-    # the stop compares bits, so a NaN row is settled only once its bits repeat
+    # the stop compares bits, so a NaN row is settled only once its bits repeat.  The bitwise
+    # reference is a plain loop of the library's own kernel: the band solve's NaNs may carry
+    # the sign bit where the linear filter's do not, so against that oracle only the values
+    # and the NaN positions are compared.
     rng = np.random.default_rng(29)
     stack = rng.random((3, 65)) + 1j * rng.random((3, 65))
     stack[1, 10] = np.nan
     got = list(dynamics._iterates(0.5, stack, 150))
-    assert [x.tobytes() for x in got] == [x.tobytes() for x in plain_iterates(0.5, stack, 150)]
+    own = plain_iterates(0.5, stack, 150, step=cesaro_coefficients)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in own]
+    assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, plain_iterates(0.5, stack, 150)))
 
 
 def test_mean_ergodicity_check_stops_at_the_fixed_point(kernel_calls):

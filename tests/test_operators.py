@@ -38,6 +38,7 @@ from cesaro.operators import shifted_solve
 from oracles import (
     binomial_eigenvector,
     elementwise_operator_matrix,
+    filter_step,
     harmonic_number,
     mp_resolvent,
     naive_cesaro_apply,
@@ -68,6 +69,60 @@ def test_stacked_coefficients_equal_the_row_by_row_result():
     for t in (0.0, 0.5, 0.99, 1.0):
         rows = np.array([cesaro_coefficients(t, row) for row in stack])
         assert np.array_equal(cesaro_coefficients(t, stack), rows)
+
+
+#: The layouts a caller's array may come in, each built from a C-ordered draw ``z`` of the wanted shape.
+LAYOUTS = {
+    "C-ordered": lambda z: z,
+    "F-ordered": np.asfortranarray,
+    "strided": lambda z: np.repeat(z, 2, axis=-1)[..., ::2],
+    "real": lambda z: z.real.copy(),
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 64, 1025, 131073])
+@pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 0.9, 0.99, 1.0])
+def test_the_band_solve_equals_the_linear_filter_bitwise(t, width):
+    rng = np.random.default_rng(width)
+    for shape in [(width,), (3, width), (2, 3, width), (0, width)]:
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for layout, form in LAYOUTS.items():
+            x = form(z)
+            before = x.tobytes()
+            got = cesaro_coefficients(t, x)
+            assert x.tobytes() == before and not np.shares_memory(got, x)  # the caller's array is never written
+            want = np.array([filter_step(t, row.astype(complex)) for row in x.reshape(-1, width)]).reshape(shape)
+            assert got.shape == shape and got.dtype == complex and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes(), (shape, layout)
+
+
+def _signed_zero_draws(rng):
+    """(400 x 8) draws with exact zeros of both signs: in the normal range, and at the ends of the double range."""
+    size = (200, 8)
+    normal = np.empty(size, complex)
+    normal.real = np.where(rng.random(size) < 0.3, -0.0, rng.normal(size=size))
+    normal.imag = np.where(rng.random(size) < 0.5, -0.0, rng.normal(size=size))
+    ends = np.empty(size, complex)
+    for part in (ends.real, ends.imag):
+        scale = 10.0 ** rng.choice([300, 150, 0, -160, -300, -310, -320], size)
+        part[...] = rng.choice([-1.0, 1.0], size) * scale * rng.choice([0.0, 0.5, 1.0], size) * rng.random(size)
+    return np.concatenate([normal, ends])
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-300, 1e-160, 1e-10, 0.1, 0.5, 1.0])
+def test_signed_zeros_keep_the_values_and_may_only_flip_the_sign_of_an_exact_zero(t):
+    # The rule: equal to the linear filter as values.  Where a sum is an exact zero, the
+    # filter's sign depends on the signs of the previous input's parts, which a band solve
+    # never sees, so the sign of an exact zero may differ.  The first coefficient is x[0] + 0.0
+    # on both routes: the filter never returns -0.0 there, and neither does the kernel.
+    x = _signed_zero_draws(np.random.default_rng(7))
+    got = cesaro_coefficients(t, x)
+    want = np.array([filter_step(t, row) for row in x])
+    assert np.array_equal(got, want)
+    assert got[:, 0].tobytes() == want[:, 0].tobytes()
+    got, want = got.view(float), want.view(float)
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert np.all(got[differ] == 0.0)
 
 
 def test_image_of_constant_function():

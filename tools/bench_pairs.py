@@ -17,8 +17,9 @@ seed for its per-layer counts.  Last come the layer timings, in process
 the ``weighted_sup_norm`` calls of seed 1's ``norm_pool`` queries, the
 grid pass alone (``refine=False``) and the full call; the ``eigenpair``
 calls of seed 1's ``long_series`` queries, and its ``resolvent_apply`` and
-``range_preimage`` calls, the other two users of the shifted kernel.  The
-temporary directories are removed afterwards.
+``range_preimage`` calls, the other two users of the shifted kernel; the
+``cesaro_coefficients`` calls of seed 1's ``long_series`` and ``paper_report``
+queries.  The temporary directories are removed afterwards.
 
 The output holds every run's result object, and per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's values with their
@@ -53,28 +54,38 @@ LAYER_REPEATS = 5
 LAYER_SEED = 1
 
 #: One layer-timing run in a checkout (run there as ``python -c LAYER_SCRIPT``; prints one JSON object of
-#: seconds).  The ``norm_pool`` and ``long_series`` queries run once while ``weights.weighted_sup_norm``,
-#: ``cesaro.eigenpair``, ``cesaro.resolvent_apply`` and ``cesaro.range_preimage`` record their arguments, so
-#: the inputs are the ones the workloads pass; then the recorded calls are timed over the whole pass:
-#: ``weighted_sup_norm`` grid only (``refine=False``) and full, ``eigenpair`` (its overflow refusals
-#: included), and the resolvents with the range preimages (``shifted_solve_s``).
+#: seconds).  The ``norm_pool``, ``long_series`` and ``paper_report`` queries run once while
+#: ``weights.weighted_sup_norm``, ``cesaro.eigenpair``, ``cesaro.resolvent_apply``, ``cesaro.range_preimage`` and
+#: ``cesaro_coefficients`` (bound in ``operators`` and ``dynamics``) record their arguments, so the inputs are the
+#: ones the workloads pass; then the recorded calls are timed over the whole pass: ``weighted_sup_norm`` grid only
+#: (``refine=False``) and full, ``eigenpair`` (its overflow refusals included), the resolvents with the range
+#: preimages (``shifted_solve_s``), and the forward map's calls of the ``long_series`` and ``paper_report`` passes
+#: (``cesaro_coefficients_s``).
 LAYER_SCRIPT = f"""
 import json, sys, time, warnings
 sys.path[:0] = ["src", "benchmarks"]
 import cesaro
-from cesaro import weights
-from workloads import LongSeries, NormPool, Tally
+from cesaro import dynamics, operators, weights
+from workloads import LongSeries, NormPool, PaperReport, Tally
 warnings.simplefilter("ignore", RuntimeWarning)  # the eigenpair overflow regime warns before it raises
 
 
-def recorded(module, names, workload):
-    functions = {{name: (getattr(module, name), []) for name in names}}
-    for name, (measure, calls) in functions.items():
-        setattr(module, name, lambda *args, measure=measure, calls=calls: calls.append(args) or measure(*args))
+def recorded(modules, names, workload):
+    functions = {{name: (getattr(modules[0], name), []) for name in names}}
+    wrappers = {{
+        name: lambda *args, measure=measure, calls=calls: calls.append(args) or measure(*args)
+        for name, (measure, calls) in functions.items()
+    }}
+    for module in modules:
+        for name, (measure, _) in functions.items():
+            if getattr(module, name, None) is measure:
+                setattr(module, name, wrappers[name])
     for i in range(len(workload)):
         workload.run_query(i, Tally())
-    for name, (measure, _) in functions.items():
-        setattr(module, name, measure)
+    for module in modules:
+        for name, (measure, _) in functions.items():
+            if getattr(module, name, None) is wrappers[name]:
+                setattr(module, name, measure)
     return functions.values()
 
 
@@ -86,10 +97,12 @@ def eigenpairs():
             pass
 
 
-[(measure, norm_calls)] = recorded(weights, ["weighted_sup_norm"], NormPool({LAYER_SEED}))
-(solve, eigen_calls), (resolve, resolvent_calls), (preimage, preimage_calls) = recorded(
-    cesaro, ["eigenpair", "resolvent_apply", "range_preimage"], LongSeries({LAYER_SEED})
+[(measure, norm_calls)] = recorded([weights], ["weighted_sup_norm"], NormPool({LAYER_SEED}))
+kernel_modules = [cesaro, operators, dynamics]
+(solve, eigen_calls), (resolve, resolvent_calls), (preimage, preimage_calls), (forward, forward_calls) = recorded(
+    kernel_modules, ["eigenpair", "resolvent_apply", "range_preimage", "cesaro_coefficients"], LongSeries({LAYER_SEED})
 )
+[(_, report_calls)] = recorded(kernel_modules, ["cesaro_coefficients"], PaperReport({LAYER_SEED}))
 passes = {{
     "weighted_sup_norm.grid_s": lambda: [measure(*args, refine=False) for args in norm_calls],
     "weighted_sup_norm.full_s": lambda: [measure(*args) for args in norm_calls],
@@ -97,6 +110,7 @@ passes = {{
     "shifted_solve_s": lambda: (
         [resolve(*args) for args in resolvent_calls] + [preimage(*args) for args in preimage_calls]
     ),
+    "cesaro_coefficients_s": lambda: [forward(*args) for args in forward_calls + report_calls],
 }}
 seconds = {{}}
 for name, run in passes.items():
