@@ -97,8 +97,6 @@ class ExperimentConfig:
                 raise ValueError(f"{field.name} = {value!r} does not have the type {field.type}")
         if self.truncation < 8:
             raise ValueError("truncation must be >= 8")
-        if self.radii < 8 or self.angles < 8:
-            raise ValueError("grid counts must be >= 8")
         if not self.t_list:
             raise ValueError("t_list must be non-empty")
         for t in self.t_list:

@@ -39,13 +39,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from . import specs
 from .operators import CesaroOperator, cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series, random_series
-from .weights import Weight, _dropped, _listed, frechet_norm, weighted_sup_norm
+from .weights import Weight, _dropped, _listed, frechet_norm, norm_upper_bound, weighted_sup_norm
 
 
 def _words(array: np.ndarray) -> memoryview:
@@ -83,8 +84,7 @@ def _iterates(t: float, coeffs, n: int):
 
 def power_apply(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     """n-fold application of the parameter-t operator; exact on the prefix."""
-    CesaroOperator(t)  # refuses t outside [0, 1]
-    if n < 1:
+    if not isinstance(n, Integral) or n < 1:  # a float, NaN included, would reach range()
         raise ValueError("iteration count must be >= 1")
     for coeffs in _iterates(t, f.coeffs, n):
         pass
@@ -97,8 +97,7 @@ def cesaro_mean(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     Accumulated incrementally: one operator application per step plus a
     running sum.
     """
-    CesaroOperator(t)
-    if n < 1:
+    if not isinstance(n, Integral) or n < 1:
         raise ValueError("averaging horizon must be >= 1")
     total = np.zeros(len(f.coeffs), dtype=complex)
     for current in _iterates(t, f.coeffs, n):
@@ -201,7 +200,7 @@ class PowerBoundReport:
     ``sup_norm_excess`` is the largest violation of
     |||C^n f|||_k <= |||f|||_k across trials (roundoff-level when the
     certificate holds): a float for one k, one value per k for a sequence
-    of them.  ``weighted_excess`` maps each sampled gamma >= 1 to the
+    of them.  ``weighted_excess`` maps each sampled gamma to the
     largest excess of the weighted grid estimate of an iterate over that of
     f itself.
     """
@@ -225,24 +224,24 @@ def power_bound_certificate(
 
     For random test functions and every n <= n_max the sup-flavor norm of the
     n-th iterate must not exceed that of the input (up to roundoff), and for
-    standard weights with gamma >= 1 the weighted grid estimates must not
-    exceed the input's estimate beyond grid slack (those operator norms are
-    exactly 1, for every power).
+    standard weights where :func:`norm_upper_bound` bounds the operator norm
+    by 1 (every gamma from 1 on, and every gamma at t = 0) the weighted grid
+    estimates must not exceed the input's estimate beyond grid slack (nor
+    do the norms of the powers).
 
     ``k`` is one norm index or a sequence of them.  Only the coefficient
     weights r_k**n of the norm depend on k, so the trials are iterated once
     for all of them; each k's excess equals the call for that k alone.
     """
-    CesaroOperator(t)
+    CesaroOperator(t)  # with n_max = 0 nothing else reaches the forward map
     single = np.ndim(k) == 0
     ks = _listed(k, single)
-    if not ks or any(x < 2 for x in ks):
-        raise ValueError("norm index k must be >= 2")
-    if any(g < 1.0 for g in gammas):
-        raise ValueError("the weighted certificate applies to gamma >= 1")
+    weights = [Weight.standard(g) for g in gammas]
+    for w in weights:
+        if norm_upper_bound(t, w) > 1.0:
+            raise ValueError(f"the weighted certificate needs a norm bound <= 1, got {w.label} at t = {t}")
     rng = np.random.default_rng(seed)
     stack = np.array([random_series(degree, rng).coeffs for _ in range(trials)]).reshape(trials, degree + 1)
-    weights = [Weight.standard(g) for g in gammas]
 
     def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
         rows = [frechet_norm(batch, ks, "sup")]

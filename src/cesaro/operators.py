@@ -28,9 +28,9 @@ LAPACK stores it, and LAPACK solves in place in the fresh array BN c, so
 neither is copied; each band entry comes from the same floating-point
 operations as in a row-major band, so the solutions are the same bits.
 :class:`CesaroOperator` is the one test of t in [0, 1] on coefficient
-space: the inverse, the kernel and their callers construct one.  Whether
-C_t is bounded on a weighted space at t = 1 is decided by the weight, in
-:func:`cesaro.weights.norm_upper_bound`.
+space: the forward map, the dense section, the inverse and the kernel
+construct one.  Whether C_t is bounded on a weighted space at t = 1 is
+decided by the weight, in :func:`cesaro.weights.norm_upper_bound`.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ def cesaro_coefficients(t: float, coeffs: np.ndarray) -> np.ndarray:
     sign of an exact zero may differ, as the filter's follows the signs of
     the previous input, and so may the sign bit of a NaN.
     """
+    CesaroOperator(t)  # refuses t outside [0, 1]
     rhs = np.add(coeffs, 0.0, dtype=complex, order="C")
     width = rhs.shape[-1]
     if rhs.size:  # never nrhs = 0: from N = 8193 on, that corrupts the heap (scipy 1.17.1)
@@ -103,6 +104,7 @@ def operator_matrix(t: float, size: int) -> np.ndarray:
     A dense reference route (O(size^2)) for the acceptance checks and the
     tests; :func:`apply` never builds it.
     """
+    CesaroOperator(t)
     if size < 1:
         raise ValueError("matrix section needs size >= 1")
     n = np.arange(size)

@@ -57,8 +57,10 @@ def spectrum_distance(nu: complex) -> float:
     """Distance from ``nu`` to the closed spectrum {0} + {1/(m+1) : m >= 0}.
 
     The ladder points nearest Re(nu) bracket the candidates; 0 covers the
-    accumulation end.
+    accumulation end.  A non-finite ``nu`` is refused.
     """
+    if not np.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     nu = complex(nu)
     best = abs(nu)
     best = min(best, abs(nu - 1.0))
@@ -155,8 +157,6 @@ class ResolventQuery:
     def __post_init__(self):
         if not self.tol > 0:  # NaN fails it too
             raise ValueError("tolerance must be positive")
-        if not np.isfinite(self.nu):
-            raise ValueError(f"nu must be finite, got {self.nu}")
         dist = spectrum_distance(self.nu)
         if dist < self.tol:
             raise ValueError(
@@ -204,11 +204,10 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     scan safe out to n ~ 1e4 even when n**alpha alone would under/overflow.
     """
     nu = complex(nu)
-    if not np.isfinite(nu):
-        raise ValueError(f"nu must be finite, got {nu}")
+    dist = spectrum_distance(nu)
     if n_max < 100:
         raise ValueError("n_max must be >= 100")
-    if spectrum_distance(nu) < 1e-9:
+    if dist < 1e-9:
         raise ValueError(f"nu={nu} is too close to the eigenvalue ladder for the product scan")
     k = np.arange(1, n_max + 1, dtype=float)
     log_p = np.cumsum(np.log(np.abs(1.0 - 1.0 / (k * nu))))

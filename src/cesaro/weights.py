@@ -70,6 +70,8 @@ DEFAULT_ANGLES = 1024
 MAX_RADII = 216
 
 _MONOTONE_SLACK = 1e-12
+#: Golden-section steps of the radial polish.
+_GOLDEN_STEPS = 40
 
 
 class Weight:
@@ -96,7 +98,7 @@ class Weight:
     @classmethod
     def standard(cls, gamma: float) -> "Weight":
         """v(r) = (1 - r)**gamma."""
-        if gamma <= 0:
+        if not gamma > 0:  # NaN fails it too
             raise ValueError("gamma must be positive")
         gamma = float(gamma)
         w = cls("standard_gamma", f"gamma:{gamma:g}", lambda r: (1.0 - r) ** gamma)
@@ -268,10 +270,12 @@ def radial_grid(count: int) -> np.ndarray:
     """r_j = 1 - 2**(-j/4): geometric clustering toward the boundary.
 
     Weighted sup-norms are typically attained near |z| = 1; uniform radial
-    grids systematically under-estimate them.
+    grids systematically under-estimate them.  At most ``MAX_RADII`` radii.
     """
     if count < 1:
         raise ValueError("radial grid needs count >= 1")
+    if count > MAX_RADII:
+        raise ValueError(f"weighted norm grids take at most {MAX_RADII} radii, got {count}")
     return 1.0 - 2.0 ** (-np.arange(count) / 4.0)
 
 
@@ -308,20 +312,16 @@ def weighted_sup_norm(
     gives a series x radii profile (see :func:`_grid_profile`: it measures
     only the pairs that can hold a row's maximum, at most one stacked
     ``circle_max`` per radius), which each weight scales by ``v(r)`` before
-    its own argmax and polish (one stacked ``circle_max`` per step).  At
-    most ``MAX_RADII`` radii: beyond, the grid radius 1 - 2**(-j/4) rounds
-    to 1.
+    its own argmax and polish (one stacked ``circle_max`` per step).
     """
     if radii < 8 or angles < 8:
         raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
-    if radii > MAX_RADII:
-        raise ValueError(f"weighted norm grids take at most {MAX_RADII} radii, got {radii}")
+    rs = radial_grid(radii)
     single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
     weights = _listed(v, one_weight)
     if not weights:
         raise ValueError("weight list must be non-empty")
     stack = _coefficient_stack(f)
-    rs = radial_grid(radii)
     vs = [w(rs) for w in weights]
     profile = _grid_profile(stack, rs, vs, angles)
     best = np.empty((len(weights), len(stack)))
@@ -416,11 +416,11 @@ def _grid_profile(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int) -> n
     return profile
 
 
-def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.ndarray:
+def _golden_max(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Golden-section search for a maximum on each row's [lo, hi]; the best sampled values.
 
-    The rows run in lockstep: each step evaluates ``fn`` once, at one new
-    radius per row.
+    The rows run in lockstep: each of the :data:`_GOLDEN_STEPS` steps
+    evaluates ``fn`` once, at one new radius per row.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -428,7 +428,7 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray, iterations: int = 40) -> np.
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
     best = np.maximum(fc, fd)
-    for _ in range(iterations):
+    for _ in range(_GOLDEN_STEPS):
         left = fc >= fd  # the maximum lies in [a, d]: d becomes b, c becomes d
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
@@ -456,7 +456,7 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     one entry per k, each equal to the call for that k alone.
     """
     ks = np.asarray(k)
-    if not np.all(ks >= 2):  # NaN fails it too
+    if not ks.size or not np.all(ks >= 2):  # NaN fails it too
         raise ValueError("norm index k must be >= 2")
     if flavor not in ("sum", "sup"):
         raise ValueError("flavor must be 'sum' or 'sup'")
@@ -472,6 +472,7 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
 
 def log_norm_bound(t: float) -> float:
     """-log(1-t)/t, with its limits 1 at t = 0 and inf at t = 1: the operator norm on the unit-weight space."""
+    CesaroOperator(t)
     return 1.0 if t == 0.0 else math.inf if t == 1.0 else -math.log1p(-t) / t
 
 

@@ -401,6 +401,14 @@ def test_a_radial_grid_beyond_216_radii_is_refused(capsys):
     assert capsys.readouterr().err == "error: weighted norm grids take at most 216 radii, got 217\n"
 
 
+@pytest.mark.parametrize("flag", ["--radii", "--angles"])
+def test_a_grid_below_8_is_refused_by_the_weighted_norm(flag, capsys):
+    # weighted_sup_norm owns the rule; the subcommands that take no grid do not check it
+    assert run("norm", "--t", "0.5", "--N", "16", "--angles", "64", flag, "7") == EXIT_VALIDATION  # the last flag wins
+    assert capsys.readouterr().err.endswith("error: weighted norm grids need at least 8 radii and 8 angles\n")
+    assert ExperimentConfig(radii=7, angles=7).validate()
+
+
 def test_the_size_limit_applies_to_config_files_and_ends_at_the_limit(tmp_path, capsys):
     assert ExperimentConfig(truncation=MAX_SIZE, angles=MAX_SIZE, radii=MAX_SIZE, degree=MAX_SIZE).validate()
     with pytest.raises(ValueError, match="--N = 4194305 exceeds"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ def test_eigenfunction_iterates_decay_geometrically():
 def test_power_apply_requires_positive_count():
     with pytest.raises(ValueError):
         power_apply(0.5, TaylorSeries([1.0]), 0)
+
+
+@pytest.mark.parametrize("n", [math.nan, 2.5, math.inf])
+@pytest.mark.parametrize(
+    "call, message",
+    [(power_apply, "iteration count must be >= 1"), (cesaro_mean, "averaging horizon must be >= 1")],
+    ids=["power_apply", "cesaro_mean"],
+)
+def test_a_count_that_is_no_integer_is_refused_before_it_reaches_range(call, message, n):
+    # NaN passes a test of n < 1; every float would fail inside range() with a TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(0.5, TaylorSeries([1.0, 2.0]), n)
 
 
 @pytest.mark.parametrize("t", [1.5, -0.1, float("nan")])
@@ -433,5 +447,12 @@ def test_certificate_rejects_bad_parameters():
         power_bound_certificate(0.5, k=(2, 1))
     with pytest.raises(ValueError):
         power_bound_certificate(0.5, k=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="norm bound <= 1, got gamma:0.5 at t = 0.5"):
         power_bound_certificate(0.5, gammas=(0.5,))
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5])
+def test_the_certificate_admits_every_gamma_at_t_zero(gamma):
+    # norm_upper_bound(0, v) = 1 for every weight: C_0 f(z) is the mean of f(sz), s in [0, 1]
+    report = power_bound_certificate(0.0, gammas=(gamma,))
+    assert report.weighted_excess[gamma] <= 0.0

@@ -22,11 +22,13 @@ from cesaro import (
     evaluate,
     evaluate_many,
     geometric_series,
+    log_norm_bound,
     log_power_series,
     max_coeff_diff,
     norm_upper_bound,
     operator_matrix,
     operator_norm_witness,
+    power_apply,
     random_series,
     range_preimage,
     resolvent_apply,
@@ -371,6 +373,10 @@ def test_the_column_major_band_gives_the_row_major_bits(t):
 T_USERS = {
     "CesaroOperator": CesaroOperator,
     "InverseOperator": InverseOperator,
+    "cesaro_coefficients": lambda t: cesaro_coefficients(t, np.ones(4)),
+    "operator_matrix": lambda t: operator_matrix(t, 3),
+    "log_norm_bound": log_norm_bound,
+    "power_apply": lambda t: power_apply(t, TaylorSeries([1.0, 2.0]), 3),
     "eigenpair": lambda t: eigenpair(t, 1, 8),
     "resolvent_apply": lambda t: resolvent_apply(ResolventQuery(2.0, TaylorSeries([1.0, 2.0])), t),
     "range_preimage": lambda t: range_preimage(t, TaylorSeries([0.0, 1.0])),
@@ -385,7 +391,8 @@ T_USERS = {
 @pytest.mark.parametrize("t", [1.5, -0.1, math.nan])
 @pytest.mark.parametrize("user", list(T_USERS))
 def test_the_inverse_and_its_users_refuse_t_outside_0_1_with_one_message(user, t):
-    # CesaroOperator decides t in [0, 1]; the inverse, the kernel, the weighted bound and the CLI config construct one
+    # CesaroOperator decides t in [0, 1]; the forward map, the dense section, the inverse, the kernel, the
+    # unit-weight and weighted bounds and the CLI config construct one
     with pytest.raises(ValueError) as refusal:
         T_USERS[user](t)
     assert str(refusal.value) == f"operator parameter must lie in [0, 1], got {t}"

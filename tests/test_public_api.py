@@ -52,8 +52,21 @@ F = TaylorSeries([1.0, 0.5])
         (lambda: cesaro.apply_integral(CesaroOperator(0.5), F, math.nan), r"\|z\| < 1"),
         (lambda: cesaro.frechet_norm(F, math.nan), "k must be >= 2"),
         (lambda: cesaro.frechet_norm(F, [3, math.nan]), "k must be >= 2"),
+        (lambda: cesaro.frechet_norm(F, []), "k must be >= 2"),
+        (lambda: cesaro.spectrum_distance(math.nan), "^nu must be finite, got nan$"),
+        (lambda: cesaro.product_bound_scan(math.inf, 100), r"^nu must be finite, got \(inf\+0j\)$"),
     ],
-    ids=["ResolventQuery tol", "evaluate", "evaluate_many", "apply_integral", "frechet_norm", "frechet_norm list"],
+    ids=[
+        "ResolventQuery tol",
+        "evaluate",
+        "evaluate_many",
+        "apply_integral",
+        "frechet_norm",
+        "frechet_norm list",
+        "frechet_norm empty",
+        "spectrum_distance",
+        "product_bound_scan",
+    ],
 )
 def test_a_nan_parameter_is_refused_with_the_usual_message(call, message):
     with pytest.raises(ValueError, match=message):

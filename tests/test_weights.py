@@ -156,6 +156,12 @@ def test_weighted_norm_dominates_constant_term():
         assert est.value >= abs(f.coeffs[0]) - 1e-12
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+def test_a_standard_weight_needs_a_positive_gamma(gamma):
+    with pytest.raises(ValueError, match="^gamma must be positive$"):
+        Weight.standard(gamma)
+
+
 def test_weighted_norm_grid_preconditions():
     with pytest.raises(ValueError):
         weighted_sup_norm(constant_one(), Weight.unit(), radii=4)
@@ -164,7 +170,11 @@ def test_weighted_norm_grid_preconditions():
 
 
 def test_the_radial_grid_count_ends_where_its_last_radius_stays_below_one():
-    assert radial_grid(216)[-1] < 1.0 and radial_grid(217)[-1] == 1.0
+    # radius 216 would be 1 - 2**-54, which rounds to 1.0: radial_grid refuses the count that reaches it
+    assert radial_grid(216)[-1] < 1.0 and 1.0 - 2.0 ** (-216 / 4.0) == 1.0
+    for count in (217, 300):
+        with pytest.raises(ValueError, match=f"at most 216 radii, got {count}"):
+            radial_grid(count)
     f = geometric_series(0.5, 16)
     assert weighted_sup_norm(f, Weight.standard(0.5), radii=216, angles=64).value > 0.0
     with pytest.raises(ValueError, match="at most 216 radii, got 217"):
