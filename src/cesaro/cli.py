@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import specs
+from . import specs, weights
 from .acceptance import run_all_checks
 from .dynamics import ergodic_trace
 from .operators import CesaroOperator, apply
@@ -95,14 +95,11 @@ class ExperimentConfig:
             # exact types: a bool is no int, and t_list holds floats only
             if type(value) not in kinds or (field.name == "t_list" and any(type(t) is not float for t in value)):
                 raise ValueError(f"{field.name} = {value!r} does not have the type {field.type}")
-        if self.truncation < 8:
-            raise ValueError("truncation must be >= 8")
-        if not self.t_list:
-            raise ValueError("t_list must be non-empty")
+        specs.count(self.truncation, 8, "truncation must be >= 8")
+        specs.count(len(self.t_list), 1, "t_list must be non-empty")
         for t in self.t_list:
             CesaroOperator(t)
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        specs.count(self.degree, 0, "degree must be >= 0")
         for flag in ("N", "radii", "angles", "degree"):
             _within_limit(f"--{flag}", getattr(self, FLAGS[flag][0]))
         if self.fmt not in ("csv", "json"):
@@ -305,6 +302,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
     width = max(cfg.degree if name == "random" else cfg.truncation for name, _ in parsed) + 1
     stack = count * per_witness * max(width, cfg.angles)
     _within_limit(f"--witness count x {per_witness_text} x max(witness width, --angles)", stack)
+    weights._grid(cfg.radii, cfg.angles)  # the grid rule before any pool is built, and before the angle warning
     if cfg.angles < 4 * cfg.truncation:
         print(
             f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "

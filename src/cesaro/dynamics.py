@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -67,13 +66,10 @@ def _iterates(t: float, coeffs, n: int):
     so every later iterate is that same array: it is made read-only and
     yielded again, the same object, for the remaining steps.
     """
-    if n < 1:
-        return
-    current = cesaro_coefficients(t, coeffs)
-    yield current
-    for step in range(1, n):
+    current = coeffs
+    for step in range(n):
         following = cesaro_coefficients(t, current)
-        if _words(following) == _words(current):
+        if step and _words(following) == _words(current):  # step 0 compares the caller's input: never frozen
             current.setflags(write=False)
             for _ in range(step, n):
                 yield current
@@ -84,8 +80,7 @@ def _iterates(t: float, coeffs, n: int):
 
 def power_apply(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     """n-fold application of the parameter-t operator; exact on the prefix."""
-    if not isinstance(n, Integral) or n < 1:  # a float, NaN included, would reach range()
-        raise ValueError("iteration count must be >= 1")
+    specs.count(n, 1, "iteration count must be >= 1")
     for coeffs in _iterates(t, f.coeffs, n):
         pass
     return TaylorSeries(coeffs)
@@ -97,8 +92,7 @@ def cesaro_mean(t: float, f: TaylorSeries, n: int) -> TaylorSeries:
     Accumulated incrementally: one operator application per step plus a
     running sum.
     """
-    if not isinstance(n, Integral) or n < 1:
-        raise ValueError("averaging horizon must be >= 1")
+    specs.count(n, 1, "averaging horizon must be >= 1")
     total = np.zeros(len(f.coeffs), dtype=complex)
     for current in _iterates(t, f.coeffs, n):
         total += current
@@ -173,9 +167,9 @@ def ergodic_trace(t: float, f, n_values, norm_tag: str = "ksup:2"):
     (series x checkpoints), or one per checkpoint for one series, and each
     row equals its series' own trace.
     """
-    n_values = sorted(set(int(n) for n in n_values))
-    if not n_values or n_values[0] < 1:
-        raise ValueError("checkpoints must be positive integers")
+    message = "checkpoints must be positive integers"
+    n_values = sorted({int(specs.count(n, 1, message)) for n in n_values})  # plain ints in the trace
+    specs.count(len(n_values), 1, message)
     norm = _norm_from_tag(norm_tag)
     single = isinstance(f, TaylorSeries)
     series = _listed(f, single)
@@ -234,6 +228,8 @@ def power_bound_certificate(
     for all of them; each k's excess equals the call for that k alone.
     """
     CesaroOperator(t)  # with n_max = 0 nothing else reaches the forward map
+    specs.count(trials, 1, "trials must be >= 1")  # random_series refuses the degree
+    specs.count(n_max, 0, "n_max must be >= 0")
     single = np.ndim(k) == 0
     ks = _listed(k, single)
     weights = [Weight.standard(g) for g in gammas]
@@ -241,7 +237,7 @@ def power_bound_certificate(
         if norm_upper_bound(t, w) > 1.0:
             raise ValueError(f"the weighted certificate needs a norm bound <= 1, got {w.label} at t = {t}")
     rng = np.random.default_rng(seed)
-    stack = np.array([random_series(degree, rng).coeffs for _ in range(trials)]).reshape(trials, degree + 1)
+    stack = np.array([random_series(degree, rng).coeffs for _ in range(trials)])
 
     def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
         rows = [frechet_norm(batch, ks, "sup")]

@@ -42,6 +42,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
 
+from . import specs
 from .series import TaylorSeries, evaluate_many
 
 
@@ -105,8 +106,7 @@ def operator_matrix(t: float, size: int) -> np.ndarray:
     tests; :func:`apply` never builds it.
     """
     CesaroOperator(t)
-    if size < 1:
-        raise ValueError("matrix section needs size >= 1")
+    specs.count(size, 1, "matrix section needs size >= 1")
     n = np.arange(size)
     return np.tril(scipy.linalg.toeplitz(float(t) ** n)) / (n[:, None] + 1)  # entry (n, k) is t**(n-k)
 
@@ -140,8 +140,7 @@ def apply_integral(op: CesaroOperator, f: TaylorSeries, z: complex, quad_nodes: 
     z = complex(z)
     if not abs(z) < 1.0:  # NaN fails it too
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    if quad_nodes < 2:
-        raise ValueError("quad_nodes must be >= 2")
+    specs.count(quad_nodes, 2, "quad_nodes must be >= 2")
     if z == 0:
         return complex(f.coeffs[0])  # the defining convention: image(0) = f(0)
     nodes, wts = _gauss_legendre(quad_nodes)

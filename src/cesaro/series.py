@@ -24,6 +24,8 @@ import warnings
 
 import numpy as np
 
+from . import specs
+
 #: Default truncation degree for experiment-level helpers.
 DEFAULT_TRUNCATION = 512
 
@@ -150,6 +152,7 @@ def max_coeff_diff(f: TaylorSeries, g: TaylorSeries) -> float:
 
 def constant_one(degree: int = 0) -> TaylorSeries:
     """The constant function 1, optionally padded to a working truncation."""
+    specs.count(degree, 0, "degree must be >= 0")
     out = np.zeros(degree + 1, dtype=complex)
     out[0] = 1.0
     return TaylorSeries(out)
@@ -157,6 +160,7 @@ def constant_one(degree: int = 0) -> TaylorSeries:
 
 def geometric_series(ratio: complex, degree: int) -> TaylorSeries:
     """Truncation of ``1/(1 - ratio*z)``: coefficients ``ratio**n``."""
+    specs.count(degree, 0, "degree must be >= 0")
     return TaylorSeries(np.asarray(ratio, dtype=complex) ** np.arange(degree + 1))
 
 
@@ -167,8 +171,8 @@ def log_power_series(n: int, truncation: int) -> TaylorSeries:
     k equal to ``-1/k``.  Every product is capped at degree ``truncation``;
     the prefix is exact.
     """
-    if n < 1:
-        raise ValueError("log-power exponent must be >= 1")
+    specs.count(n, 1, "log-power exponent must be >= 1")
+    specs.count(truncation, 0, "truncation must be >= 0")
     coeffs = np.zeros(truncation + 1, dtype=complex)
     coeffs[1:] = -1.0 / np.arange(1, truncation + 1)
     base = TaylorSeries(coeffs)
@@ -180,6 +184,7 @@ def log_power_series(n: int, truncation: int) -> TaylorSeries:
 
 def random_series(degree: int, rng: np.random.Generator) -> TaylorSeries:
     """Random test function: coefficients uniform on the complex unit square."""
+    specs.count(degree, 0, "degree must be >= 0")
     return TaylorSeries(rng.random(degree + 1) + 1j * rng.random(degree + 1))
 
 

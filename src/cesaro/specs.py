@@ -1,4 +1,4 @@
-"""The one grammar for spec strings: weights, norm tags, witnesses and ``nu``.
+"""The one grammar for spec strings (weights, norm tags, witnesses and ``nu``), and the one count rule.
 
 A spec is ``name`` or ``name:<arg>``.  A table maps each allowed name to the
 kind of its argument (``None`` for a name that takes none), and
@@ -9,11 +9,13 @@ extra argument and an argument its parser refuses all raise the same
 
 from __future__ import annotations
 
+from numbers import Integral
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(text)
+
+def count(value, least: int, message: str):
+    """``value`` if it is an integer >= ``least`` (numpy integers are, bools are not), else ``ValueError(message)``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(message)
     return value
 
 
@@ -25,7 +27,7 @@ def _complex(text: str) -> complex:
 
 
 #: Argument kind -> parser (raises ValueError on text it refuses).
-ARGS = {"int": int, "count": _count, "float": float, "path": str, "re[,im]": _complex}
+ARGS = {"int": int, "count": lambda s: count(int(s), 1, s), "float": float, "path": str, "re[,im]": _complex}
 
 WEIGHTS = {"unit": None, "gamma": "float", "logpow": "int", "table": "path"}
 NORM_TAGS = {"k": "int", "ksup": "int", "gamma": "float", "unit": None}

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import specs
 from .operators import CesaroOperator, shifted_solve
 from .series import TaylorSeries
 
@@ -50,6 +51,7 @@ def eigenvalues(count: int) -> np.ndarray:
     They are also the spectrum of the count x count coefficient section at
     every t: the section is lower triangular with diagonal 1/(n+1).
     """
+    specs.count(count, 0, "eigenvalue count must be >= 0")
     return 1.0 / (np.arange(count) + 1.0)
 
 
@@ -97,10 +99,8 @@ def eigenpair(t: float, m: int, truncation: int) -> EigenPair:
     bit.  For t = 0, x = e_m.  Where x[n] = C(n, m) t**(n-m) overflows double
     precision the call is refused with a ValueError.
     """
-    if m < 0:
-        raise ValueError("eigenvalue index must be >= 0")
-    if m >= truncation:
-        raise ValueError(f"index m={m} must be smaller than the truncation {truncation}")
+    specs.count(m, 0, "eigenvalue index must be >= 0")
+    specs.count(truncation, m + 1, f"index m={m} must be smaller than the truncation {truncation}")
     CesaroOperator(t)  # refuses t outside [0, 1] before log(t) is taken
     cut = _normal_prefix(t, m, truncation)
     # row m, the singular one, is replaced by the normalization x[m] = 1
@@ -205,8 +205,7 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     """
     nu = complex(nu)
     dist = spectrum_distance(nu)
-    if n_max < 100:
-        raise ValueError("n_max must be >= 100")
+    specs.count(n_max, 100, "n_max must be >= 100")
     if dist < 1e-9:
         raise ValueError(f"nu={nu} is too close to the eigenvalue ladder for the product scan")
     k = np.arange(1, n_max + 1, dtype=float)

@@ -108,9 +108,7 @@ class Weight:
     @classmethod
     def log_power(cls, n: int) -> "Weight":
         """v(r) = log(e/(1 - r))**(-n), i.e. (1 - log(1 - r))**(-n)."""
-        n = int(n)
-        if n < 1:
-            raise ValueError("log-power exponent must be a positive integer")
+        specs.count(n, 1, "log-power exponent must be a positive integer")
         return cls("log_power", f"logpow:{n}", lambda r: (1.0 - np.log1p(-r)) ** (-float(n)))
 
     @classmethod
@@ -218,8 +216,7 @@ def circle_max(f, r, angles: int):
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
-    if angles < 1:
-        raise ValueError("angle count must be >= 1")
+    specs.count(angles, 1, "angle count must be >= 1")
     single = isinstance(f, TaylorSeries)
     coeffs = _coefficient_stack(f)
     rows, width = coeffs.shape
@@ -272,11 +269,17 @@ def radial_grid(count: int) -> np.ndarray:
     Weighted sup-norms are typically attained near |z| = 1; uniform radial
     grids systematically under-estimate them.  At most ``MAX_RADII`` radii.
     """
-    if count < 1:
-        raise ValueError("radial grid needs count >= 1")
+    specs.count(count, 1, "radial grid needs count >= 1")
     if count > MAX_RADII:
         raise ValueError(f"weighted norm grids take at most {MAX_RADII} radii, got {count}")
     return 1.0 - 2.0 ** (-np.arange(count) / 4.0)
+
+
+def _grid(radii: int, angles: int) -> np.ndarray:
+    """The radial grid of a weighted norm, after the rule on both grid sizes: at least 8 of each."""
+    for size in (radii, angles):
+        specs.count(size, 8, "weighted norm grids need at least 8 radii and 8 angles")
+    return radial_grid(radii)
 
 
 def _coefficient_stack(series) -> np.ndarray:
@@ -314,13 +317,10 @@ def weighted_sup_norm(
     ``circle_max`` per radius), which each weight scales by ``v(r)`` before
     its own argmax and polish (one stacked ``circle_max`` per step).
     """
-    if radii < 8 or angles < 8:
-        raise ValueError("weighted norm grids need at least 8 radii and 8 angles")
-    rs = radial_grid(radii)
+    rs = _grid(radii, angles)
     single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
     weights = _listed(v, one_weight)
-    if not weights:
-        raise ValueError("weight list must be non-empty")
+    specs.count(len(weights), 1, "weight list must be non-empty")
     stack = _coefficient_stack(f)
     vs = [w(rs) for w in weights]
     profile = _grid_profile(stack, rs, vs, angles)
@@ -519,14 +519,12 @@ def operator_norm_witness(
     """
     single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
     ts, weights = _listed(t, single_t), _listed(v, one_weight)
-    if not ts:
-        raise ValueError("t list must be non-empty")
+    specs.count(len(ts), 1, "t list must be non-empty")
     for w in weights:
         for x in ts:
             norm_upper_bound(x, w)
-    if not witnesses:
-        raise ValueError("witness list must be non-empty")
-    count = len(witnesses)
+    count = specs.count(len(witnesses), 1, "witness list must be non-empty")
+    _grid(radii, angles)  # refused before any witness is applied
     series = list(witnesses) + [apply(CesaroOperator(x), w) for x in ts for w in witnesses]
     values = weighted_sup_norm(series, weights, radii, angles).value
     if np.any(values[:, :count] <= 0.0):

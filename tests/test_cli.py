@@ -409,6 +409,14 @@ def test_a_grid_below_8_is_refused_by_the_weighted_norm(flag, capsys):
     assert ExperimentConfig(radii=7, angles=7).validate()
 
 
+def test_a_grid_below_8_is_refused_before_the_angle_warning_and_the_pool(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_build_witnesses", lambda *args: pytest.fail("the pool was built"))
+    assert run("norm", "--t", "0.5", "--angles", "4", "--N", "16") == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: weighted norm grids need at least 8 radii and 8 angles\n"
+
+
 def test_the_size_limit_applies_to_config_files_and_ends_at_the_limit(tmp_path, capsys):
     assert ExperimentConfig(truncation=MAX_SIZE, angles=MAX_SIZE, radii=MAX_SIZE, degree=MAX_SIZE).validate()
     with pytest.raises(ValueError, match="--N = 4194305 exceeds"):

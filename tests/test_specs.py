@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from cesaro import specs
@@ -37,3 +40,22 @@ def test_every_malformed_spec_gets_the_one_message(spec):
 def test_nu_is_re_or_re_im(text):
     with pytest.raises(ValueError, match=r"^bad nu .*; expected <re\[,im\]>$"):
         specs.parse_arg("nu", text, "re[,im]")
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int64(1), np.uint8(7)], ids=repr)
+def test_count_returns_an_integer_of_at_least_its_bound_as_given(value):
+    assert specs.count(value, 1, "bad") is value
+
+
+@pytest.mark.parametrize(
+    "value", [0, -1, 1.0, np.float64(1.0), True, np.bool_(True), math.nan, math.inf, "1", None, 1 + 0j], ids=repr
+)
+def test_count_refuses_everything_else_with_the_given_message(value):
+    with pytest.raises(ValueError, match="^bad$"):
+        specs.count(value, 1, "bad")
+
+
+@pytest.mark.parametrize("text", ["0", "-2", "2.5", "nan"])
+def test_a_random_witness_count_is_a_positive_integer(text):
+    with pytest.raises(ValueError, match=rf"^bad witness spec 'random:{text}'; expected "):
+        specs.parse("witness spec", f"random:{text}", specs.WITNESSES)

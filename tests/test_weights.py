@@ -467,6 +467,16 @@ def test_sweep_preconditions():
         operator_norm_witness([0.5, 1.0], Weight.unit(), pool)
 
 
+@pytest.mark.parametrize("grid", [{"angles": 4}, {"radii": 4}, {"radii": 16.0}])
+def test_the_witness_ratio_asks_the_grid_rule_before_any_witness_is_applied(grid, monkeypatch):
+    applied = []
+    monkeypatch.setattr(weights, "apply", lambda op, f: applied.append(op.t) or apply(op, f))
+    pool = [constant_one(8), random_series(8, np.random.default_rng(0))]
+    with pytest.raises(ValueError, match="^weighted norm grids need at least 8 radii and 8 angles$"):
+        operator_norm_witness([0.3, 0.6], Weight.unit(), pool, **grid)
+    assert applied == []
+
+
 def test_radial_grid_clusters_toward_one():
     rs = radial_grid(16)
     assert rs[0] == 0.0
