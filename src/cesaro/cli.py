@@ -296,7 +296,7 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
     bounds = [norm_upper_bound(t, v) for t in cfg.t_list]  # refuses t = 1 for this weight before any work
     parsed = [specs.parse("witness spec", spec, specs.WITNESSES) for spec in (args.witness or "f1").split(",")]
     per_t = any(name == "g0" for name, _ in parsed)  # the g0 witness depends on t: one pool and one call per t
-    # the stack one weighted_sup_norm call measures: the witnesses and their images at its t, one FFT row each
+    # the stack one witness sweep measures: the witnesses and their images at its t, one FFT row each
     per_witness, per_witness_text = (2, "2") if per_t else (1 + len(cfg.t_list), "(1 + number of t)")
     count = sum(arg if name == "random" else 1 for name, arg in parsed)
     width = max(cfg.degree if name == "random" else cfg.truncation for name, _ in parsed) + 1

@@ -45,7 +45,7 @@ import numpy as np
 from . import specs
 from .operators import CesaroOperator, cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series, random_series
-from .weights import Weight, _dropped, _listed, frechet_norm, norm_upper_bound, weighted_sup_norm
+from .weights import Weight, _dropped, _grid, _listed, frechet_norm, norm_upper_bound, weighted_sup_norm
 
 
 def _words(array: np.ndarray) -> memoryview:
@@ -230,6 +230,7 @@ def power_bound_certificate(
     CesaroOperator(t)  # with n_max = 0 nothing else reaches the forward map
     specs.count(trials, 1, "trials must be >= 1")  # random_series refuses the degree
     specs.count(n_max, 0, "n_max must be >= 0")
+    _grid(radii, angles)  # asked even when no weight needs the grid
     single = np.ndim(k) == 0
     ks = _listed(k, single)
     weights = [Weight.standard(g) for g in gammas]

@@ -61,6 +61,7 @@ class TaylorSeries:
 
     def padded(self, degree: int) -> "TaylorSeries":
         """Same function, coefficient vector extended with zeros to ``degree``."""
+        specs.count(degree, 0, "degree must be >= 0")
         if degree < self.degree:
             raise ValueError("padded() cannot shrink a series; use truncated()")
         out = np.zeros(degree + 1, dtype=complex)
@@ -69,7 +70,7 @@ class TaylorSeries:
 
     def truncated(self, degree: int) -> "TaylorSeries":
         """Drop coefficients above ``degree`` (pads if the series is shorter)."""
-        if degree >= self.degree:
+        if specs.count(degree, 0, "degree must be >= 0") >= self.degree:
             return self.padded(degree)
         return TaylorSeries(self.coeffs[: degree + 1])
 

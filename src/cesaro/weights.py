@@ -29,7 +29,12 @@ measures only the (row, radius) pairs whose upper bound sum_n |f[n]| r**n
 can reach the row's best measured value under some weight.  A weight sweep
 shares the grid pass, and each weight then runs its own argmax and polish;
 a witness sweep stacks the witnesses once, followed by their images for
-every ``t``, and measures the stack in one :func:`weighted_sup_norm` call.
+every ``t``.  With more than one witness it runs the grid pass's seed
+stage on every row first, and bounds from those seeds pick the witness
+rows, and their images, that can still hold the largest ratio.  Only those
+are polished: one :func:`weighted_sup_norm` call takes them with their
+seeds and runs the rest of their grid pass and their polish; the others
+stop after their seeds.  No (row, radius) pair is measured twice.
 
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
 bounds take r**n from one rule, which calls ``pow`` only below the radius's
@@ -56,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -321,21 +327,30 @@ def weighted_sup_norm(
     single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
     weights = _listed(v, one_weight)
     specs.count(len(weights), 1, "weight list must be non-empty")
-    stack = _coefficient_stack(f)
     vs = [w(rs) for w in weights]
-    profile = _grid_profile(stack, rs, vs, angles)
+    if not isinstance(f, _GridStart):  # a witness sweep hands in rows whose seed stage has run
+        stack = _coefficient_stack(f)
+        f = _seeded(stack, rs, vs, angles, _upper(stack, rs, angles))
+    stack, profile = f.stack, _grid_profile(f, rs, vs, angles)
     best = np.empty((len(weights), len(stack)))
     for row, w, v in zip(best, weights, vs):
         vals = profile * v
         j = np.argmax(vals, axis=1)
         row[:] = vals[np.arange(len(stack)), j]
         if refine:
-            lo = rs[np.maximum(j - 1, 0)]
-            outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
-            hi = np.where(j + 1 < radii, rs[np.minimum(j + 1, radii - 1)], outer)
             weighted = lambda r: w(r) * circle_max(stack, r, angles)
-            row[:] = np.maximum(row, _golden_max(weighted, lo, hi))
+            row[:] = np.maximum(row, _golden_max(weighted, *_bracket(rs, j)))
     return NormEstimate(_dropped(best, one_weight, single))
+
+
+def _bracket(rs: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polish bracket [lo, hi] of grid index ``j``: its two neighbours, and past the last radius the outer one.
+
+    The outer radius of the last index r is 1 - (1 - r)/4, at most 1 - 1e-12.
+    """
+    last = len(rs) - 1
+    outer = np.minimum(1.0 - 0.25 * (1.0 - rs[j]), 1.0 - 1e-12)
+    return rs[np.maximum(j - 1, 0)], np.where(j < last, rs[np.minimum(j + 1, last)], outer)
 
 
 def _rounding_slack(width: int, angles: int) -> tuple[float, float]:
@@ -377,42 +392,69 @@ def _rounding_slack(width: int, angles: int) -> tuple[float, float]:
     return 2.0 * u * (2 * width + 4 + fft), 2.0**-1074 * (4 * width + 8 * angles * (1.0 + math.log2(angles)))
 
 
-def _grid_profile(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int) -> np.ndarray:
+class _GridStart(NamedTuple):
+    """A stack after the grid pass's seed stage (:func:`_seeded`): its ``upper`` table and the profile of its seeds."""
+
+    stack: np.ndarray
+    upper: np.ndarray
+    profile: np.ndarray
+
+    def rows(self, keep: np.ndarray) -> "_GridStart":
+        return _GridStart(self.stack[keep], self.upper[keep], self.profile[keep])
+
+
+def _grid_profile(start: _GridStart, rs: np.ndarray, vs: list, angles: int) -> np.ndarray:
     """The grid's (rows x radii) circle maxima where one can be a row's grid maximum; -inf elsewhere.
 
     M(r) <= A(r) = sum_n |c_n| r**n, so ``upper`` (A with its rounding
     slack, :func:`_rounding_slack`) bounds every computed ``circle_max``.
-    First each weight's seed pair, the radius of the row's largest
-    v * upper, is measured.  A pair whose v * upper lies below the row's
-    best measured v * M under every weight ``v`` of ``vs`` is strictly below
-    that weight's grid maximum, so it is skipped; every other pair is
-    measured.  Ties are measured, so each weight's argmax and maximum equal
-    those of the full grid bit for bit (rounding is monotone: M <= upper
-    gives fl(v M) <= fl(v upper)).  One stacked ``circle_max`` per radius
-    with pairs to measure, in each of the two stages.
+    ``start`` holds each weight's seed pair measured, the radius of the
+    row's largest v * upper (:func:`_seeded`).  A pair whose v * upper lies
+    below the row's best measured v * M under every weight ``v`` of ``vs``
+    is strictly below that weight's grid maximum, so it is skipped; every
+    other pair is measured.  Ties are measured, so each weight's argmax and
+    maximum equal those of the full grid bit for bit (rounding is monotone:
+    M <= upper gives fl(v M) <= fl(v upper)).  One stacked ``circle_max``
+    per radius with pairs to measure, in each of the two stages.  The
+    profile is completed in a copy, so ``start`` can be continued again.
     """
+    stack, upper, seeded = start
+    profile = seeded.copy()
+    survivors = np.zeros(profile.shape, dtype=bool)
+    for v in vs:  # "not below" keeps ties, and keeps every pair of a row holding a NaN
+        survivors |= ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
+    _measure(stack, rs, angles, survivors & (profile == -np.inf), profile)
+    return profile
+
+
+def _upper(stack: np.ndarray, rs: np.ndarray, angles: int) -> np.ndarray:
+    """The (rows x radii) table ``upper``: A(r) = sum_n |c_n| r**n widened by :func:`_rounding_slack`."""
     rows, width = stack.shape
     magnitudes = np.abs(stack)
     upper = np.empty((rows, len(rs)))
     for col, r in enumerate(rs):  # one radius at a time: a radii x width table could take gigabytes
         upper[:, col] = magnitudes @ _powers(r, width)  # the powers circle_max builds for r
     relative, absolute = _rounding_slack(width, angles)
-    upper = upper * (1.0 + relative) + absolute
-    profile = np.full((rows, len(rs)), -np.inf)
+    return upper * (1.0 + relative) + absolute
 
-    def measure(todo):
-        for col in np.flatnonzero(todo.any(axis=0)):
-            hit = np.flatnonzero(todo[:, col])
-            profile[hit, col] = circle_max(stack[hit], float(rs[col]), angles)
 
-    seeds = np.zeros(profile.shape, dtype=bool)
+def _seeded(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int, upper: np.ndarray) -> _GridStart:
+    """The grid pass's seed stage: a (rows x radii) profile holding only the seed pairs' circle maxima, -inf elsewhere.
+
+    A row's seed under a weight ``v`` of ``vs`` is its radius of largest
+    v * upper; the seeds of all weights are measured together.
+    """
+    seeds = np.zeros(upper.shape, dtype=bool)
     for v in vs:
-        seeds[np.arange(rows), np.argmax(upper * v, axis=1)] = True
-    measure(seeds)
-    survivors = np.zeros(profile.shape, dtype=bool)
-    for v in vs:  # "not below" keeps ties, and keeps every pair of a row holding a NaN
-        survivors |= ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
-    measure(survivors & ~seeds)
+        seeds[np.arange(len(stack)), np.argmax(upper * v, axis=1)] = True
+    return _GridStart(stack, upper, _measure(stack, rs, angles, seeds, np.full(upper.shape, -np.inf)))
+
+
+def _measure(stack: np.ndarray, rs: np.ndarray, angles: int, todo: np.ndarray, profile: np.ndarray) -> np.ndarray:
+    """``profile`` with the circle maxima of the (row, radius) pairs flagged in ``todo``, one call per radius."""
+    for col in np.flatnonzero(todo.any(axis=0)):
+        hit = np.flatnonzero(todo[:, col])
+        profile[hit, col] = circle_max(stack[hit], float(rs[col]), angles)
     return profile
 
 
@@ -438,6 +480,101 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
         best = np.maximum(best, np.maximum(fc, fd))
     return best
+
+
+#: Relative headroom of :func:`_estimate_bounds` on a weight value and on a bound A: 2**21 units of roundoff.
+_CAP_SLACK = 2.0**-32
+
+
+def _estimate_bounds(
+    stack: np.ndarray, rs: np.ndarray, weights: list, angles: int
+) -> tuple[_GridStart, np.ndarray, np.ndarray]:
+    """(start, lower, upper): the stack's seed stage, and bounds (weights x rows) on each row's estimate.
+
+    ``start`` is the grid pass's seed stage (:func:`_seeded`), which
+    :func:`weighted_sup_norm` continues for the rows kept.  ``lower`` is the
+    row's best measured seed value; a measured value never exceeds the grid
+    value, which never exceeds the polished one.  ``upper`` is, over every
+    grid index j, the larger of v(r_j) A(r_j) (the grid term) and
+    v+(j) A+(j) (the polish term), A the ``upper`` table (:func:`_upper`).
+    The polished value is the grid value or a golden-section sample in the
+    bracket [lo, hi] of the argmax j (:func:`_bracket`), so whichever j it
+    is, upper bounds it.  Only the seed stage is measured (one stacked
+    ``circle_max`` per seed radius), so a row whose estimate is not needed
+    never pays for its second grid stage.  The A table gains one column, A
+    at the outer radius of the last bracket; the other columns of A+ are
+    the grid's own ``upper[:, j + 1]``.
+
+    A sample is fl(fl(v(r)) M(r)), M the computed circle maximum, and
+    rounding is monotone, so upper holds once fl(v(r)) <= v+ and M(r) <= A+
+    for every sample r of the bracket:
+
+    * Samples lie in [lo, hi]: a step is p = fl(invphi fl(b - a)), with
+      |p| < |b - a| since invphi (1 + u)**2 < 1, and the sample fl(b - p) or
+      fl(a + p) lies between a and b.  Those are lo, hi or earlier samples.
+    * v+ is the largest computed v at lo, at hi and at a table's nodes
+      inside [lo, hi], times 1 + 2**-32, plus 2**-1073.  ``unit`` is exact.
+      ``gamma:`` is pow at fl(1 - r), monotone in r, and pow is within an
+      ulp of a non-increasing function.  ``logpow:n`` is pow at
+      fl(1 - fl(log1p(-r))), within 3u relative of the increasing
+      1 - log1p(-r), so two of its values are out of order by at most
+      (1 + 7u)**n (1 + 5u), under 2**-40 for the n <= 276 whose weight does
+      not underflow at the shape check.  A ``table`` interpolates linearly,
+      so its largest value on [lo, hi] is at an end or a node inside; values
+      may rise by up to ``_MONOTONE_SLACK`` between nodes, so v(lo) alone
+      is no bound.  The absolute term covers an ulp where v is subnormal.
+    * A+ is the widened A at hi (the next grid column, or one more column
+      at the outer radius of the last bracket), times 1 + 2**-32, plus
+      2**-1072 (1 + sum_n |c_n|).  A power r**n at r <= hi is pow within an
+      ulp of a power monotone in r, so it is at most (1 + 5u) times the one
+      at hi, or one subnormal ulp (2**-1074) above it; the underflow cut
+      (:func:`_powers`) only writes zeros, earlier at smaller r.  So
+      :func:`_rounding_slack`'s derivation of M <= A carries over from r to
+      hi, with the absolute term's four ulps per coefficient for the
+      subnormal powers and room for its own rounding.
+
+    A NaN coefficient makes its row's bounds NaN.
+    """
+    lo, hi = _bracket(rs, np.arange(len(rs)))
+    upper = _upper(stack, np.append(rs, hi[-1]), angles)  # column j + 1 is A at hi of bracket j
+    grid_upper = upper[:, :-1]
+    at_hi = upper[:, 1:] * (1.0 + _CAP_SLACK) + 2.0**-1072 * (1.0 + np.sum(np.abs(stack), axis=1, keepdims=True))
+    vs = [w(rs) for w in weights]
+    start = _seeded(stack, rs, vs, angles, grid_upper)
+    bounds = np.empty((2, len(weights), len(stack)))
+    for lower, top, w, v in zip(bounds[0], bounds[1], weights, vs):
+        peak = np.maximum(w(lo), w(hi))
+        if w.kind == "table":  # linear between its nodes, which may rise by up to _MONOTONE_SLACK
+            nodes, values = w.table.T
+            inside = (lo[:, None] <= nodes) & (nodes <= hi[:, None])
+            peak = np.maximum(peak, np.max(inside * values, axis=1))
+        peak = peak * (1.0 + _CAP_SLACK) + 2.0**-1073
+        lower[:] = np.max(start.profile * v, axis=1)
+        top[:] = np.max(np.maximum(grid_upper * v, peak * at_hi), axis=1)
+    return start, bounds[0], bounds[1]
+
+
+def _contenders(lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
+    """The rows of a witness stack whose polished estimates can decide a witness ratio.
+
+    The stack holds ``count`` witnesses, then their images for each t;
+    ``lower`` and ``upper`` (weights x rows) bound every row's estimate
+    (:func:`_estimate_bounds`).  Rounding is monotone, so for each weight
+    and t, witness k's final ratio lies in [fl(lower_k' / upper_k),
+    fl(upper_k' / lower_k)], k' its image.  A witness whose upper end is
+    below the largest lower end cannot hold the maximum, and the witness
+    with that lower end has its upper end at least as high, so it stays.
+    The test is written "not below": ties are kept, and a NaN (in a bound
+    or in the largest lower end) keeps every witness it touches.  A witness
+    row is needed if any weight and t keep the witness, and an image row if
+    any weight keeps its witness at its t.  A zero ``lower`` divides to inf
+    or NaN, so that witness is kept, and its refusal stays with it.
+    """
+    images = lambda x: x[:, count:].reshape(len(x), -1, count)  # (weights x t x witnesses)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low, high = images(lower) / upper[:, None, :count], images(upper) / lower[:, None, :count]
+    keep = ~(high < np.max(low, axis=-1, keepdims=True))
+    return np.concatenate([keep.any(axis=(0, 1)), keep.any(axis=0).ravel()])
 
 
 # -- coefficient norm families -----------------------------------------------
@@ -512,22 +649,35 @@ def operator_norm_witness(
 
     ``t`` is one parameter or a sequence of them, and ``v`` one
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are
-    stacked once, followed by their images for every t, and the stack is
-    measured in one :func:`weighted_sup_norm` call for all weights.  The
-    :class:`NormEstimate` holds a (weights x t) array, shaped as the module
-    docstring says.
+    stacked once, followed by their images for every t.  With more than one
+    witness, bounds from the seed stage of the grid (:func:`_estimate_bounds`)
+    first pick the rows that can still hold the maximum (:func:`_contenders`);
+    one :func:`weighted_sup_norm` call for all weights takes those rows with
+    their seeds and finishes their grid pass and polish, and the others are
+    measured only at their seeds.  Rows are measured independently,
+    so every value is the one that measuring every row gives, bit for bit.
+    The :class:`NormEstimate` holds a (weights x t) array, shaped as the
+    module docstring says.
     """
     single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
     ts, weights = _listed(t, single_t), _listed(v, one_weight)
     specs.count(len(ts), 1, "t list must be non-empty")
+    specs.count(len(weights), 1, "weight list must be non-empty")
     for w in weights:
         for x in ts:
             norm_upper_bound(x, w)
     count = specs.count(len(witnesses), 1, "witness list must be non-empty")
-    _grid(radii, angles)  # refused before any witness is applied
-    series = list(witnesses) + [apply(CesaroOperator(x), w) for x in ts for w in witnesses]
-    values = weighted_sup_norm(series, weights, radii, angles).value
+    rs = _grid(radii, angles)  # refused before any witness is applied
+    stack = _coefficient_stack(list(witnesses) + [apply(CesaroOperator(x), w) for x in ts for w in witnesses])
+    needed, rows = np.ones(len(stack), dtype=bool), stack
+    if count > 1:
+        start, lower, upper = _estimate_bounds(stack, rs, weights, angles)
+        needed = _contenders(lower, upper, count)
+        rows = start.rows(needed)
+    values = np.ones((len(weights), len(stack)))  # a row not polished takes no part in any ratio
+    values[:, needed] = weighted_sup_norm(rows, weights, radii, angles).value
     if np.any(values[:, :count] <= 0.0):
         raise ValueError("every witness must have positive weighted norm")
     ratios = values[:, count:].reshape(len(weights), len(ts), count) / values[:, None, :count]
+    ratios[:, ~(needed[count:].reshape(len(ts), count) & needed[:count])] = -np.inf
     return NormEstimate(_dropped(np.max(ratios, axis=-1), one_weight, single_t))

@@ -104,6 +104,12 @@ COUNTS = [
      "n_max must be >= 0"),
     ("power_bound_certificate degree", lambda n: cesaro.power_bound_certificate(0.5, trials=2, degree=n), 2.5,
      "degree must be >= 0"),
+    ("power_bound_certificate radii", lambda n: cesaro.power_bound_certificate(0.5, 2, 2, 2, gammas=(), radii=n),
+     8.5, "weighted norm grids need at least 8 radii and 8 angles"),
+    ("power_bound_certificate angles", lambda n: cesaro.power_bound_certificate(0.5, 2, 2, 2, gammas=(), angles=n),
+     8.5, "weighted norm grids need at least 8 radii and 8 angles"),
+    ("TaylorSeries.padded", lambda n: F.padded(n), 2.5, "degree must be >= 0"),
+    ("TaylorSeries.truncated", lambda n: F.truncated(n), 2.5, "degree must be >= 0"),
     ("constant_one", lambda n: cesaro.constant_one(n), 2.5, "degree must be >= 0"),
     ("geometric_series", lambda n: cesaro.geometric_series(0.5, n), 2.5, "degree must be >= 0"),
     ("random_series", lambda n: cesaro.random_series(n, np.random.default_rng(0)), 2.5, "degree must be >= 0"),

@@ -477,6 +477,113 @@ def test_the_witness_ratio_asks_the_grid_rule_before_any_witness_is_applied(grid
     assert applied == []
 
 
+def test_the_witness_ratio_asks_the_weight_rule_before_any_witness_is_applied(monkeypatch):
+    applied = []
+    monkeypatch.setattr(weights, "apply", lambda op, f: applied.append(op.t) or apply(op, f))
+    pool = [constant_one(8), random_series(8, np.random.default_rng(0))]
+    with pytest.raises(ValueError, match="^weight list must be non-empty$"):
+        operator_norm_witness([0.3, 0.6], [], pool)
+    assert applied == []
+
+
+def _every_row_polished(ts, vs, witnesses, radii, angles):
+    """The (weights x t) witness ratios from one full ``weighted_sup_norm`` stack: every row polished."""
+    count = len(witnesses)
+    series = list(witnesses) + [apply(CesaroOperator(t), w) for t in ts for w in witnesses]
+    values = weighted_sup_norm(series, vs, radii, angles).value
+    return np.max(values[:, count:].reshape(len(vs), len(ts), count) / values[:, None, :count], axis=-1)
+
+
+def _norm_pool_query(rng, extra=4):
+    """A witness pool shaped like the benchmark's: f1 of degree 512 and random series of log-uniform degree."""
+    degrees = np.exp(rng.uniform(np.log(8), np.log(2048), extra)).astype(int)
+    return [constant_one(512)] + [random_series(int(d), rng) for d in degrees]
+
+
+ALL_KINDS = [Weight.unit(), Weight.standard(0.5), Weight.standard(5.0), Weight.log_power(2), TABLE_WEIGHT]
+
+
+@pytest.mark.parametrize(
+    "ts, vs, pool",
+    [
+        (SWEEP_TS, ALL_KINDS, _norm_pool_query(np.random.default_rng(83))),
+        (SWEEP_TS, ALL_KINDS, _ragged_pool(np.random.default_rng(89), 5)),
+        # a duplicated witness: two exactly tied ratios at every t and weight
+        (SWEEP_TS, ALL_KINDS, [constant_one(64), *_ragged_pool(np.random.default_rng(97), 2)] * 2),
+        # f1 under the unit weight: every grid radius ties, and so do the witnesses f1 and 2 f1
+        ((0.2, 0.9), [Weight.unit()], [constant_one(256), 2.0 * constant_one(256), geometric_series(0.5, 64)]),
+        # t = 1 on the gamma spaces
+        ((0.5, 1.0), [Weight.standard(0.5), Weight.standard(2.0)], _norm_pool_query(np.random.default_rng(101))),
+    ],
+    ids=["norm-pool", "ragged", "duplicated", "unit-ties", "t-one"],
+)
+def test_the_witness_ratio_equals_the_every_row_polished_ratio(ts, vs, pool):
+    for radii, angles in ((32, 256), (64, 1024)):
+        want = _every_row_polished(ts, vs, pool, radii, angles)
+        assert bits(operator_norm_witness(list(ts), vs, pool, radii, angles).value) == bits(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=0.0, max_value=0.99),
+    st.sampled_from(range(len(ALL_KINDS))),
+)
+def test_estimate_bounds_hold_and_a_skipped_witness_cannot_win(seed, t, kind):
+    rng = np.random.default_rng(seed)
+    pool = _norm_pool_query(rng, extra=int(rng.integers(1, 6)))
+    v, count, radii, angles = ALL_KINDS[kind], len(pool), 16, 256
+    stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for f in pool])
+    _, lower, upper = weights._estimate_bounds(stack, radial_grid(radii), [v], angles)
+    grid = weighted_sup_norm(stack, v, radii, angles, refine=False).value
+    polished = weighted_sup_norm(stack, v, radii, angles).value
+    assert np.all(lower[0] <= grid) and np.all(grid <= polished) and np.all(polished <= upper[0])
+    needed = weights._contenders(lower, upper, count)
+    ratios = polished[count:] / polished[:count]
+    skipped = ~needed[:count]
+    # num_cap / den_grid of every skipped witness lies below the winner's final ratio
+    assert np.all(upper[0, count:][skipped] / grid[:count][skipped] < np.max(ratios))
+    assert needed[count + np.argmax(ratios)] and not np.any(needed[count:] & skipped)
+
+
+def test_a_seeded_stack_continues_to_the_full_call_and_is_left_unchanged():
+    stack = _padded_stack(_ragged_pool(np.random.default_rng(71), 4))
+    rs, vs = radial_grid(16), [w(radial_grid(16)) for w in SWEEP_WEIGHTS]
+    start = weights._seeded(stack, rs, vs, 64, weights._upper(stack, rs, 64))
+    seeds = start.profile.copy()
+    want = bits(weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64).value)
+    for _ in range(2):
+        assert bits(weighted_sup_norm(start, SWEEP_WEIGHTS, radii=16, angles=64).value) == want
+        assert bits(start.profile) == bits(seeds)
+
+
+def test_a_norm_pool_query_polishes_fewer_than_every_row(monkeypatch):
+    rng = np.random.default_rng(107)
+    queries = [(float(t), Weight.from_spec(spec), _norm_pool_query(rng)) for t, spec in zip(
+        rng.uniform(0.05, 0.95, 12), ["unit", "gamma:0.5", "gamma:1", "gamma:2", "logpow:1", "logpow:2"] * 2
+    )]
+    want = [_every_row_polished([t], [v], pool, 64, 1024)[0, 0] for t, v, pool in queries]
+    _, polish = _counted_circle_max(monkeypatch)
+    rows = []
+    for t, v, pool in queries:
+        polish.clear()
+        assert operator_norm_witness(t, v, pool, radii=64, angles=1024).value == want[len(rows)]
+        assert len(polish) == 42 and len({len(r) for r in polish}) == 1  # 2 + 40 steps, one radius per row
+        rows.append(len(polish[0]))
+    assert max(rows) <= 2 * 5 and sum(rows) < 2 * 5 * len(queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.0, max_value=1.0 - 2.0**-53), st.integers(min_value=0, max_value=60))
+def test_golden_section_samples_stay_in_their_bracket(lo, ulps):
+    # a bracket as wide as the grid's, or only a few ulps wide, where steps round the most
+    hi = np.nextafter(lo, 1.0) if ulps == 0 else min(lo + ulps * 2.0**-52 * max(lo, 2.0**-1022), 1.0 - 2.0**-53)
+    lo, hi = np.array([lo, 0.0, lo]), np.array([hi, 0.159, max(hi, 0.999)])
+    samples = []
+    weights._golden_max(lambda r: samples.append(r) or -np.abs(r - 0.3), lo, hi)
+    assert all(np.all((lo <= r) & (r <= hi)) for r in samples)
+
+
 def test_radial_grid_clusters_toward_one():
     rs = radial_grid(16)
     assert rs[0] == 0.0
