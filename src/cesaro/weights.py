@@ -22,19 +22,21 @@ Batches and sweeps: :func:`circle_max`, :func:`weighted_sup_norm` and
 are series zero-padded to one width, and :func:`weighted_sup_norm` takes a
 list of series of any degrees.  :func:`weighted_sup_norm` also takes a
 sequence of weights, :func:`frechet_norm` a sequence of ``k``, and
-:func:`operator_norm_witness` sequences of ``t`` and of weights.  A batch
-costs at most one FFT call per grid radius, plus one per distinct seed
-radius, and one per polish step (one radius per row there): the grid pass
-measures only the (row, radius) pairs whose upper bound sum_n |f[n]| r**n
-can reach the row's best measured value under some weight.  A weight sweep
-shares the grid pass, and each weight then runs its own argmax and polish;
-a witness sweep stacks the witnesses once, followed by their images for
-every ``t``.  With more than one witness it runs the grid pass's seed
-stage on every row first, and bounds from those seeds pick the witness
-rows, and their images, that can still hold the largest ratio.  Only those
-are polished: one :func:`weighted_sup_norm` call takes them with their
-seeds and runs the rest of their grid pass and their polish; the others
-stop after their seeds.  No (row, radius) pair is measured twice.
+:func:`operator_norm_witness` sequences of ``t`` and of weights.  A
+:func:`weighted_sup_norm` call costs at most one FFT call per grid radius,
+plus one per distinct seed radius, and one per polish step (one radius per
+row there): the grid pass measures only the (row, radius) pairs whose
+upper bound sum_n |f[n]| r**n can reach the row's best measured value
+under some weight.  Its weight sweep shares the grid pass, and each weight
+then runs its own argmax and polish.  A witness sweep stacks the witnesses
+once, followed by their images for every ``t``, and builds the stack's
+table of those upper bounds once; then it runs one pass per weight.  A
+pass runs the grid's seed stage under its weight on every row, and bounds
+from those seeds pick the witness rows, and their images, that can still
+hold the weight's largest ratio.  Only those are polished: one
+:func:`weighted_sup_norm` call takes them with their seeds and runs the
+rest of their grid pass and their polish; the others stop after their
+seeds.  Within a pass no (row, radius) pair is measured twice.
 
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
 bounds take r**n from one rule, which calls ``pow`` only below the radius's
@@ -487,23 +489,23 @@ _CAP_SLACK = 2.0**-32
 
 
 def _estimate_bounds(
-    stack: np.ndarray, rs: np.ndarray, weights: list, angles: int
+    stack: np.ndarray, upper: np.ndarray, rs: np.ndarray, w: Weight, angles: int
 ) -> tuple[_GridStart, np.ndarray, np.ndarray]:
-    """(start, lower, upper): the stack's seed stage, and bounds (weights x rows) on each row's estimate.
+    """(start, lower, upper): the stack's seed stage under the weight ``w``, and bounds on each row's estimate.
 
-    ``start`` is the grid pass's seed stage (:func:`_seeded`), which
-    :func:`weighted_sup_norm` continues for the rows kept.  ``lower`` is the
-    row's best measured seed value; a measured value never exceeds the grid
-    value, which never exceeds the polished one.  ``upper`` is, over every
-    grid index j, the larger of v(r_j) A(r_j) (the grid term) and
-    v+(j) A+(j) (the polish term), A the ``upper`` table (:func:`_upper`).
-    The polished value is the grid value or a golden-section sample in the
-    bracket [lo, hi] of the argmax j (:func:`_bracket`), so whichever j it
-    is, upper bounds it.  Only the seed stage is measured (one stacked
-    ``circle_max`` per seed radius), so a row whose estimate is not needed
-    never pays for its second grid stage.  The A table gains one column, A
-    at the outer radius of the last bracket; the other columns of A+ are
-    the grid's own ``upper[:, j + 1]``.
+    ``upper`` is the stack's A table (:func:`_upper`) at the grid radii
+    ``rs`` and, in one more column, at the outer radius of the last bracket.
+    ``start`` is the grid pass's seed stage under ``w`` (:func:`_seeded`),
+    which :func:`weighted_sup_norm` continues for the rows kept.  ``lower``
+    is the row's best measured seed value; a measured value never exceeds
+    the grid value, which never exceeds the polished one.  The returned
+    ``upper`` is, over every grid index j, the larger of v(r_j) A(r_j) (the
+    grid term) and v+(j) A+(j) (the polish term).  The polished value is the
+    grid value or a golden-section sample in the bracket [lo, hi] of the
+    argmax j (:func:`_bracket`), so whichever j it is, upper bounds it.
+    Only the seed stage is measured (one stacked ``circle_max`` per seed
+    radius), so a row whose estimate is not needed never pays for its
+    second grid stage.  A+ at bracket j reads column j + 1 of the table.
 
     A sample is fl(fl(v(r)) M(r)), M the computed circle maximum, and
     rounding is monotone, so upper holds once fl(v(r)) <= v+ and M(r) <= A+
@@ -523,7 +525,7 @@ def _estimate_bounds(
       so its largest value on [lo, hi] is at an end or a node inside; values
       may rise by up to ``_MONOTONE_SLACK`` between nodes, so v(lo) alone
       is no bound.  The absolute term covers an ulp where v is subnormal.
-    * A+ is the widened A at hi (the next grid column, or one more column
+    * A+ is the widened A at hi (the next grid column, or the extra column
       at the outer radius of the last bracket), times 1 + 2**-32, plus
       2**-1072 (1 + sum_n |c_n|).  A power r**n at r <= hi is pow within an
       ulp of a power monotone in r, so it is at most (1 + 5u) times the one
@@ -536,45 +538,39 @@ def _estimate_bounds(
     A NaN coefficient makes its row's bounds NaN.
     """
     lo, hi = _bracket(rs, np.arange(len(rs)))
-    upper = _upper(stack, np.append(rs, hi[-1]), angles)  # column j + 1 is A at hi of bracket j
-    grid_upper = upper[:, :-1]
+    grid_upper, v = upper[:, :-1], w(rs)
     at_hi = upper[:, 1:] * (1.0 + _CAP_SLACK) + 2.0**-1072 * (1.0 + np.sum(np.abs(stack), axis=1, keepdims=True))
-    vs = [w(rs) for w in weights]
-    start = _seeded(stack, rs, vs, angles, grid_upper)
-    bounds = np.empty((2, len(weights), len(stack)))
-    for lower, top, w, v in zip(bounds[0], bounds[1], weights, vs):
-        peak = np.maximum(w(lo), w(hi))
-        if w.kind == "table":  # linear between its nodes, which may rise by up to _MONOTONE_SLACK
-            nodes, values = w.table.T
-            inside = (lo[:, None] <= nodes) & (nodes <= hi[:, None])
-            peak = np.maximum(peak, np.max(inside * values, axis=1))
-        peak = peak * (1.0 + _CAP_SLACK) + 2.0**-1073
-        lower[:] = np.max(start.profile * v, axis=1)
-        top[:] = np.max(np.maximum(grid_upper * v, peak * at_hi), axis=1)
-    return start, bounds[0], bounds[1]
+    start = _seeded(stack, rs, [v], angles, grid_upper)
+    peak = np.maximum(w(lo), w(hi))
+    if w.kind == "table":  # linear between its nodes, which may rise by up to _MONOTONE_SLACK
+        nodes, values = w.table.T
+        inside = (lo[:, None] <= nodes) & (nodes <= hi[:, None])
+        peak = np.maximum(peak, np.max(inside * values, axis=1))
+    peak = peak * (1.0 + _CAP_SLACK) + 2.0**-1073
+    return start, np.max(start.profile * v, axis=1), np.max(np.maximum(grid_upper * v, peak * at_hi), axis=1)
 
 
 def _contenders(lower: np.ndarray, upper: np.ndarray, count: int) -> np.ndarray:
-    """The rows of a witness stack whose polished estimates can decide a witness ratio.
+    """The rows of a witness stack whose polished estimates under one weight can decide a witness ratio.
 
     The stack holds ``count`` witnesses, then their images for each t;
-    ``lower`` and ``upper`` (weights x rows) bound every row's estimate
-    (:func:`_estimate_bounds`).  Rounding is monotone, so for each weight
-    and t, witness k's final ratio lies in [fl(lower_k' / upper_k),
+    ``lower`` and ``upper`` bound every row's estimate under the weight
+    (:func:`_estimate_bounds`).  Rounding is monotone, so for each t,
+    witness k's final ratio lies in [fl(lower_k' / upper_k),
     fl(upper_k' / lower_k)], k' its image.  A witness whose upper end is
     below the largest lower end cannot hold the maximum, and the witness
-    with that lower end has its upper end at least as high, so it stays.
-    The test is written "not below": ties are kept, and a NaN (in a bound
-    or in the largest lower end) keeps every witness it touches.  A witness
-    row is needed if any weight and t keep the witness, and an image row if
-    any weight keeps its witness at its t.  A zero ``lower`` divides to inf
-    or NaN, so that witness is kept, and its refusal stays with it.
+    with that lower end has its upper end at least as high, so it stays
+    (a lone witness always does).  The test is written "not below": ties
+    are kept, and a NaN (in a bound or in the largest lower end) keeps every
+    witness it touches.  A witness row is needed if any t keeps the
+    witness, and an image row if its t does.  A zero ``lower`` divides to
+    inf or NaN, so that witness is kept, and its refusal stays with it.
     """
-    images = lambda x: x[:, count:].reshape(len(x), -1, count)  # (weights x t x witnesses)
+    images = lambda x: x[count:].reshape(-1, count)  # (t x witnesses)
     with np.errstate(divide="ignore", invalid="ignore"):
-        low, high = images(lower) / upper[:, None, :count], images(upper) / lower[:, None, :count]
+        low, high = images(lower) / upper[:count], images(upper) / lower[:count]
     keep = ~(high < np.max(low, axis=-1, keepdims=True))
-    return np.concatenate([keep.any(axis=(0, 1)), keep.any(axis=0).ravel()])
+    return np.concatenate([keep.any(axis=0), keep.ravel()])
 
 
 # -- coefficient norm families -----------------------------------------------
@@ -649,15 +645,16 @@ def operator_norm_witness(
 
     ``t`` is one parameter or a sequence of them, and ``v`` one
     :class:`Weight` or a sequence of them: a sweep.  The witnesses are
-    stacked once, followed by their images for every t.  With more than one
-    witness, bounds from the seed stage of the grid (:func:`_estimate_bounds`)
-    first pick the rows that can still hold the maximum (:func:`_contenders`);
-    one :func:`weighted_sup_norm` call for all weights takes those rows with
-    their seeds and finishes their grid pass and polish, and the others are
-    measured only at their seeds.  Rows are measured independently,
-    so every value is the one that measuring every row gives, bit for bit.
-    The :class:`NormEstimate` holds a (weights x t) array, shaped as the
-    module docstring says.
+    stacked once, followed by their images for every t, and the stack's A
+    table (:func:`_upper`) is built once.  Then each weight runs its own
+    pass: bounds from the seed stage of its grid (:func:`_estimate_bounds`)
+    pick the rows that can still hold its maximum ratio
+    (:func:`_contenders`), one :func:`weighted_sup_norm` call takes those
+    rows with their seeds and finishes their grid pass and polish, and the
+    others are measured only at their seeds.  Rows are measured
+    independently, so every value is the one that measuring every row
+    gives, bit for bit.  The :class:`NormEstimate` holds a (weights x t)
+    array, shaped as the module docstring says.
     """
     single_t, one_weight = np.ndim(t) == 0, isinstance(v, Weight)
     ts, weights = _listed(t, single_t), _listed(v, one_weight)
@@ -669,15 +666,16 @@ def operator_norm_witness(
     count = specs.count(len(witnesses), 1, "witness list must be non-empty")
     rs = _grid(radii, angles)  # refused before any witness is applied
     stack = _coefficient_stack(list(witnesses) + [apply(CesaroOperator(x), w) for x in ts for w in witnesses])
-    needed, rows = np.ones(len(stack), dtype=bool), stack
-    if count > 1:
-        start, lower, upper = _estimate_bounds(stack, rs, weights, angles)
-        needed = _contenders(lower, upper, count)
-        rows = start.rows(needed)
-    values = np.ones((len(weights), len(stack)))  # a row not polished takes no part in any ratio
-    values[:, needed] = weighted_sup_norm(rows, weights, radii, angles).value
-    if np.any(values[:, :count] <= 0.0):
-        raise ValueError("every witness must have positive weighted norm")
-    ratios = values[:, count:].reshape(len(weights), len(ts), count) / values[:, None, :count]
-    ratios[:, ~(needed[count:].reshape(len(ts), count) & needed[:count])] = -np.inf
-    return NormEstimate(_dropped(np.max(ratios, axis=-1), one_weight, single_t))
+    upper = _upper(stack, np.append(rs, _bracket(rs, len(rs) - 1)[1]), angles)
+    ratios = np.empty((len(weights), len(ts)))
+    for row, w in zip(ratios, weights):
+        start, lower, top = _estimate_bounds(stack, upper, rs, w, angles)
+        needed = _contenders(lower, top, count)
+        values = np.ones(len(stack))  # a row not polished takes no part in any ratio
+        values[needed] = weighted_sup_norm(start.rows(needed), w, radii, angles).value
+        if np.any(values[:count] <= 0.0):
+            raise ValueError("every witness must have positive weighted norm")
+        pairs = values[count:].reshape(len(ts), count) / values[:count]
+        pairs[~needed[count:].reshape(len(ts), count)] = -np.inf
+        row[:] = np.max(pairs, axis=-1)
+    return NormEstimate(_dropped(ratios, one_weight, single_t))

@@ -23,7 +23,7 @@ from cesaro import (
     random_series,
     weighted_sup_norm,
 )
-from cesaro import weights
+from cesaro import acceptance, weights
 from oracles import bits, brute_circle_max, scalar_circle_max, scalar_weighted_sup_norm
 
 finite = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -379,23 +379,40 @@ def _counted_circle_max(monkeypatch):
 def test_a_sweep_shares_one_grid_pass(monkeypatch):
     grid, polish = _counted_circle_max(monkeypatch)
     pool = _ragged_pool(np.random.default_rng(61), 3)
-    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64)
     stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for t in SWEEP_TS for f in pool])
     row_of = {row.tobytes(): i for i, row in enumerate(stack)}
     assert len(row_of) == len(stack)
-    pairs = [(row_of[row.tobytes()], r) for f, r in grid for row in f]
-    assert len(pairs) == len(set(pairs)) < len(stack) * 16  # no pair twice, and some pruned
+    measured = lambda calls: [(row_of[row.tobytes()], r) for f, r in calls for row in f]
+    weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
+    pairs = measured(grid)
+    assert len(pairs) == len(set(pairs)) < len(stack) * 16 and not polish  # no pair twice, and some pruned
     # At most one call per grid radius, plus one per radius where a weight's bound v * A peaks.
     rs = radial_grid(16)
     bounds = np.abs(stack) @ (rs[None, :] ** np.arange(stack.shape[1])[:, None])
     seed_radii = {int(j) for v in SWEEP_WEIGHTS for j in np.argmax(bounds * v(rs), axis=1)}
     assert len(grid) <= 16 + len(seed_radii)
-    assert len(polish) == len(SWEEP_WEIGHTS) * 42  # 2 + 40 polish steps per weight
-    # Without the polish a weight sweep is the same grid pass alone.
+    # A witness sweep runs one pass per weight, each with its own seeds, grid and polish.
+    full = []  # per weight, the pairs of its grid pass over every row
+    for v in SWEEP_WEIGHTS:
+        grid.clear()
+        weighted_sup_norm(stack, v, radii=16, angles=64, refine=False)
+        full.append(set(measured(grid)))
+    starts, tables = [], []  # (grid calls, polish calls) so far when each weight's pass begins; A tables built
+    estimate, upper = weights._estimate_bounds, weights._upper
+    monkeypatch.setattr(weights, "_estimate_bounds", lambda *a: starts.append((len(grid), len(polish))) or estimate(*a))
+    monkeypatch.setattr(weights, "_upper", lambda *a: tables.append(a[0].shape) or upper(*a))
     grid.clear()
-    polish.clear()
-    weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
-    assert [(row_of[row.tobytes()], r) for f, r in grid for row in f] == pairs and not polish
+    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool, radii=16, angles=64)
+    assert tables == [stack.shape]  # one A table for the whole sweep
+    assert [steps for _, steps in starts] == [42 * k for k in range(len(SWEEP_WEIGHTS))]  # 2 + 40 polish steps each
+    assert len(polish) == 42 * len(SWEEP_WEIGHTS)
+    ends = [first for first, _ in starts[1:]] + [len(grid)]
+    for (first, _), end, pairs in zip(starts, ends, full):
+        passed = measured(grid[first:end])
+        assert len(passed) == len(set(passed)) and set(passed) <= pairs  # no pair twice within one weight's pass
+    starts.clear()
+    operator_norm_witness(SWEEP_TS, SWEEP_WEIGHTS, pool[:1], radii=16, angles=64)
+    assert len(starts) == len(SWEEP_WEIGHTS)  # one witness takes the same path
 
 
 def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
@@ -501,6 +518,39 @@ def _norm_pool_query(rng, extra=4):
 
 
 ALL_KINDS = [Weight.unit(), Weight.standard(0.5), Weight.standard(5.0), Weight.log_power(2), TABLE_WEIGHT]
+#: (1 - r)**0.5 sampled at five radii: most witnesses of a check-12 pool cannot win under it.
+SQRT_TABLE = Weight.from_table([0.0, 0.5, 0.75, 0.9, 0.99], [1.0, 0.5**0.5, 0.5, 0.1**0.5, 0.1])
+
+
+def _check_12_pool(size):
+    """The first ``size`` witnesses of acceptance check 12: random series of degree 8 to 128."""
+    rng = np.random.default_rng(131)
+    return [random_series(int(rng.integers(8, 129)), rng) for _ in range(size)]
+
+
+def _bounds(stack, v, radii, angles):
+    """(lower, upper) of every row of ``stack`` under ``v``, from the A table a witness sweep builds."""
+    rs = radial_grid(radii)
+    table = weights._upper(stack, np.append(rs, weights._bracket(rs, radii - 1)[1]), angles)
+    _, lower, upper = weights._estimate_bounds(stack, table, rs, v, angles)
+    return lower, upper
+
+
+def test_a_table_weight_keeps_few_rows():
+    pool = _check_12_pool(12)
+    stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for t in SWEEP_TS for f in pool])
+    for radii, angles in ((32, 256), (64, 1024)):
+        assert weights._contenders(*_bounds(stack, SQRT_TABLE, radii, angles), len(pool)).sum() <= len(stack) // 4
+        assert weights._contenders(*_bounds(stack, Weight.standard(5.0), radii, angles), len(pool)).all()
+
+
+def test_check_12_polishes_under_each_weight_only_the_rows_that_can_win(monkeypatch):
+    calls, polish = [], weights.weighted_sup_norm
+    counted = lambda f, v, *grid: calls.append((len(f.stack), v)) or polish(f, v, *grid)
+    monkeypatch.setattr(weights, "weighted_sup_norm", counted)
+    assert acceptance.check_standard_weight_norms().passed
+    assert [v.label for _, v in calls] == ["gamma:1", "gamma:2", "gamma:5", "gamma:0.5"]  # one call per weight
+    assert sum(rows for rows, _ in calls) < 4 * 200  # 4 weights x (50 witnesses + 150 images)
 
 
 @pytest.mark.parametrize(
@@ -514,8 +564,10 @@ ALL_KINDS = [Weight.unit(), Weight.standard(0.5), Weight.standard(5.0), Weight.l
         ((0.2, 0.9), [Weight.unit()], [constant_one(256), 2.0 * constant_one(256), geometric_series(0.5, 64)]),
         # t = 1 on the gamma spaces
         ((0.5, 1.0), [Weight.standard(0.5), Weight.standard(2.0)], _norm_pool_query(np.random.default_rng(101))),
+        # a weight that keeps every row between two whose table keeps few (test_a_table_weight_keeps_few_rows)
+        (SWEEP_TS, [SQRT_TABLE, Weight.standard(5.0), SQRT_TABLE], _check_12_pool(12)),
     ],
-    ids=["norm-pool", "ragged", "duplicated", "unit-ties", "t-one"],
+    ids=["norm-pool", "ragged", "duplicated", "unit-ties", "t-one", "few-kept"],
 )
 def test_the_witness_ratio_equals_the_every_row_polished_ratio(ts, vs, pool):
     for radii, angles in ((32, 256), (64, 1024)):
@@ -534,16 +586,26 @@ def test_estimate_bounds_hold_and_a_skipped_witness_cannot_win(seed, t, kind):
     pool = _norm_pool_query(rng, extra=int(rng.integers(1, 6)))
     v, count, radii, angles = ALL_KINDS[kind], len(pool), 16, 256
     stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for f in pool])
-    _, lower, upper = weights._estimate_bounds(stack, radial_grid(radii), [v], angles)
+    lower, upper = _bounds(stack, v, radii, angles)
+    assert lower.shape == upper.shape == (len(stack),)
     grid = weighted_sup_norm(stack, v, radii, angles, refine=False).value
     polished = weighted_sup_norm(stack, v, radii, angles).value
-    assert np.all(lower[0] <= grid) and np.all(grid <= polished) and np.all(polished <= upper[0])
+    assert np.all(lower <= grid) and np.all(grid <= polished) and np.all(polished <= upper)
     needed = weights._contenders(lower, upper, count)
     ratios = polished[count:] / polished[:count]
     skipped = ~needed[:count]
     # num_cap / den_grid of every skipped witness lies below the winner's final ratio
-    assert np.all(upper[0, count:][skipped] / grid[:count][skipped] < np.max(ratios))
+    assert np.all(upper[count:][skipped] / grid[:count][skipped] < np.max(ratios))
     assert needed[count + np.argmax(ratios)] and not np.any(needed[count:] & skipped)
+
+
+def test_contenders_keep_a_lone_witness_and_drop_one_that_cannot_win():
+    # one witness at two t: its ratio interval always reaches the largest lower end, even a NaN one
+    for lower in ([1.0, 0.5, 3.0], [1.0, np.nan, 3.0], [0.0, 0.5, 3.0]):
+        assert weights._contenders(np.array(lower), np.array([1.0, 0.5, 3.0]), 1).tolist() == [True] * 3
+    # two witnesses at one t: ratios in [2 / 1.1, 2.2 / 1] and [1 / 1, 1.1 / 1], so the second cannot win
+    lower, upper = np.array([1.0, 1.0, 2.0, 1.0]), np.array([1.1, 1.0, 2.2, 1.1])
+    assert weights._contenders(lower, upper, 2).tolist() == [True, False, True, False]
 
 
 def test_a_seeded_stack_continues_to_the_full_call_and_is_left_unchanged():

@@ -14,12 +14,13 @@ a time, and the side that goes first alternates from
 pair to pair.  Then each side runs once more with ``--trace 1`` on the first
 seed for its per-layer counts.  Last come the layer timings, in process
 (:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
-the ``weighted_sup_norm`` calls of seed 1's ``norm_pool`` queries, the
-grid pass alone (``refine=False``) and the full call; the ``eigenpair``
-calls of seed 1's ``long_series`` queries, and its ``resolvent_apply`` and
-``range_preimage`` calls, the other two users of the shifted kernel; the
-``cesaro_coefficients`` calls of seed 1's ``long_series`` and ``paper_report``
-queries.  The temporary directories are removed afterwards.
+the ``operator_norm_witness`` calls of seed 1's ``norm_pool`` and
+``paper_report`` queries, public inputs, so both sides time the same job;
+the ``eigenpair`` calls of seed 1's ``long_series`` queries, and its
+``resolvent_apply`` and ``range_preimage`` calls, the other two users of the
+shifted kernel; the ``cesaro_coefficients`` calls of seed 1's
+``long_series`` and ``paper_report`` queries.  The temporary directories
+are removed afterwards.
 
 The output holds every run's result object, and per workload and
 end-to-end metric of ``BENCHMARK.json``: each side's values with their
@@ -55,17 +56,18 @@ LAYER_SEED = 1
 
 #: One layer-timing run in a checkout (run there as ``python -c LAYER_SCRIPT``; prints one JSON object of
 #: seconds).  The ``norm_pool``, ``long_series`` and ``paper_report`` queries run once while
-#: ``weights.weighted_sup_norm``, ``cesaro.eigenpair``, ``cesaro.resolvent_apply``, ``cesaro.range_preimage`` and
-#: ``cesaro_coefficients`` (bound in ``operators`` and ``dynamics``) record their arguments, so the inputs are the
-#: ones the workloads pass; then the recorded calls are timed over the whole pass: ``weighted_sup_norm`` grid only
-#: (``refine=False``) and full, ``eigenpair`` (its overflow refusals included), the resolvents with the range
+#: ``operator_norm_witness`` (bound in ``cesaro``, ``weights`` and ``acceptance``), ``cesaro.eigenpair``,
+#: ``cesaro.resolvent_apply``, ``cesaro.range_preimage`` and ``cesaro_coefficients`` (bound in ``operators`` and
+#: ``dynamics``) record their arguments, so the inputs are the ones the workloads pass; then the recorded calls are
+#: timed over the whole pass: the witness ratios of the ``norm_pool`` and ``paper_report`` passes
+#: (``operator_norm_witness_s``), ``eigenpair`` (its overflow refusals included), the resolvents with the range
 #: preimages (``shifted_solve_s``), and the forward map's calls of the ``long_series`` and ``paper_report`` passes
 #: (``cesaro_coefficients_s``).
 LAYER_SCRIPT = f"""
 import json, sys, time, warnings
 sys.path[:0] = ["src", "benchmarks"]
 import cesaro
-from cesaro import dynamics, operators, weights
+from cesaro import acceptance, dynamics, operators, weights
 from workloads import LongSeries, NormPool, PaperReport, Tally
 warnings.simplefilter("ignore", RuntimeWarning)  # the eigenpair overflow regime warns before it raises
 
@@ -73,7 +75,9 @@ warnings.simplefilter("ignore", RuntimeWarning)  # the eigenpair overflow regime
 def recorded(modules, names, workload):
     functions = {{name: (getattr(modules[0], name), []) for name in names}}
     wrappers = {{
-        name: lambda *args, measure=measure, calls=calls: calls.append(args) or measure(*args)
+        name: lambda *args, measure=measure, calls=calls, **kwargs: (
+            calls.append((args, kwargs)) or measure(*args, **kwargs)
+        )
         for name, (measure, calls) in functions.items()
     }}
     for module in modules:
@@ -90,27 +94,30 @@ def recorded(modules, names, workload):
 
 
 def eigenpairs():
-    for args in eigen_calls:
+    for args, kwargs in eigen_calls:
         try:
-            solve(*args)
+            solve(*args, **kwargs)
         except ValueError:  # an overflow refusal, timed like an answer
             pass
 
 
-[(measure, norm_calls)] = recorded([weights], ["weighted_sup_norm"], NormPool({LAYER_SEED}))
-kernel_modules = [cesaro, operators, dynamics]
+def replay(function, calls):
+    return [function(*args, **kwargs) for args, kwargs in calls]
+
+
+modules = [cesaro, operators, dynamics, weights, acceptance]
+[(witness, norm_calls)] = recorded(modules, ["operator_norm_witness"], NormPool({LAYER_SEED}))
 (solve, eigen_calls), (resolve, resolvent_calls), (preimage, preimage_calls), (forward, forward_calls) = recorded(
-    kernel_modules, ["eigenpair", "resolvent_apply", "range_preimage", "cesaro_coefficients"], LongSeries({LAYER_SEED})
+    modules, ["eigenpair", "resolvent_apply", "range_preimage", "cesaro_coefficients"], LongSeries({LAYER_SEED})
 )
-[(_, report_calls)] = recorded(kernel_modules, ["cesaro_coefficients"], PaperReport({LAYER_SEED}))
+(_, report_forward_calls), (_, report_witness_calls) = recorded(
+    modules, ["cesaro_coefficients", "operator_norm_witness"], PaperReport({LAYER_SEED})
+)
 passes = {{
-    "weighted_sup_norm.grid_s": lambda: [measure(*args, refine=False) for args in norm_calls],
-    "weighted_sup_norm.full_s": lambda: [measure(*args) for args in norm_calls],
+    "operator_norm_witness_s": lambda: replay(witness, norm_calls + report_witness_calls),
     "eigenpair_s": eigenpairs,
-    "shifted_solve_s": lambda: (
-        [resolve(*args) for args in resolvent_calls] + [preimage(*args) for args in preimage_calls]
-    ),
-    "cesaro_coefficients_s": lambda: [forward(*args) for args in forward_calls + report_calls],
+    "shifted_solve_s": lambda: replay(resolve, resolvent_calls) + replay(preimage, preimage_calls),
+    "cesaro_coefficients_s": lambda: replay(forward, forward_calls + report_forward_calls),
 }}
 seconds = {{}}
 for name, run in passes.items():
