@@ -302,7 +302,7 @@ def check_power_boundedness(
 ) -> CheckResult:
     worst = 0.0
     for t in t_values:
-        report = power_bound_certificate(t, k=k_values, trials=trials, n_max=n_max, gammas=(), seed=seed)
+        report = power_bound_certificate(t, k=k_values, trials=trials, n_max=n_max, seed=seed)
         worst = max(worst, float(np.max(report.sup_norm_excess)))
     return CheckResult(
         "power-boundedness",

@@ -24,9 +24,9 @@ call per step.  :func:`ergodic_trace` takes a list of series of one
 truncation and returns one trace with a row of distances per series;
 :func:`power_bound_certificate` iterates all its random trials together,
 once for all its k, and returns one report with an excess per k.  The norms
-are those of :mod:`cesaro.weights`, measured a stack at a time: one
-``frechet_norm`` call for all the k and one ``weighted_sup_norm`` sweep for all the
-gammas.  Each row's numbers equal those of the series iterated alone.
+are those of :mod:`cesaro.weights`, measured a stack at a time: the
+certificate makes one ``frechet_norm`` call for all the k per iterate.  Each
+row's numbers equal those of the series iterated alone.
 
 In doubles the iterates reach their limit exactly: the second eigenvalue is
 1/2, so after some 60-70 steps (about 1075 at t = 0, through subnormals) an
@@ -45,7 +45,7 @@ import numpy as np
 from . import specs
 from .operators import CesaroOperator, cesaro_coefficients, shifted_solve
 from .series import TaylorSeries, geometric_series, random_series
-from .weights import Weight, _dropped, _grid, _listed, frechet_norm, norm_upper_bound, weighted_sup_norm
+from .weights import Weight, _dropped, _listed, frechet_norm, weighted_sup_norm
 
 
 def _words(array: np.ndarray) -> memoryview:
@@ -194,13 +194,10 @@ class PowerBoundReport:
     ``sup_norm_excess`` is the largest violation of
     |||C^n f|||_k <= |||f|||_k across trials (roundoff-level when the
     certificate holds): a float for one k, one value per k for a sequence
-    of them.  ``weighted_excess`` maps each sampled gamma to the
-    largest excess of the weighted grid estimate of an iterate over that of
-    f itself.
+    of them.
     """
 
     sup_norm_excess: float | np.ndarray
-    weighted_excess: dict[float, float]
 
 
 def power_bound_certificate(
@@ -209,19 +206,12 @@ def power_bound_certificate(
     trials: int = 20,
     n_max: int = 50,
     degree: int = 64,
-    gammas: tuple[float, ...] = (1.0,),
     seed: int = 0,
-    radii: int = 32,
-    angles: int = 256,
 ) -> PowerBoundReport:
-    """Measure iterate norms against the power-boundedness predictions.
+    """Measure iterate norms against the power-boundedness prediction.
 
     For random test functions and every n <= n_max the sup-flavor norm of the
-    n-th iterate must not exceed that of the input (up to roundoff), and for
-    standard weights where :func:`norm_upper_bound` bounds the operator norm
-    by 1 (every gamma from 1 on, and every gamma at t = 0) the weighted grid
-    estimates must not exceed the input's estimate beyond grid slack (nor
-    do the norms of the powers).
+    n-th iterate must not exceed that of the input, up to roundoff.
 
     ``k`` is one norm index or a sequence of them.  Only the coefficient
     weights r_k**n of the norm depend on k, so the trials are iterated once
@@ -230,30 +220,14 @@ def power_bound_certificate(
     CesaroOperator(t)  # with n_max = 0 nothing else reaches the forward map
     specs.count(trials, 1, "trials must be >= 1")  # random_series refuses the degree
     specs.count(n_max, 0, "n_max must be >= 0")
-    _grid(radii, angles)  # asked even when no weight needs the grid
-    single = np.ndim(k) == 0
-    ks = _listed(k, single)
-    weights = [Weight.standard(g) for g in gammas]
-    for w in weights:
-        if norm_upper_bound(t, w) > 1.0:
-            raise ValueError(f"the weighted certificate needs a norm bound <= 1, got {w.label} at t = {t}")
     rng = np.random.default_rng(seed)
     stack = np.array([random_series(degree, rng).coeffs for _ in range(trials)])
-
-    def norms(batch):  # one row per k (sup flavor), then one per gamma from a single sweep
-        rows = [frechet_norm(batch, ks, "sup")]
-        if weights:
-            rows.append(weighted_sup_norm(batch, weights, radii, angles, refine=False).value)
-        return np.concatenate(rows)
-
-    base = norms(stack)
+    base = frechet_norm(stack, k, "sup")  # (k x trials), or one per trial for one k
     excess = np.zeros_like(base)
     previous = None
     for current in _iterates(t, stack, n_max):
         if current is previous:  # the fixed point: it adds nothing to the maxima
             break
         previous = current
-        excess = np.maximum(excess, norms(current) - base)
-    worst = np.max(excess, axis=1, initial=0.0)
-    weighted = dict(zip(map(float, gammas), worst[len(ks) :].tolist()))
-    return PowerBoundReport(_dropped(worst[: len(ks)], single), weighted)
+        excess = np.maximum(excess, frechet_norm(current, k, "sup") - base)
+    return PowerBoundReport(_dropped(np.max(excess, axis=-1, initial=0.0)))

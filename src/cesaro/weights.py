@@ -13,30 +13,29 @@ The weighted sup-norm ``sup_z v(z) |f(z)|`` is estimated on grids: a radial
 grid geometrically clustered toward the boundary (r_j = 1 - 2**(-j/4)) and a
 uniform angle grid evaluated by FFT.  Grid estimates are one-sided: they are
 honest lower bounds of the true supremum and converge from below as grids
-refine.  An optional golden-section polish along the radius tightens the
-bound; it only ever evaluates the function, so the one-sided semantics
-survive (no extrapolation).
+refine.  A golden-section polish along the radius tightens the bound; it
+only ever evaluates the function, so the one-sided semantics survive (no
+extrapolation).
 
 Batches and sweeps: :func:`circle_max`, :func:`weighted_sup_norm` and
 :func:`frechet_norm` also take a (batch x coefficients) stack, whose rows
 are series zero-padded to one width, and :func:`weighted_sup_norm` takes a
-list of series of any degrees.  :func:`weighted_sup_norm` also takes a
-sequence of weights, :func:`frechet_norm` a sequence of ``k``, and
+list of series of any degrees.  :func:`weighted_sup_norm` takes one weight,
+:func:`frechet_norm` one ``k`` or a sequence of them, and
 :func:`operator_norm_witness` sequences of ``t`` and of weights.  A
 :func:`weighted_sup_norm` call costs at most one FFT call per grid radius,
 plus one per distinct seed radius, and one per polish step (one radius per
 row there): the grid pass measures only the (row, radius) pairs whose
 upper bound sum_n |f[n]| r**n can reach the row's best measured value
-under some weight.  Its weight sweep shares the grid pass, and each weight
-then runs its own argmax and polish.  A witness sweep stacks the witnesses
-once, followed by their images for every ``t``, and builds the stack's
-table of those upper bounds once; then it runs one pass per weight.  A
-pass runs the grid's seed stage under its weight on every row, and bounds
-from those seeds pick the witness rows, and their images, that can still
-hold the weight's largest ratio.  Only those are polished: one
-:func:`weighted_sup_norm` call takes them with their seeds and runs the
-rest of their grid pass and their polish; the others stop after their
-seeds.  Within a pass no (row, radius) pair is measured twice.
+under the weight.  A witness sweep stacks the witnesses once, followed by
+their images for every ``t``, and builds the stack's table of those upper
+bounds once; then it runs one pass per weight.  A pass runs the grid's
+seed stage under its weight on every row, and bounds from those seeds pick
+the witness rows, and their images, that can still hold the weight's
+largest ratio.  Only those are polished: one :func:`weighted_sup_norm`
+call takes them with their seeds and runs the rest of their grid pass and
+their polish; the others stop after their seeds.  Within a pass no (row,
+radius) pair is measured twice.
 
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
 bounds take r**n from one rule, which calls ``pow`` only below the radius's
@@ -47,11 +46,12 @@ maximum or estimate.  Subnormal powers are still computed.
 
 Shapes: a batched call returns its values as one array (the ``value`` of
 one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
-axes are the inputs given as sequences, in the order weights, then ``t``,
-then series (``k``, then series, for :func:`frechet_norm`); an input given
-as one item (a :class:`Weight`, a number, a :class:`TaylorSeries`) has no
-axis.  With no axis left the value is a plain float.  Every entry equals
-the call for its inputs alone.
+axes are the inputs given as sequences: series for
+:func:`weighted_sup_norm`, weights then ``t`` for
+:func:`operator_norm_witness`, ``k`` then series for :func:`frechet_norm`;
+an input given as one item (a :class:`Weight`, a number, a
+:class:`TaylorSeries`) has no axis.  With no axis left the value is a
+plain float.  Every entry equals the call for its inputs alone.
 
 Also here: the norm families sum_n |f[n]| r_k**n and sup_n |f[n]| r_k**n
 with r_k = 1 - 1/k, proven upper bounds for operator norms, and witness
@@ -174,9 +174,9 @@ class Weight:
 class NormEstimate:
     """Norm values: weighted sup-norm grid estimates, or witness ratios of two of them.
 
-    ``value`` is (weights x series) from :func:`weighted_sup_norm` and
-    (weights x t) from :func:`operator_norm_witness`; an input given as one
-    item drops its axis, and with no axis left ``value`` is a float.
+    ``value`` is (series) from :func:`weighted_sup_norm` and (weights x t)
+    from :func:`operator_norm_witness`; an input given as one item drops its
+    axis, and with no axis left ``value`` is a float.
     """
 
     value: float | np.ndarray
@@ -302,47 +302,35 @@ def _coefficient_stack(series) -> np.ndarray:
     return stack
 
 
-def weighted_sup_norm(
-    f,
-    v: Weight | Sequence[Weight],
-    radii: int = DEFAULT_RADII,
-    angles: int = DEFAULT_ANGLES,
-    refine: bool = True,
-):
+def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DEFAULT_ANGLES):
     """Grid estimate (a lower bound) of sup_z v(z) |f(z)|.
 
     Takes the max of ``v(r) * circle_max(f, r)`` over the clustered radial
-    grid; with ``refine`` a golden-section polish of the radius around the
-    grid argmax tightens the estimate.  Both passes only evaluate the
-    function, so the result never exceeds the true supremum.
+    grid, then a golden-section polish of the radius around the grid argmax
+    tightens the estimate.  Both passes only evaluate the function, so the
+    result never exceeds the true supremum.
 
     ``f`` is a :class:`TaylorSeries`, a list of series or a (batch x
-    coefficients) stack, and ``v`` a :class:`Weight` or a sequence of them;
-    the :class:`NormEstimate` holds a (weights x series) array, shaped as
-    the module docstring says.  The grid pass runs once for all weights and
-    gives a series x radii profile (see :func:`_grid_profile`: it measures
-    only the pairs that can hold a row's maximum, at most one stacked
-    ``circle_max`` per radius), which each weight scales by ``v(r)`` before
-    its own argmax and polish (one stacked ``circle_max`` per step).
+    coefficients) stack, and ``v`` one :class:`Weight`; the
+    :class:`NormEstimate` holds one value per series, shaped as the module
+    docstring says.  The grid pass gives a series x radii profile (see
+    :func:`_grid_profile`: it measures only the pairs that can hold a row's
+    maximum, at most one stacked ``circle_max`` per radius), which is scaled
+    by ``v(r)`` before the argmax and polish (one stacked ``circle_max`` per
+    step).
     """
+    if not isinstance(v, Weight):  # a weight sequence would fail later as "not callable"
+        raise TypeError(f"weighted_sup_norm takes one Weight, got {type(v).__name__}")
     rs = _grid(radii, angles)
-    single, one_weight = isinstance(f, TaylorSeries), isinstance(v, Weight)
-    weights = _listed(v, one_weight)
-    specs.count(len(weights), 1, "weight list must be non-empty")
-    vs = [w(rs) for w in weights]
+    single, v_rs = isinstance(f, TaylorSeries), v(rs)
     if not isinstance(f, _GridStart):  # a witness sweep hands in rows whose seed stage has run
         stack = _coefficient_stack(f)
-        f = _seeded(stack, rs, vs, angles, _upper(stack, rs, angles))
-    stack, profile = f.stack, _grid_profile(f, rs, vs, angles)
-    best = np.empty((len(weights), len(stack)))
-    for row, w, v in zip(best, weights, vs):
-        vals = profile * v
-        j = np.argmax(vals, axis=1)
-        row[:] = vals[np.arange(len(stack)), j]
-        if refine:
-            weighted = lambda r: w(r) * circle_max(stack, r, angles)
-            row[:] = np.maximum(row, _golden_max(weighted, *_bracket(rs, j)))
-    return NormEstimate(_dropped(best, one_weight, single))
+        f = _seeded(stack, rs, v_rs, angles, _upper(stack, rs, angles))
+    stack, vals = f.stack, _grid_profile(f, rs, v_rs, angles) * v_rs
+    j = np.argmax(vals, axis=1)
+    weighted = lambda r: v(r) * circle_max(stack, r, angles)
+    best = np.maximum(vals[np.arange(len(stack)), j], _golden_max(weighted, *_bracket(rs, j)))
+    return NormEstimate(_dropped(best, single))
 
 
 def _bracket(rs: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -405,26 +393,25 @@ class _GridStart(NamedTuple):
         return _GridStart(self.stack[keep], self.upper[keep], self.profile[keep])
 
 
-def _grid_profile(start: _GridStart, rs: np.ndarray, vs: list, angles: int) -> np.ndarray:
+def _grid_profile(start: _GridStart, rs: np.ndarray, v: np.ndarray, angles: int) -> np.ndarray:
     """The grid's (rows x radii) circle maxima where one can be a row's grid maximum; -inf elsewhere.
 
     M(r) <= A(r) = sum_n |c_n| r**n, so ``upper`` (A with its rounding
     slack, :func:`_rounding_slack`) bounds every computed ``circle_max``.
-    ``start`` holds each weight's seed pair measured, the radius of the
-    row's largest v * upper (:func:`_seeded`).  A pair whose v * upper lies
-    below the row's best measured v * M under every weight ``v`` of ``vs``
-    is strictly below that weight's grid maximum, so it is skipped; every
-    other pair is measured.  Ties are measured, so each weight's argmax and
-    maximum equal those of the full grid bit for bit (rounding is monotone:
-    M <= upper gives fl(v M) <= fl(v upper)).  One stacked ``circle_max``
-    per radius with pairs to measure, in each of the two stages.  The
-    profile is completed in a copy, so ``start`` can be continued again.
+    ``start`` holds the seed pair measured, the radius of the row's largest
+    v * upper (:func:`_seeded`), where ``v`` is the weight at the grid
+    radii.  A pair whose v * upper lies below the row's best measured v * M
+    is strictly below the grid maximum, so it is skipped; every other pair
+    is measured.  Ties are measured, so the argmax and maximum equal those
+    of the full grid bit for bit (rounding is monotone: M <= upper gives
+    fl(v M) <= fl(v upper)).  One stacked ``circle_max`` per radius with
+    pairs to measure, in each of the two stages.  The profile is completed
+    in a copy, so ``start`` can be continued again.
     """
     stack, upper, seeded = start
     profile = seeded.copy()
-    survivors = np.zeros(profile.shape, dtype=bool)
-    for v in vs:  # "not below" keeps ties, and keeps every pair of a row holding a NaN
-        survivors |= ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
+    # "not below" keeps ties, and keeps every pair of a row holding a NaN
+    survivors = ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
     _measure(stack, rs, angles, survivors & (profile == -np.inf), profile)
     return profile
 
@@ -440,15 +427,14 @@ def _upper(stack: np.ndarray, rs: np.ndarray, angles: int) -> np.ndarray:
     return upper * (1.0 + relative) + absolute
 
 
-def _seeded(stack: np.ndarray, rs: np.ndarray, vs: list, angles: int, upper: np.ndarray) -> _GridStart:
+def _seeded(stack: np.ndarray, rs: np.ndarray, v: np.ndarray, angles: int, upper: np.ndarray) -> _GridStart:
     """The grid pass's seed stage: a (rows x radii) profile holding only the seed pairs' circle maxima, -inf elsewhere.
 
-    A row's seed under a weight ``v`` of ``vs`` is its radius of largest
-    v * upper; the seeds of all weights are measured together.
+    A row's seed is its radius of largest v * upper, with ``v`` the weight
+    at the grid radii.
     """
     seeds = np.zeros(upper.shape, dtype=bool)
-    for v in vs:
-        seeds[np.arange(len(stack)), np.argmax(upper * v, axis=1)] = True
+    seeds[np.arange(len(stack)), np.argmax(upper * v, axis=1)] = True
     return _GridStart(stack, upper, _measure(stack, rs, angles, seeds, np.full(upper.shape, -np.inf)))
 
 
@@ -540,7 +526,7 @@ def _estimate_bounds(
     lo, hi = _bracket(rs, np.arange(len(rs)))
     grid_upper, v = upper[:, :-1], w(rs)
     at_hi = upper[:, 1:] * (1.0 + _CAP_SLACK) + 2.0**-1072 * (1.0 + np.sum(np.abs(stack), axis=1, keepdims=True))
-    start = _seeded(stack, rs, [v], angles, grid_upper)
+    start = _seeded(stack, rs, v, angles, grid_upper)
     peak = np.maximum(w(lo), w(hi))
     if w.kind == "table":  # linear between its nodes, which may rise by up to _MONOTONE_SLACK
         nodes, values = w.table.T

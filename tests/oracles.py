@@ -259,24 +259,19 @@ def plain_iterates(t, stack, n, step=filter_step):
     return out
 
 
-def trial_loop_certificate(t, k, trials, n_max, degree, gammas, seed, radii, angles, weight):
-    """Power-boundedness excesses, one trial at a time: (sup excess, {gamma: weighted excess})."""
+def trial_loop_certificate(t, k, trials, n_max, degree, seed):
+    """The power-boundedness excess, one trial at a time: the largest |||C^n f|||_k - |||f|||_k."""
     rng = np.random.default_rng(seed)
     powers = (1.0 - 1.0 / k) ** np.arange(degree + 1)
     sup_excess = 0.0
-    weighted_excess = {g: 0.0 for g in gammas}
-    norm = lambda c, g: scalar_weighted_sup_norm(c, weight(g), radii, angles, refine=False)
     for _ in range(trials):
         f = rng.random(degree + 1) + 1j * rng.random(degree + 1)
         base = float(np.max(np.abs(f) * powers))
-        base_weighted = {g: norm(f, g) for g in gammas}
         current = f
         for _ in range(n_max):
             current = filter_step(t, current)
             sup_excess = max(sup_excess, float(np.max(np.abs(current) * powers)) - base)
-            for g in gammas:
-                weighted_excess[g] = max(weighted_excess[g], norm(current, g) - base_weighted[g])
-    return sup_excess, weighted_excess
+    return sup_excess
 
 
 def step_loop_trace(t, coeffs, n_values, norm):

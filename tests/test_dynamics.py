@@ -70,7 +70,7 @@ def test_a_count_that_is_no_integer_is_refused_before_it_reaches_range(call, mes
     [
         lambda t: power_apply(t, TaylorSeries([1.0, 2.0]), 3),
         lambda t: cesaro_mean(t, TaylorSeries([1.0, 2.0]), 3),
-        lambda t: power_bound_certificate(t, k=2, trials=2, n_max=5, gammas=()),
+        lambda t: power_bound_certificate(t, k=2, trials=2, n_max=5),
     ],
     ids=["power_apply", "cesaro_mean", "power_bound_certificate"],
 )
@@ -128,12 +128,9 @@ def test_mean_ergodicity_check_stops_at_the_fixed_point(kernel_calls):
 
 
 def test_certificate_past_the_fixed_point_equals_the_trial_loop():
-    args = dict(k=3, trials=2, n_max=150, degree=40, gammas=(1.0,), seed=7, radii=16, angles=64)
+    args = dict(k=3, trials=2, n_max=150, degree=40, seed=7)
     for t in (0.5, 0.9):
-        report = power_bound_certificate(t, **args)
-        sup_excess, weighted_excess = trial_loop_certificate(t, weight=Weight.standard, **args)
-        assert report.sup_norm_excess == sup_excess
-        assert report.weighted_excess == weighted_excess
+        assert power_bound_certificate(t, **args).sup_norm_excess == trial_loop_certificate(t, **args)
 
 
 def test_trace_past_the_fixed_point_equals_the_step_loop():
@@ -329,26 +326,21 @@ def test_trace_rejects_bad_checkpoints():
 def test_certificate_reports_roundoff_level_excess():
     report = power_bound_certificate(0.5, k=2, trials=10, n_max=50, seed=1)
     assert report.sup_norm_excess <= 1e-12
-    assert report.weighted_excess[1.0] <= 1e-3
 
 
 def test_certificate_holds_at_t_one():
-    report = power_bound_certificate(1.0, k=[2, 5], gammas=(1.0, 2.0))
+    report = power_bound_certificate(1.0, k=[2, 5])
     assert np.all(report.sup_norm_excess <= 1e-15)
-    assert all(excess <= 1e-15 for excess in report.weighted_excess.values())
 
 
 def test_certificate_equals_the_trial_loop():
-    args = dict(k=3, trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+    args = dict(k=3, trials=6, n_max=12, degree=40, seed=5)
     for t in (0.0, 0.5, 0.9):
-        report = power_bound_certificate(t, **args)
-        sup_excess, weighted_excess = trial_loop_certificate(t, weight=Weight.standard, **args)
-        assert report.sup_norm_excess == sup_excess
-        assert report.weighted_excess == weighted_excess
+        assert power_bound_certificate(t, **args).sup_norm_excess == trial_loop_certificate(t, **args)
 
 
 def test_certificate_per_k_equals_its_single_k_calls(monkeypatch):
-    args = dict(trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+    args = dict(trials=6, n_max=12, degree=40, seed=5)
     ks = (2, 3, 10)
     for t in (0.0, 0.5, 0.9):
         report = power_bound_certificate(t, k=ks, **args)
@@ -356,11 +348,9 @@ def test_certificate_per_k_equals_its_single_k_calls(monkeypatch):
         assert all(isinstance(single.sup_norm_excess, float) for single in singles)
         # one excess per k, in the order of ks
         assert bits(report.sup_norm_excess) == bits([single.sup_norm_excess for single in singles])
-        assert all(single.weighted_excess == report.weighted_excess for single in singles)
-    one = power_bound_certificate(0.5, k=[5], gammas=(), trials=3, n_max=4)
-    alone = power_bound_certificate(0.5, k=5, gammas=(), trials=3, n_max=4)
+    one = power_bound_certificate(0.5, k=[5], trials=3, n_max=4)
+    alone = power_bound_certificate(0.5, k=5, trials=3, n_max=4)
     assert bits(one.sup_norm_excess) == bits([alone.sup_norm_excess])
-    assert one.weighted_excess == alone.weighted_excess == {}
     # The excesses above are all 0, so the order of the k axis is checked with
     # a norm that reads k times the number of earlier calls.
     calls = []
@@ -374,21 +364,21 @@ def test_certificate_per_k_equals_its_single_k_calls(monkeypatch):
     assert got.sup_norm_excess.tolist() == [12.0 * k for k in ks]
 
 
-def test_certificate_measures_all_gammas_in_one_sweep_per_stack(monkeypatch):
-    args = dict(k=(2, 3), trials=6, n_max=12, degree=40, gammas=(1.0, 2.0), seed=5, radii=16, angles=64)
+def test_certificate_makes_one_frechet_norm_call_per_stack(monkeypatch):
+    args = dict(k=(2, 3), trials=6, n_max=12, degree=40, seed=5)
     want = power_bound_certificate(0.5, **args)
     calls = []
-    sweep = dynamics.weighted_sup_norm
+    norm = dynamics.frechet_norm
 
-    def counted(f, v, *rest, **keywords):
-        calls.append((f.shape, [w.label for w in v]))
-        return sweep(f, v, *rest, **keywords)
+    def counted(f, k, flavor):
+        calls.append((np.shape(f), list(k), flavor))
+        return norm(f, k, flavor)
 
-    monkeypatch.setattr(dynamics, "weighted_sup_norm", counted)
+    monkeypatch.setattr(dynamics, "frechet_norm", counted)
     got = power_bound_certificate(0.5, **args)
-    assert bits(got.sup_norm_excess) == bits(want.sup_norm_excess) and got.weighted_excess == want.weighted_excess
+    assert bits(got.sup_norm_excess) == bits(want.sup_norm_excess)
     # the trials, then each of the 12 iterates (at t = 0.5 they settle near step 60)
-    assert calls == [((6, 41), ["gamma:1", "gamma:2"])] * 13
+    assert calls == [((6, 41), [2, 3], "sup")] * 13
 
 
 def test_trace_makes_one_frechet_norm_call_per_checkpoint(monkeypatch):
@@ -406,12 +396,6 @@ def test_trace_makes_one_frechet_norm_call_per_checkpoint(monkeypatch):
     monkeypatch.setattr(dynamics, "frechet_norm", counted)
     assert bits(ergodic_trace(0.6, pool, checkpoints, "ksup:2").distances) == bits(want.distances)
     assert calls == [((4, 97), 2, "sup")] * len(checkpoints)
-
-
-def test_certificate_with_several_gammas():
-    report = power_bound_certificate(0.9, k=3, trials=5, n_max=25, gammas=(1.0, 2.0), seed=2)
-    for gamma, excess in report.weighted_excess.items():
-        assert excess <= 1e-3, f"gamma={gamma}"
 
 
 def test_fixed_point_norms_are_constant_along_iterates():
@@ -447,12 +431,3 @@ def test_certificate_rejects_bad_parameters():
         power_bound_certificate(0.5, k=(2, 1))
     with pytest.raises(ValueError):
         power_bound_certificate(0.5, k=())
-    with pytest.raises(ValueError, match="norm bound <= 1, got gamma:0.5 at t = 0.5"):
-        power_bound_certificate(0.5, gammas=(0.5,))
-
-
-@pytest.mark.parametrize("gamma", [0.25, 0.5])
-def test_the_certificate_admits_every_gamma_at_t_zero(gamma):
-    # norm_upper_bound(0, v) = 1 for every weight: C_0 f(z) is the mean of f(sz), s in [0, 1]
-    report = power_bound_certificate(0.0, gammas=(gamma,))
-    assert report.weighted_excess[gamma] <= 0.0

@@ -289,6 +289,14 @@ def test_the_power_rule_equals_the_full_length_power_bitwise():
     assert weights._powers(0.0, 3).tolist() == [1.0, 0.0, 0.0]
 
 
+def _grid_only(f, v, radii, angles):
+    """The grid pass's value alone, before the polish: the row maxima of the pruned profile times v(r)."""
+    rs, stack = radial_grid(radii), weights._coefficient_stack(f)
+    start = weights._seeded(stack, rs, v(rs), angles, weights._upper(stack, rs, angles))
+    values = np.max(weights._grid_profile(start, rs, v(rs), angles) * v(rs), axis=1)
+    return float(values[0]) if isinstance(f, TaylorSeries) else values
+
+
 @pytest.mark.parametrize("spec", ["gamma:5", "logpow:2"])
 def test_a_norm_peaking_at_the_smallest_grid_radii_equals_the_per_series_oracle(spec):
     # A dominant constant term with a long small tail: the grid argmax sits at r_0 to r_2, where most
@@ -303,9 +311,10 @@ def test_a_norm_peaking_at_the_smallest_grid_radii_equals_the_per_series_oracle(
     for f in pool:
         profile = [float(v(r)) * scalar_circle_max(f.coeffs, float(r), 1024) for r in rs]
         assert int(np.argmax(profile)) <= 2
-    for refine in (False, True):
-        want = [scalar_weighted_sup_norm(f.coeffs, v, 64, 1024, refine) for f in pool]
-        assert bits(weighted_sup_norm(pool, v, radii=64, angles=1024, refine=refine).value) == bits(want)
+    want = [scalar_weighted_sup_norm(f.coeffs, v, 64, 1024, refine=False) for f in pool]
+    assert bits(_grid_only(pool, v, 64, 1024)) == bits(want)
+    want = [scalar_weighted_sup_norm(f.coeffs, v, 64, 1024) for f in pool]
+    assert bits(weighted_sup_norm(pool, v, radii=64, angles=1024).value) == bits(want)
 
 
 TABLE_WEIGHT = Weight.from_table([0.0, 0.5, 0.9, 0.99], [1.0, 0.6, 0.1, 0.01])
@@ -315,16 +324,18 @@ TABLE_WEIGHT = Weight.from_table([0.0, 0.5, 0.9, 0.99], [1.0, 0.6, 0.1, 0.01])
 def test_batched_weighted_norm_equals_the_per_series_oracle(spec):
     v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
     pool = _ragged_pool(np.random.default_rng(43), 9)
-    for refine in (False, True):
+    polished = lambda f: weighted_sup_norm(f, v, radii=32, angles=256).value
+    for refine, norm in ((False, lambda f: _grid_only(f, v, 32, 256)), (True, polished)):
         # A radius gets the same v(r) alone and inside an array, so the
         # one-radius-at-a-time oracle agrees bit for bit.
         want = [scalar_weighted_sup_norm(f.coeffs, v, 32, 256, refine) for f in pool]
         for batch in (pool, _padded_stack(pool)):
-            got = weighted_sup_norm(batch, v, radii=32, angles=256, refine=refine).value
+            got = norm(batch)
             assert got.shape == (len(pool),)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=0.0)
-        single = weighted_sup_norm(pool[3], v, radii=32, angles=256, refine=refine)
-        np.testing.assert_allclose(single.value, want[3], rtol=0.0, atol=0.0)
+        single = norm(pool[3])
+        assert isinstance(single, float)
+        np.testing.assert_allclose(single, want[3], rtol=0.0, atol=0.0)
 
 
 def test_witness_bound_equals_the_largest_per_witness_ratio():
@@ -337,15 +348,6 @@ def test_witness_bound_equals_the_largest_per_witness_ratio():
 
 SWEEP_WEIGHTS = [Weight.unit(), TABLE_WEIGHT, Weight.standard(2.0), Weight.log_power(2)]
 SWEEP_TS = (0.1, 0.6, 0.95)
-
-
-@pytest.mark.parametrize("refine", [False, True])
-def test_weight_sweep_equals_one_call_per_weight(refine):
-    pool = _ragged_pool(np.random.default_rng(53), 4)
-    for batch in (pool, _padded_stack(pool), pool[2]):
-        swept = weighted_sup_norm(batch, SWEEP_WEIGHTS, radii=16, angles=256, refine=refine).value
-        # (weights x series), or one value per weight for one series
-        assert bits(swept) == bits([weighted_sup_norm(batch, v, 16, 256, refine).value for v in SWEEP_WEIGHTS])
 
 
 def test_every_sweep_entry_equals_its_single_witness_call():
@@ -383,20 +385,20 @@ def test_a_sweep_shares_one_grid_pass(monkeypatch):
     row_of = {row.tobytes(): i for i, row in enumerate(stack)}
     assert len(row_of) == len(stack)
     measured = lambda calls: [(row_of[row.tobytes()], r) for f, r in calls for row in f]
-    weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
-    pairs = measured(grid)
-    assert len(pairs) == len(set(pairs)) < len(stack) * 16 and not polish  # no pair twice, and some pruned
-    # At most one call per grid radius, plus one per radius where a weight's bound v * A peaks.
     rs = radial_grid(16)
     bounds = np.abs(stack) @ (rs[None, :] ** np.arange(stack.shape[1])[:, None])
-    seed_radii = {int(j) for v in SWEEP_WEIGHTS for j in np.argmax(bounds * v(rs), axis=1)}
-    assert len(grid) <= 16 + len(seed_radii)
-    # A witness sweep runs one pass per weight, each with its own seeds, grid and polish.
     full = []  # per weight, the pairs of its grid pass over every row
     for v in SWEEP_WEIGHTS:
         grid.clear()
-        weighted_sup_norm(stack, v, radii=16, angles=64, refine=False)
-        full.append(set(measured(grid)))
+        polish.clear()
+        weighted_sup_norm(stack, v, radii=16, angles=64)
+        pairs = measured(grid)
+        assert len(pairs) == len(set(pairs)) < len(stack) * 16  # no pair twice, and some pruned
+        # At most one call per grid radius, plus one per radius where the bound v * A peaks; then the polish.
+        assert len(grid) <= 16 + len(set(np.argmax(bounds * v(rs), axis=1).tolist())) and len(polish) == 42
+        full.append(set(pairs))
+    # A witness sweep runs one pass per weight, each with its own seeds, grid and polish.
+    polish.clear()
     starts, tables = [], []  # (grid calls, polish calls) so far when each weight's pass begins; A tables built
     estimate, upper = weights._estimate_bounds, weights._upper
     monkeypatch.setattr(weights, "_estimate_bounds", lambda *a: starts.append((len(grid), len(polish))) or estimate(*a))
@@ -415,13 +417,15 @@ def test_a_sweep_shares_one_grid_pass(monkeypatch):
     assert len(starts) == len(SWEEP_WEIGHTS)  # one witness takes the same path
 
 
-def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
+def test_the_grid_pass_evaluates_the_weight_once(monkeypatch):
     calls = []
     original = Weight.__call__
     monkeypatch.setattr(Weight, "__call__", lambda self, r: calls.append(np.shape(r)) or original(self, r))
     pool = _ragged_pool(np.random.default_rng(67), 3)
-    weighted_sup_norm(pool, SWEEP_WEIGHTS, radii=16, angles=64, refine=False)
-    assert calls == [(16,)] * len(SWEEP_WEIGHTS)
+    for v in SWEEP_WEIGHTS:
+        calls.clear()
+        weighted_sup_norm(pool, v, radii=16, angles=64)
+        assert calls == [(16,)] + [(3,)] * 42  # the grid, then 2 + 40 polish steps of one radius per row
 
 
 def _prune_pool():
@@ -443,11 +447,11 @@ def _prune_pool():
 @pytest.mark.parametrize("radii", [8, 16, 64, 216])
 def test_the_pruned_grid_equals_the_full_grid_oracle(radii):
     pool = _prune_pool()
-    sweep = [Weight.unit(), Weight.standard(2.0), Weight.log_power(1), TABLE_WEIGHT]
-    for refine in (False, True):
-        got = weighted_sup_norm(pool, sweep, radii=radii, angles=64, refine=refine).value
-        want = [[scalar_weighted_sup_norm(f.coeffs, v, radii, 64, refine) for f in pool] for v in sweep]
-        assert bits(got) == bits(want)
+    for v in [Weight.unit(), Weight.standard(2.0), Weight.log_power(1), TABLE_WEIGHT]:
+        want = [scalar_weighted_sup_norm(f.coeffs, v, radii, 64, refine=False) for f in pool]
+        assert bits(_grid_only(pool, v, radii, 64)) == bits(want)
+        want = [scalar_weighted_sup_norm(f.coeffs, v, radii, 64) for f in pool]
+        assert bits(weighted_sup_norm(pool, v, radii=radii, angles=64).value) == bits(want)
 
 
 def test_the_rounding_slack_covers_circle_max_on_positive_coefficients():
@@ -472,10 +476,16 @@ def test_the_grid_prunes_a_norm_pool_query_under_gamma_two(monkeypatch):
     assert sum(len(f) for f, _ in grid) < 2 * len(pool) * 64
 
 
+@pytest.mark.parametrize("v", [[Weight.unit(), Weight.standard(2.0)], [Weight.unit()], []], ids=["two", "one", "none"])
+def test_a_weight_sequence_is_refused_before_any_circle_max(v, monkeypatch):
+    grid, polish = _counted_circle_max(monkeypatch)
+    with pytest.raises(TypeError, match="^weighted_sup_norm takes one Weight, got list$"):
+        weighted_sup_norm(constant_one(8), v)
+    assert grid == polish == []
+
+
 def test_sweep_preconditions():
     pool = [constant_one(8)]
-    with pytest.raises(ValueError, match="weight list"):
-        weighted_sup_norm(constant_one(8), [])
     with pytest.raises(ValueError, match="weight list"):
         operator_norm_witness(0.5, [], pool)
     with pytest.raises(ValueError, match="t list must be non-empty"):
@@ -507,7 +517,7 @@ def _every_row_polished(ts, vs, witnesses, radii, angles):
     """The (weights x t) witness ratios from one full ``weighted_sup_norm`` stack: every row polished."""
     count = len(witnesses)
     series = list(witnesses) + [apply(CesaroOperator(t), w) for t in ts for w in witnesses]
-    values = weighted_sup_norm(series, vs, radii, angles).value
+    values = np.array([weighted_sup_norm(series, v, radii, angles).value for v in vs])
     return np.max(values[:, count:].reshape(len(vs), len(ts), count) / values[:, None, :count], axis=-1)
 
 
@@ -588,7 +598,7 @@ def test_estimate_bounds_hold_and_a_skipped_witness_cannot_win(seed, t, kind):
     stack = _padded_stack(pool + [apply(CesaroOperator(t), f) for f in pool])
     lower, upper = _bounds(stack, v, radii, angles)
     assert lower.shape == upper.shape == (len(stack),)
-    grid = weighted_sup_norm(stack, v, radii, angles, refine=False).value
+    grid = _grid_only(stack, v, radii, angles)
     polished = weighted_sup_norm(stack, v, radii, angles).value
     assert np.all(lower <= grid) and np.all(grid <= polished) and np.all(polished <= upper)
     needed = weights._contenders(lower, upper, count)
@@ -610,13 +620,15 @@ def test_contenders_keep_a_lone_witness_and_drop_one_that_cannot_win():
 
 def test_a_seeded_stack_continues_to_the_full_call_and_is_left_unchanged():
     stack = _padded_stack(_ragged_pool(np.random.default_rng(71), 4))
-    rs, vs = radial_grid(16), [w(radial_grid(16)) for w in SWEEP_WEIGHTS]
-    start = weights._seeded(stack, rs, vs, 64, weights._upper(stack, rs, 64))
-    seeds = start.profile.copy()
-    want = bits(weighted_sup_norm(stack, SWEEP_WEIGHTS, radii=16, angles=64).value)
-    for _ in range(2):
-        assert bits(weighted_sup_norm(start, SWEEP_WEIGHTS, radii=16, angles=64).value) == want
-        assert bits(start.profile) == bits(seeds)
+    rs = radial_grid(16)
+    upper = weights._upper(stack, rs, 64)
+    for v in SWEEP_WEIGHTS:
+        start = weights._seeded(stack, rs, v(rs), 64, upper)
+        seeds = start.profile.copy()
+        want = bits(weighted_sup_norm(stack, v, radii=16, angles=64).value)
+        for _ in range(2):
+            assert bits(weighted_sup_norm(start, v, radii=16, angles=64).value) == want
+            assert bits(start.profile) == bits(seeds)
 
 
 def test_a_norm_pool_query_polishes_fewer_than_every_row(monkeypatch):
