@@ -93,6 +93,10 @@ COUNTS = [
      "weighted norm grids need at least 8 radii and 8 angles"),
     ("weighted_sup_norm angles", lambda n: cesaro.weighted_sup_norm(F, cesaro.Weight.unit(), angles=n), 8.5,
      "weighted norm grids need at least 8 radii and 8 angles"),
+    ("operator_norm_witness radii", lambda n: cesaro.operator_norm_witness(0.5, cesaro.Weight.unit(), [F], radii=n),
+     8.5, "weighted norm grids need at least 8 radii and 8 angles"),
+    ("operator_norm_witness angles", lambda n: cesaro.operator_norm_witness(0.5, cesaro.Weight.unit(), [F], angles=n),
+     8.5, "weighted norm grids need at least 8 radii and 8 angles"),
     ("eigenpair m", lambda n: cesaro.eigenpair(0.5, n, 16), 1.5, "eigenvalue index must be >= 0"),
     ("eigenpair truncation", lambda n: cesaro.eigenpair(0.5, 1, n), 16.5,
      "index m=1 must be smaller than the truncation {}"),

@@ -417,7 +417,7 @@ def test_a_sweep_shares_one_grid_pass(monkeypatch):
     assert len(starts) == len(SWEEP_WEIGHTS)  # one witness takes the same path
 
 
-def test_the_grid_pass_evaluates_the_weight_once(monkeypatch):
+def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
     calls = []
     original = Weight.__call__
     monkeypatch.setattr(Weight, "__call__", lambda self, r: calls.append(np.shape(r)) or original(self, r))
@@ -746,6 +746,17 @@ def test_upper_bound_combines_log_and_gamma_branches():
     assert norm_upper_bound(0.9, Weight.standard(2.0)) == 1.0
     np.testing.assert_allclose(norm_upper_bound(0.5, Weight.unit()), 2.0 * math.log(2.0))
     assert norm_upper_bound(0.0, Weight.unit()) == 1.0
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5])
+def test_the_witness_ratio_at_t_zero_is_one_under_every_gamma(gamma):
+    # norm_upper_bound(0, v) = 1 for every weight: C_0 f(z) is the mean of f(sz), s in [0, 1], and fixes constants
+    v = Weight.standard(gamma)
+    assert norm_upper_bound(0.0, v) == 1.0 < norm_upper_bound(0.3, v)
+    rng = np.random.default_rng(83)
+    pool = [constant_one(64)] + [random_series(d, rng) for d in (5, 40, 300)]
+    assert operator_norm_witness(0.0, v, pool).value == 1.0
+    assert operator_norm_witness(0.0, v, pool[1:]).value < 1.0
 
 
 def test_log_norm_bound_is_the_unit_weight_norm():
