@@ -303,9 +303,9 @@ def cmd_norm(args, cfg: ExperimentConfig) -> int:
     stack = count * per_witness * max(width, cfg.angles)
     _within_limit(f"--witness count x {per_witness_text} x max(witness width, --angles)", stack)
     weights._grid(cfg.radii, cfg.angles)  # the grid rule before any pool is built, and before the angle warning
-    if cfg.angles < 4 * cfg.truncation:
+    if cfg.angles < 4 * (width - 1):  # the widest row is the widest witness: an image keeps its witness's degree
         print(
-            f"warning: angle grid {cfg.angles} is below 4x truncation {cfg.truncation}; "
+            f"warning: angle grid {cfg.angles} is below 4x the widest witness degree {width - 1}; "
             "circle maxima of high-degree images may be under-resolved",
             file=sys.stderr,
         )

@@ -42,7 +42,14 @@ bounds take r**n from one rule, which calls ``pow`` only below the radius's
 underflow index, where n log2(r) reaches 20 binades below 2**-1074, and
 writes +0.0 from there on.  ``pow`` returns exactly that +0.0 there, but on
 a slow path, so the cut saves time and changes no bit of any power,
-maximum or estimate.  Subnormal powers are still computed.
+maximum or estimate.  Subnormal powers are still computed.  The power rows
+of the grid radii, and of the outer radius of the last bracket, are built
+once per process: :func:`_upper` keeps them in one read-only table of at
+most :data:`_POWER_TABLE_BYTES` (4 MiB), and the grid pass's
+``circle_max`` calls read it.  The polish computes each row's extent (its
+last nonzero coefficient) once, and each of its steps powers, scales,
+folds and transforms only each row's live prefix, below both its extent
+and the underflow index.
 
 Shapes: a batched call returns its values as one array (the ``value`` of
 one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
@@ -61,6 +68,7 @@ ratios that estimate those norms from grid estimates.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -216,35 +224,69 @@ def circle_max(f, r, angles: int):
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
     to the maximum of that row alone).  With a stack, ``r`` is one radius
-    for all rows or one radius per row; per-row powers are only computed at
-    each row's nonzero coefficients.  Either way the powers r**n stop at the
-    radius's underflow index (:func:`_powers`), past which ``pow`` returns
-    +0.0 anyway, so every power and every maximum is the full computation's.
+    for all rows or one radius per row.  One radius takes its row of
+    powers r**n from :func:`_powers`, which stops at the radius's underflow
+    index, past which ``pow`` returns +0.0 anyway.  Per row, only the row's
+    live prefix (:func:`_row_scaled`) is powered, scaled, folded and
+    transformed: the columns past it hold only zero products, which can
+    change the sign of a zero but never a modulus.  Either way every power
+    and every maximum is the full computation's.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     specs.count(angles, 1, "angle count must be >= 1")
     single = isinstance(f, TaylorSeries)
-    coeffs = _coefficient_stack(f)
-    rows, width = coeffs.shape
-    # one radius: computed once, broadcast over the rows; per row: only at the nonzero coefficients
-    scaled = coeffs * _powers(r, width, None if r.ndim == 0 else coeffs != 0)
+    rows = f if isinstance(f, _Rows) else None  # the polish hands in its rows with their extents
+    coeffs = _coefficient_stack(f) if rows is None else rows.stack
+    if r.ndim == 0:  # one row of powers, broadcast over the rows
+        scaled = coeffs * _powers(r, coeffs.shape[1])
+    elif r.shape != coeffs.shape[:1]:
+        raise ValueError(f"circle_max takes one radius or one per row, got {r.shape[0]} radii for {len(coeffs)} rows")
+    else:
+        scaled = _row_scaled(_Rows.of(coeffs) if rows is None else rows, r)
+    height, width = scaled.shape
     if width > angles:
         folds = -(-width // angles)
-        buf = np.zeros((rows, folds * angles), dtype=complex)
+        buf = np.zeros((height, folds * angles), dtype=complex)
         buf[:, :width] = scaled
-        scaled = buf.reshape(rows, folds, angles).sum(axis=1)
+        scaled = buf.reshape(height, folds, angles).sum(axis=1)
     peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
     return _dropped(peak, single)
 
 
+class _Rows(NamedTuple):
+    """A (batch x coefficients) stack with the columns each row needs at any radius, for :func:`circle_max`.
+
+    ``extent`` is one past the row's last nonzero coefficient (0 for a
+    zero row), and ``tail`` one past its last non-finite one (0 if none):
+    inf or NaN times a power cut to +0.0 is NaN, so those columns are
+    scaled at every radius.
+    """
+
+    stack: np.ndarray
+    extent: np.ndarray
+    tail: np.ndarray
+
+    @classmethod
+    def of(cls, stack: np.ndarray) -> "_Rows":
+        columns = np.arange(1, stack.shape[1] + 1)
+        last = lambda mask: np.max(mask * columns, axis=1, initial=0)
+        return cls(stack, last(stack != 0), last(~np.isfinite(stack)))
+
+
 #: log2 of the bound below which :func:`_powers` writes r**n as +0.0: 20 binades under 2**-1074.
 _UNDERFLOW_LOG2 = -1094.0
+#: Bytes the table of grid power rows may hold (:func:`_powers`): 4 MiB, 66 rows of up to 7943 powers.
+_POWER_TABLE_BYTES = 4 * 2**20
+#: The table: radius -> its read-only row of powers, as wide as the widest request that fit the budget.
+_power_rows: dict[float, np.ndarray] = {}
+#: Held while a row is stored, so that a thread's budget check and store are one step.
+_power_lock = threading.Lock()
 
 
-def _powers(r, width: int, where: np.ndarray | None = None) -> np.ndarray:
-    """The powers r**n for n < ``width``: one row for one radius, or one row per radius of ``r`` masked by ``where``.
+def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
+    """The powers r**n for n < ``width`` of one radius, as a read-only row.
 
     ``np.power`` runs only below the radius's underflow index, the first n
     with n log2(r) <= -1094, and every later power is written as +0.0.
@@ -254,21 +296,47 @@ def _powers(r, width: int, where: np.ndarray | None = None) -> np.ndarray:
     power is bit for bit the one the full-length call computes.  The
     subnormal band 2**-1074 <= r**n < 2**-1022 lies below the index and is
     computed as before: a subnormal power times a large coefficient can be a
-    normal product.  At r = 0 the index is 1, keeping 0**0 = 1.  Per
-    radius, a power is computed only where ``where`` is True, and is 0 elsewhere.
+    normal product.  At r = 0 the index is 1, keeping 0**0 = 1.
+
+    A row of the table at least ``width`` wide gives its first ``width``
+    powers, the same bits: each power is the same ``pow`` of the same
+    inputs at any width.  Otherwise the row is built, and with ``keep``
+    (:func:`_upper`, at the grid radii) it replaces the table's row for
+    ``r`` unless the table would then exceed :data:`_POWER_TABLE_BYTES`; a
+    row past the budget is built for its call alone.
     """
-    n = np.arange(width)
-    if where is None:
-        r = float(r)
-        stop = min(width, math.ceil(_UNDERFLOW_LOG2 / math.log2(r))) if r > 0.0 else 1
-        powers = np.zeros(width)
-        powers[:stop] = r ** n[:stop]
-        return powers
-    log2_r = np.log2(r, out=np.full(r.shape, -np.inf), where=r > 0.0)  # no divide warning at r = 0
-    stop = np.clip(np.ceil(_UNDERFLOW_LOG2 / log2_r), 1, width)
-    powers = np.zeros(where.shape)
-    np.power(r[:, None], n, out=powers, where=where & (n < stop[:, None]))
+    r = float(r)
+    row = _power_rows.get(r)
+    if row is not None and len(row) >= width:
+        return row[:width]
+    stop = min(width, math.ceil(_UNDERFLOW_LOG2 / math.log2(r))) if r > 0.0 else 1
+    powers = np.zeros(width)
+    powers[:stop] = r ** np.arange(stop)
+    powers.flags.writeable = False
+    if keep:
+        with _power_lock:  # another thread may have stored a row since the lookup above
+            stored = _power_rows.get(r)
+            held = sum(kept.nbytes for kept in _power_rows.values()) - (0 if stored is None else stored.nbytes)
+            if (stored is None or len(stored) < width) and held + powers.nbytes <= _POWER_TABLE_BYTES:
+                _power_rows[r] = powers
     return powers
+
+
+def _row_scaled(rows: _Rows, r: np.ndarray) -> np.ndarray:
+    """Each row times the powers of its own radius, over the columns before the longest live prefix.
+
+    A row's powers are computed below its extent and its radius's underflow
+    index (as in :func:`_powers`), the same ``np.power`` of the same inputs,
+    and are +0.0 elsewhere.  A row's live prefix ends at that stop, or at
+    its tail if later; every product past a row's prefix is zero.
+    """
+    log2_r = np.log2(r, out=np.full(r.shape, -np.inf), where=r > 0.0)  # no divide warning at r = 0
+    stop = np.minimum(rows.extent, np.maximum(np.ceil(_UNDERFLOW_LOG2 / log2_r), 1))
+    live = int(np.max(np.maximum(stop, rows.tail), initial=0))
+    n = np.arange(live)
+    powers = np.zeros((len(r), live))
+    np.power(r[:, None], n, out=powers, where=n < stop[:, None])
+    return rows.stack[:, :live] * powers
 
 
 def radial_grid(count: int) -> np.ndarray:
@@ -328,7 +396,8 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
         f = _seeded(stack, rs, v_rs, angles, _upper(stack, rs, angles))
     stack, vals = f.stack, _grid_profile(f, rs, v_rs, angles) * v_rs
     j = np.argmax(vals, axis=1)
-    weighted = lambda r: v(r) * circle_max(stack, r, angles)
+    rows = _Rows.of(stack)  # the extents, once for every polish step
+    weighted = lambda r: v(r) * circle_max(rows, r, angles)
     best = np.maximum(vals[np.arange(len(stack)), j], _golden_max(weighted, *_bracket(rs, j)))
     return NormEstimate(_dropped(best, single))
 
@@ -417,12 +486,16 @@ def _grid_profile(start: _GridStart, rs: np.ndarray, v: np.ndarray, angles: int)
 
 
 def _upper(stack: np.ndarray, rs: np.ndarray, angles: int) -> np.ndarray:
-    """The (rows x radii) table ``upper``: A(r) = sum_n |c_n| r**n widened by :func:`_rounding_slack`."""
+    """The (rows x radii) table ``upper``: A(r) = sum_n |c_n| r**n widened by :func:`_rounding_slack`.
+
+    The power row of each radius goes into the table of :func:`_powers`,
+    within its budget, for this call's ``circle_max`` calls and later ones.
+    """
     rows, width = stack.shape
     magnitudes = np.abs(stack)
     upper = np.empty((rows, len(rs)))
-    for col, r in enumerate(rs):  # one radius at a time: a radii x width table could take gigabytes
-        upper[:, col] = magnitudes @ _powers(r, width)  # the powers circle_max builds for r
+    for col, r in enumerate(rs):  # one radius at a time: the table holds at most _POWER_TABLE_BYTES (4 MiB)
+        upper[:, col] = magnitudes @ _powers(r, width, keep=True)  # the powers circle_max reads for r
     relative, absolute = _rounding_slack(width, angles)
     return upper * (1.0 + relative) + absolute
 

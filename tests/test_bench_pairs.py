@@ -121,7 +121,8 @@ def test_the_layer_script_times_the_witness_ratios_and_the_kernel_calls(tmp_path
         assert workload in script
         script = script.replace(workload, workload.replace(")", ", smoke=True)"))
     seconds = bench_pairs._run_json(["-c", script], _PATH.parent.parent, 600)
-    assert set(seconds) == {"operator_norm_witness_s", "eigenpair_s", "shifted_solve_s", "cesaro_coefficients_s"}
+    names = {"operator_norm_witness_s", "weighted_sup_norm_s", "eigenpair_s", "shifted_solve_s", "cesaro_coefficients_s"}
+    assert set(seconds) == names
     assert all(value > 0.0 for value in seconds.values())
     assert set(bench_pairs.layer_run(tmp_path)) == {"error"}  # no source there
 

@@ -417,6 +417,30 @@ def test_a_grid_below_8_is_refused_before_the_angle_warning_and_the_pool(monkeyp
     assert captured.err == "error: weighted norm grids need at least 8 radii and 8 angles\n"
 
 
+@pytest.mark.parametrize(
+    "argv, angles, degree",
+    [
+        # random witnesses of degree 4096 with --N 64: once compared with 4 x --N = 256, so no warning
+        (("--witness", "random:3", "--degree", "4096", "--N", "64", "--angles", "512"), 512, 4096),
+        ((), 1024, 512),  # the default f1 witness at the default --N 512 and 1024 angles
+    ],
+)
+def test_the_angle_warning_names_the_widest_witness_degree(argv, angles, degree, capsys):
+    assert run("norm", "--t", "0.5", *argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"warning: angle grid {angles} is below 4x the widest witness degree {degree}; "
+        "circle maxima of high-degree images may be under-resolved\n"
+    )
+    assert "estimate=" in captured.out
+
+
+def test_narrow_witnesses_get_no_angle_warning(capsys):
+    # rows 65 wide on 1024 angles, though 1024 is below 4 x the default --N 512
+    assert run("norm", "--t", "0.5", "--witness", "random:2", "--degree", "64") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_the_size_limit_applies_to_config_files_and_ends_at_the_limit(tmp_path, capsys):
     assert ExperimentConfig(truncation=MAX_SIZE, angles=MAX_SIZE, radii=MAX_SIZE, degree=MAX_SIZE).validate()
     with pytest.raises(ValueError, match="--N = 4194305 exceeds"):
@@ -485,7 +509,7 @@ def test_missing_or_unreadable_input_file_is_validation_error(argv, tmp_path, ca
         (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "0.0\n0.5\n", "r,v"),
         (("apply", "--t", "0.5", "--input", "{path}.csv"), "n,re,im\n", "n,re,im"),
         (("norm", "--t", "0.5", "--N", "64", "--weight", "table:{path}.csv"), "", "r,v"),
-        # at the default --N the grid is below 4x truncation: no warning for input that is refused
+        # the default f1 witness's degree --N is above a quarter of the grid: no warning for input that is refused
         (("norm", "--t", "0.5", "--weight", "table:{path}.csv"), "", "r,v"),
     ],
 )

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -279,14 +281,165 @@ def test_the_power_rule_equals_the_full_length_power_bitwise():
                 assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
         for r, width in zip(radii, np.random.default_rng(89).integers(1, 2**12, len(radii))):
             assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
-        # Per row: the masked full-width np.power, with interior zeros in the mask.
+        # Per row: the full-width np.power below each row's extent, and +0.0 past it.
         rng = np.random.default_rng(97)
         for rows, width in ((radii[: len(EDGE_RADII)], 2**17), (radii, 1025), (radii[::7], 4097)):
-            where = rng.random((len(rows), width)) < 0.9
-            want = np.zeros(where.shape)
-            np.power(rows[:, None], np.arange(width), out=want, where=where)
-            assert bits(weights._powers(rows, width, where)) == bits(want)
+            live = np.arange(width) < rng.integers(0, width + 1, len(rows))[:, None]
+            want = np.zeros(live.shape)
+            np.power(rows[:, None], np.arange(width), out=want, where=live)
+            scaled = weights._row_scaled(weights._Rows.of(live.astype(complex)), rows)  # coefficients 1: the powers
+            got = np.zeros(live.shape)
+            got[:, : scaled.shape[1]] = scaled.real
+            assert bits(got) == bits(want) and not np.any(scaled.imag)
     assert weights._powers(0.0, 3).tolist() == [1.0, 0.0, 0.0]
+
+
+def test_an_empty_stack_has_no_maxima_and_no_estimates():
+    empty = np.zeros((0, 7), dtype=complex)
+    for r in (0.5, np.zeros(0)):  # one radius, and one per row
+        assert bits(circle_max(empty, r, 64)) == bits(np.zeros(0))
+    assert bits(weighted_sup_norm([], Weight.unit()).value) == bits(np.zeros(0))
+    assert bits(weighted_sup_norm(empty, Weight.standard(2.0)).value) == bits(np.zeros(0))
+
+
+def _polish_stack():
+    """Rows whose live prefixes differ: constant, trailing zeros below and above 64 columns, zero, full, NaN."""
+    rng = np.random.default_rng(103)
+    noise = lambda d: rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    stack = np.zeros((6, 400), dtype=complex)
+    stack[0, 0] = 2.0 - 1.0j  # extent 1
+    stack[1, :10] = noise(10)  # extent 10, below the angle count
+    stack[3, :300] = noise(300)  # extent 300, above it, with an interior zero
+    stack[3, 150] = 0.0
+    stack[4] = noise(400)
+    stack[5, :40] = noise(40)
+    stack[5, 20] = np.nan
+    return stack
+
+
+@pytest.mark.parametrize("spec", ["unit", "gamma:5", "logpow:2", "table"])
+def test_the_polish_over_live_prefixes_equals_the_per_series_oracle(spec):
+    # gamma:5 polishes near r = 0, where a small radius's powers underflow before the extents of rows 3 and 4;
+    # under the unit weight the random rows peak at the last grid radius, bracketed by the outer radius.
+    v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
+    stack, rs = _polish_stack(), radial_grid(16)
+    peaks = {int(np.argmax([v(r) * scalar_circle_max(row, r, 64) for r in rs])) for row in stack}
+    assert 0 in peaks and (spec != "unit" or 15 in peaks)  # a bracket at r = 0, and one at the outer radius
+    want = [scalar_weighted_sup_norm(row, v, 16, 64) for row in stack]
+    assert bits(weighted_sup_norm(stack, v, radii=16, angles=64).value) == bits(want)
+    assert np.isnan(want[5]) and not np.any(np.isnan(want[:5]))
+
+
+def test_prepared_rows_give_the_plain_stacks_per_row_maxima():
+    stack = _polish_stack()
+    rows = weights._Rows.of(stack)
+    assert rows.extent.tolist() == [1, 10, 0, 300, 400, 40] and rows.tail.tolist() == [0, 0, 0, 0, 0, 21]
+    rng = np.random.default_rng(107)
+    for angles in (8, 64, 97, 1024):
+        for radii in (np.zeros(6), np.resize(EDGE_RADII, 6), rng.random(6), rng.random(6) ** 30):
+            want = [scalar_circle_max(row, r, angles) for row, r in zip(stack, radii)]
+            assert bits(circle_max(rows, radii, angles)) == bits(circle_max(stack, radii, angles)) == bits(want)
+
+
+def test_a_non_finite_coefficient_past_the_underflow_index_keeps_its_row_nan():
+    # At r = 0.05 every power from n = 254 on is cut to +0.0, and inf * 0.0 and nan * 0.0 are NaN.
+    stack = np.zeros((3, 1000), dtype=complex)
+    stack[:, 0] = 1.0
+    stack[:, 900] = (np.inf, np.nan, 1.0)
+    radii = np.full(3, 0.05)
+    with np.errstate(invalid="ignore"):
+        want = [scalar_circle_max(row, 0.05, 64) for row in stack]
+        got = circle_max(stack, radii, 64)
+        assert bits(got) == bits(want) and bits(circle_max(stack, 0.05, 64)) == bits(want)
+    assert np.isnan(got[:2]).all() and got[2] == 1.0
+
+
+def test_circle_max_takes_one_radius_or_one_per_row():
+    with pytest.raises(ValueError, match="one radius or one per row, got 3 radii for 2 rows"):
+        circle_max(np.ones((2, 4), dtype=complex), np.full(3, 0.5), 16)
+
+
+@pytest.fixture
+def power_table(monkeypatch):
+    """An empty table of grid power rows, in place of the process's for one test."""
+    table = {}
+    monkeypatch.setattr(weights, "_power_rows", table)
+    return table
+
+
+@pytest.mark.parametrize("widths", [(4097, 9), (9, 4097), (2049, 2049, 1)])
+def test_a_table_row_gives_a_fresh_builds_bits_at_any_width(widths, power_table):
+    for r in (*EDGE_RADII, *radial_grid(216)[::5]):
+        for width in widths:
+            fresh = float(r) ** np.arange(width)
+            assert bits(weights._powers(r, width, keep=True)) == bits(fresh), (r, width)
+            assert bits(weights._powers(r, width)) == bits(fresh), (r, width)
+        assert len(power_table[float(r)]) == max(widths)  # the widest request stays
+
+
+def test_table_rows_are_read_only(power_table):
+    weights._upper(np.ones((2, 50), dtype=complex), radial_grid(16), 64)
+    assert set(power_table) == set(radial_grid(16))
+    for r, row in power_table.items():
+        assert not row.flags.writeable and not weights._powers(r, 20).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 2.0
+
+
+def test_a_row_past_the_byte_budget_is_built_per_call(power_table):
+    assert weights._POWER_TABLE_BYTES == 4 * 2**20
+    r, width = radial_grid(64)[-1], weights._POWER_TABLE_BYTES // 8 + 1
+    row = weights._powers(r, width, keep=True)
+    assert not power_table and bits(row) == bits(float(r) ** np.arange(width))
+    weights._powers(r, 8, keep=True)
+    assert bits(weights._powers(r, width, keep=True)) == bits(row) and [len(x) for x in power_table.values()] == [8]
+    # The default grid and its outer radius at degree 2048, the widest norm_pool witness, fit the budget.
+    pool = [random_series(2048, np.random.default_rng(109)), constant_one(512)]
+    operator_norm_witness(0.5, Weight.standard(2.0), pool)
+    assert len(power_table) == 65 and all(len(x) == 2049 for x in power_table.values())
+    assert sum(x.nbytes for x in power_table.values()) <= weights._POWER_TABLE_BYTES
+
+
+def test_threads_filling_the_table_keep_it_within_its_budget(power_table, monkeypatch):
+    monkeypatch.setattr(weights, "_POWER_TABLE_BYTES", 20 * 64 * 8)  # 20 rows of 64 powers; requests reach 128
+    radii, failures = radial_grid(64), []
+
+    def fill(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for r, width in zip(rng.choice(radii, 300), rng.integers(1, 129, 300)):
+                if bits(weights._powers(r, width, keep=True)) != bits(float(r) ** np.arange(width)):
+                    failures.append((r, width))
+        except RuntimeError as error:  # a dict changed during the budget's sum
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(seed,)) for seed in range(6)]  # more threads than cores
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not failures
+    assert sum(row.nbytes for row in power_table.values()) <= weights._POWER_TABLE_BYTES
+
+
+def test_the_grid_measures_a_pair_whose_bound_ties_the_best_measured_value():
+    # A constant row has M(r) = 1 and one bound A = 1 + slack at every radius.  The table weight is 1 at r = 0
+    # and s from r_1 on, with fl(s * A) = 1 exactly: the seed is r = 0, where v M = 1, and every other pair ties it.
+    rs, stack = radial_grid(8), np.ones((1, 1), dtype=complex)
+    upper = weights._upper(stack, rs, 64)
+    s = 1.0 / upper[0, 0]
+    while s * upper[0, 0] != 1.0:
+        s = np.nextafter(s, 2.0 if s * upper[0, 0] < 1.0 else 0.0)
+    v = Weight.from_table([0.0, rs[1]], [1.0, s])
+    assert v(rs).tolist() == [1.0] + [s] * 7 and (upper * v(rs))[0, 1:].tolist() == [1.0] * 7
+    start = weights._seeded(stack, rs, v(rs), 64, upper)
+    assert start.profile.tolist() == [[1.0] + [-math.inf] * 7]
+    assert weights._grid_profile(start, rs, v(rs), 64).tolist() == [[1.0] * 8]  # ties are measured
 
 
 def _grid_only(f, v, radii, angles):

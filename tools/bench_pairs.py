@@ -16,7 +16,9 @@ seed for its per-layer counts.  Last come the layer timings, in process
 (:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
 the ``operator_norm_witness`` calls of seed 1's ``norm_pool`` and
 ``paper_report`` queries, public inputs, so both sides time the same job;
-the ``eigenpair`` calls of seed 1's ``long_series`` queries, and its
+the public ``weighted_sup_norm`` of each seed-1 ``norm_pool`` query's
+witnesses and images under its weight, every row polished; the
+``eigenpair`` calls of seed 1's ``long_series`` queries, and its
 ``resolvent_apply`` and ``range_preimage`` calls, the other two users of the
 shifted kernel; the ``cesaro_coefficients`` calls of seed 1's
 ``long_series`` and ``paper_report`` queries.  The temporary directories
@@ -60,11 +62,14 @@ LAYER_SEED = 1
 #: ``cesaro.resolvent_apply``, ``cesaro.range_preimage`` and ``cesaro_coefficients`` (bound in ``operators`` and
 #: ``dynamics``) record their arguments, so the inputs are the ones the workloads pass; then the recorded calls are
 #: timed over the whole pass: the witness ratios of the ``norm_pool`` and ``paper_report`` passes
-#: (``operator_norm_witness_s``), ``eigenpair`` (its overflow refusals included), the resolvents with the range
-#: preimages (``shifted_solve_s``), and the forward map's calls of the ``long_series`` and ``paper_report`` passes
-#: (``cesaro_coefficients_s``).
+#: (``operator_norm_witness_s``), the public ``weighted_sup_norm`` of each ``norm_pool`` query's stack of witnesses
+#: and their images under its weight, every row polished, so the polish's per-row cost without the witness pruning
+#: (``weighted_sup_norm_s``; the stacks are built before the clock starts), ``eigenpair`` (its overflow refusals
+#: included), the resolvents with the range preimages (``shifted_solve_s``), and the forward map's calls of the
+#: ``long_series`` and ``paper_report`` passes (``cesaro_coefficients_s``).
 LAYER_SCRIPT = f"""
-import json, sys, time, warnings
+import inspect, json, sys, time, warnings
+import numpy as np
 sys.path[:0] = ["src", "benchmarks"]
 import cesaro
 from cesaro import acceptance, dynamics, operators, weights
@@ -105,6 +110,18 @@ def replay(function, calls):
     return [function(*args, **kwargs) for args, kwargs in calls]
 
 
+def witness_stacks(calls):  # per call and weight: its witnesses then their images for every t, the weight, the grid
+    stacks = []
+    for args, kwargs in calls:
+        given = inspect.signature(witness).bind(*args, **kwargs)
+        given.apply_defaults()
+        t, v, pool = given.arguments["t"], given.arguments["v"], list(given.arguments["witnesses"])
+        images = [cesaro.apply(cesaro.CesaroOperator(x), w) for x in np.atleast_1d(t).tolist() for w in pool]
+        grid = {{"radii": given.arguments["radii"], "angles": given.arguments["angles"]}}
+        stacks += [(pool + images, w, grid) for w in ([v] if isinstance(v, cesaro.Weight) else v)]
+    return stacks
+
+
 modules = [cesaro, operators, dynamics, weights, acceptance]
 [(witness, norm_calls)] = recorded(modules, ["operator_norm_witness"], NormPool({LAYER_SEED}))
 (solve, eigen_calls), (resolve, resolvent_calls), (preimage, preimage_calls), (forward, forward_calls) = recorded(
@@ -113,8 +130,10 @@ modules = [cesaro, operators, dynamics, weights, acceptance]
 (_, report_forward_calls), (_, report_witness_calls) = recorded(
     modules, ["cesaro_coefficients", "operator_norm_witness"], PaperReport({LAYER_SEED})
 )
+norm_stacks = witness_stacks(norm_calls)
 passes = {{
     "operator_norm_witness_s": lambda: replay(witness, norm_calls + report_witness_calls),
+    "weighted_sup_norm_s": lambda: [cesaro.weighted_sup_norm(*stack, **grid) for *stack, grid in norm_stacks],
     "eigenpair_s": eigenpairs,
     "shifted_solve_s": lambda: replay(resolve, resolvent_calls) + replay(preimage, preimage_calls),
     "cesaro_coefficients_s": lambda: replay(forward, forward_calls + report_forward_calls),
