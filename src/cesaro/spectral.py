@@ -219,6 +219,10 @@ def product_bound_scan(nu: complex, n_max: int) -> ProductBoundReport:
     big_d = float(np.max(scaled[window]))
     tail = k >= max(10, n_max // 10)
     x = np.log(k[tail])
-    x -= x.mean()  # centred, so x @ y is the least-squares x @ (y - mean(y))
-    slope = float(x @ log_scaled[tail] / (x @ x))
+    x -= x.mean()  # centred, so x . y is the least-squares x . (y - mean(y))
+    # BLAS ddot splits long sums across threads, so its last bits follow the BLAS thread count; einsum does
+    # not thread, so the slope no longer depends on that count.  Its SIMD order may still vary with the numpy
+    # build and the CPU.
+    dot = lambda a, b: np.einsum("i,i->", a, b)
+    slope = float(dot(x, log_scaled[tail]) / dot(x, x))
     return ProductBoundReport(alpha, k.astype(int), p, scaled, d_hat, big_d, slope)

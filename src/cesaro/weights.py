@@ -25,9 +25,9 @@ list of series of any degrees.  :func:`weighted_sup_norm` takes one weight,
 :func:`operator_norm_witness` sequences of ``t`` and of weights.  A
 :func:`weighted_sup_norm` call costs at most one FFT call per grid radius,
 plus one per distinct seed radius, and one per polish step (one radius per
-row there): the grid pass measures only the (row, radius) pairs whose
-upper bound sum_n |f[n]| r**n can reach the row's best measured value
-under the weight.  A witness sweep stacks the witnesses once, followed by
+row there, and none when no row is left to polish): the grid pass
+measures only the (row, radius) pairs whose upper bound sum_n |f[n]| r**n
+can reach the row's best measured value under the weight.  A witness sweep stacks the witnesses once, followed by
 their images for every ``t``, and builds the stack's table of those upper
 bounds once; then it runs one pass per weight.  A pass runs the grid's
 seed stage under its weight on every row, and bounds from those seeds pick
@@ -35,7 +35,13 @@ the witness rows, and their images, that can still hold the weight's
 largest ratio.  Only those are polished: one :func:`weighted_sup_norm`
 call takes them with their seeds and runs the rest of their grid pass and
 their polish; the others stop after their seeds.  Within a pass no (row,
-radius) pair is measured twice.
+radius) pair is measured twice.  Of the rows reaching the polish, those
+whose grid maximum sits at r = 0 and provably cannot rise within their
+bracket [0, r_1] under a ``gamma:`` or ``logpow:`` weight keep their grid
+value and take no polish step (:func:`_settled`), which is the value the
+polish would return, bit for bit.  On the ``norm_pool`` benchmark's seeds
+1-3 that settles 372 of 480, 372 of 486 and 383 of 502 rows, and 498 of
+635 in acceptance check 12.
 
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
 bounds take r**n from one rule, which calls ``pow`` only below the radius's
@@ -88,6 +94,10 @@ MAX_RADII = 216
 _MONOTONE_SLACK = 1e-12
 #: Golden-section steps of the radial polish.
 _GOLDEN_STEPS = 40
+#: 1/phi, the golden-section ratio.
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Per unit bracket, a floor under every golden-section sample of a bracket [0, r] (:func:`_settled`).
+_GOLDEN_FLOOR = (1.0 - _INVPHI) * _INVPHI**_GOLDEN_STEPS * (1.0 - 2.0**-20)
 
 
 class Weight:
@@ -376,7 +386,10 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     Takes the max of ``v(r) * circle_max(f, r)`` over the clustered radial
     grid, then a golden-section polish of the radius around the grid argmax
     tightens the estimate.  Both passes only evaluate the function, so the
-    result never exceeds the true supremum.
+    result never exceeds the true supremum.  A row whose grid argmax is
+    r = 0 and whose bracket [0, r_1] provably holds no sample above its grid
+    value (:func:`_settled`: ``gamma:`` and ``logpow:`` weights only) keeps
+    that value without a polish step, the polish's own result bit for bit.
 
     ``f`` is a :class:`TaylorSeries`, a list of series or a (batch x
     coefficients) stack, and ``v`` one :class:`Weight`; the
@@ -385,7 +398,7 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     :func:`_grid_profile`: it measures only the pairs that can hold a row's
     maximum, at most one stacked ``circle_max`` per radius), which is scaled
     by ``v(r)`` before the argmax and polish (one stacked ``circle_max`` per
-    step).
+    step over the rows not settled, none when every row is).
     """
     if not isinstance(v, Weight):  # a weight sequence would fail later as "not callable"
         raise TypeError(f"weighted_sup_norm takes one Weight, got {type(v).__name__}")
@@ -394,11 +407,14 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     if not isinstance(f, _GridStart):  # a witness sweep hands in rows whose seed stage has run
         stack = _coefficient_stack(f)
         f = _seeded(stack, rs, v_rs, angles, _upper(stack, rs, angles))
-    stack, vals = f.stack, _grid_profile(f, rs, v_rs, angles) * v_rs
+    vals = _grid_profile(f, rs, v_rs, angles) * v_rs
     j = np.argmax(vals, axis=1)
-    rows = _Rows.of(stack)  # the extents, once for every polish step
-    weighted = lambda r: v(r) * circle_max(rows, r, angles)
-    best = np.maximum(vals[np.arange(len(stack)), j], _golden_max(weighted, *_bracket(rs, j)))
+    best = vals[np.arange(len(j)), j]
+    polish = ~_settled(f, j, best, v, rs, v_rs, angles)
+    if polish.any():
+        rows = _Rows.of(f.stack[polish])  # the extents, once for every polish step
+        weighted = lambda r: v(r) * circle_max(rows, r, angles)
+        best[polish] = np.maximum(best[polish], _golden_max(weighted, *_bracket(rs, j[polish])))
     return NormEstimate(_dropped(best, single))
 
 
@@ -525,22 +541,110 @@ def _golden_max(fn, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     The rows run in lockstep: each of the :data:`_GOLDEN_STEPS` steps
     evaluates ``fn`` once, at one new radius per row.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
     best = np.maximum(fc, fd)
     for _ in range(_GOLDEN_STEPS):
         left = fc >= fd  # the maximum lies in [a, d]: d becomes b, c becomes d
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
         fx = fn(x)
         c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
         d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
         best = np.maximum(best, np.maximum(fc, fd))
     return best
+
+
+def _settled(
+    start: _GridStart, j: np.ndarray, grid: np.ndarray, v: Weight, rs: np.ndarray, v_rs: np.ndarray, angles: int
+) -> np.ndarray:
+    """The rows whose polish provably returns their grid value ``grid``: argmax ``j`` at r = 0, no sample above it.
+
+    Such a row's polished value max(grid, samples) is ``grid`` bit for bit,
+    so it takes no polish step.  The bracket of j = 0 is [0, r1], r1 =
+    ``rs[1]`` (:func:`_bracket`).  With c = |c_0|, A(x) = sum_n |c_n| x**n
+    and a slope kappa with v(x) <= 1 - kappa x on [0, r1], every sample x
+    of the bracket, x >= x_min, has
+
+        v(x) A(x) <= (1 - kappa x) (c + (x / r1) (A(r1) - c)) <= c - x D,
+        D = kappa c - (A(r1) - c) / r1,
+
+    since x**n <= (x / r1) r1**n for n >= 1 and the dropped term
+    -kappa x**2 (A(r1) - c) / r1 is not positive.  With D > 0 every sample
+    lies at or below c - x_min D, up to rounding; the row settles when that
+    bound, with the rounding below, is at or below ``grid``.  The terms:
+
+    * x_min, the smallest sample over every golden path in [0, r1]
+      (:func:`_golden_max`).  A right step samples fl(a + p) >= a, and a
+      left step with a > 0 samples fl(b - p) >= a, as p = fl(invphi fl(b -
+      a)) < b - a; such an a is an earlier sample.  So the smallest sample
+      lies on the all-left path, whose k-th new sample is (1 - invphi)
+      invphi**k r1 to a relative 100u (each one is computed afresh from
+      the second-last, within 4.3u, over at most 21 links; u = 2**-53).
+      So x_min = (1 - invphi) invphi**40 r1 (1 - 2**-20), about 2.66e-10.
+    * kappa.  ``gamma:g``: (1 - r)**g is convex on [0, 1) for g >= 1 and
+      lies below its chord from 0 to r1, of slope (1 - v(r1)) / r1; for
+      g <= 1 it is concave and lies below its tangent at 0, of slope g.
+      So kappa = min(chord, g) holds either way.  ``logpow:n``: v'' has
+      the sign of n + 1 - log(e/(1 - r)), so v is convex on [0, 1 - e**-n]
+      ⊇ [0, r1] and kappa is the chord.  The chord is read from
+      ``v_rs[1]``, the computed v(r1), within 2**-40 (below), and 1 -
+      v(r1) > 0.14 in both convex cases, so the computed chord errs by
+      under 2**-36 relative; kappa is taken 2**-20 below.  ``unit`` and
+      ``table`` weights never settle.
+    * A(r1) <= A+ + 2**-1072 sum_n |c_n|, A+ the widened A at r1 (column 1
+      of ``upper``), which D reads in place of A(r1): the widening covers
+      the sum's rounding and the ulp of each power, and the absolute term
+      the powers that are subnormal or cut to zero (:func:`_powers`).  It
+      adds at most (x / r1) 2**-1072 sum_n |c_n| to the bound.  A row
+      whose A is NaN never settles.
+    * M^ <= S (1 + rel) + abs for the computed circle maximum, where S =
+      sum_n |c_n| p_n over the computed powers p_n (:func:`_rounding_slack`,
+      whose M part this is, at the row's width or the narrower live
+      prefix the polish transforms).  A power is within an ulp of x**n, so
+      S <= A(x) (1 + 2u) + 2**-1074 sum_n |c_n|.
+    * The weight-value slack: the computed v(x) is within 2**-40 of v(x)
+      on [0, r1].  ``gamma:g`` is pow at fl(1 - x), with fl(1 - x) within
+      2**-54 of 1 - x >= 0.84, so within (1 + 2**-53.7)**g (1 + 2u) for
+      the g < 54 whose weight does not underflow at the shape check.
+      ``logpow:n`` is within (1 + 7u)**n (1 + 5u) < 1 + 2**-40 for the
+      n <= 276 the shape check admits, the argument of
+      :func:`_estimate_bounds`.
+    * The ulp of ``np.abs(c_0)``: c <= |c_0| (1 + 2u), and c - x_min D
+      rises by at most that much (its slope in c is 1 - x_min (kappa +
+      1/r1), in (0, 1)); against c - x_min D >= c / 2 that is 4u relative.
+
+    A sample is fl(fl(v(x)) M^(x)), one more rounding: u relative, or
+    2**-1075 below the normal range.  So every sample is at most (c - x_min
+    D) (1 + eps) + delta with eps = rel + 2**-40 + 2**-48, where 2**-48 =
+    32u covers the 4u of the chain, the 4u of |c_0| and the roundings of
+    evaluating the bound (D within a few u of kappa c, which x_min scales
+    to nothing, and four more operations), and delta = 2 (abs + 2**-1072
+    (1 + sum_n |c_n|)) covers the absolute terms.  The bound is NaN, and the row is polished, when a
+    coefficient is.  |c_0| <= 2**900 keeps every partial sum of a transform
+    finite, so no sample is inf or NaN: such a sum is at most the
+    transform's length times A(x) <= A(r1), and D > 0 gives A(r1) < 2c.
+    """
+    settled, rows = np.zeros(len(j), dtype=bool), np.flatnonzero(j == 0)
+    if v.kind not in ("standard_gamma", "log_power") or not len(rows):
+        return settled
+    r1 = float(rs[1])
+    kappa = (1.0 - float(v_rs[1])) / r1
+    if v.kind == "standard_gamma":
+        kappa = min(kappa, v.gamma)
+    kappa *= 1.0 - 2.0**-20
+    floor = _GOLDEN_FLOOR * r1
+    magnitudes = np.abs(start.stack[rows])
+    c, total = magnitudes[:, 0], np.sum(magnitudes, axis=1)
+    slope = kappa * c - (start.upper[rows, 1] - c) / r1
+    relative, absolute = _rounding_slack(magnitudes.shape[1], angles)
+    eps, delta = relative + 2.0**-40 + 2.0**-48, 2.0 * (absolute + 2.0**-1072 * (1.0 + total))
+    bound = (c - floor * slope) * (1.0 + eps) + delta
+    settled[rows] = (slope > 0.0) & (c <= 2.0**900) & (bound <= grid[rows])
+    return settled
 
 
 #: Relative headroom of :func:`_estimate_bounds` on a weight value and on a bound A: 2**21 units of roundoff.

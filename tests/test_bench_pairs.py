@@ -148,3 +148,38 @@ def test_layer_timings_alternate_the_sides_and_keep_each_best(monkeypatch):
     failed = bench_pairs.layer_timings({"parent": "parent", "change": "broken"})
     assert failed["change"] == {"error": "exit 1: no source"} and set(failed["parent"]) == {"grid_s", "full_s"}
     assert failed["change_over_parent"] == {"grid_s": None, "full_s": None}
+
+
+def test_traced_runs_alternate_the_sides_keep_every_run_and_check_the_counts(monkeypatch):
+    order = []
+
+    def canned(checkout, workload, seed, seconds, trace):
+        assert (workload, seed, seconds, trace) == ("norm_pool", 7, 32, 1)
+        order.append(checkout)
+        run = sum(1 for side in order if side == checkout)
+        calls = 6040.0 + (1e-9 if run == 2 else 0.0)  # per-pass counts carry float noise
+        if checkout == "drifting" and run == 3:
+            calls = 6041.0
+        if checkout == "broken" and run == 2:
+            return {"error": "exit 1"}
+        seconds_run = {"parent": (0.80, 0.66, 0.70), "change": (0.59, 0.48, 0.50)}.get(checkout, (1.0, 2.0, 3.0))
+        return {"metrics": {
+            "weights.circle_max.calls": {"value": calls, "unit": "count"},
+            "weights.circle_max.self_s": {"value": seconds_run[run - 1], "unit": "s"},
+        }}
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    traced = bench_pairs.traced_runs({"parent": "parent", "change": "change"}, "norm_pool", 7, 32)
+    assert order == ["parent", "change", "change", "parent", "parent", "change"]
+    for side, values in (("parent", [0.80, 0.66, 0.70]), ("change", [0.59, 0.48, 0.50])):
+        entry = traced[side]
+        assert len(entry["runs"]) == bench_pairs.TRACE_REPEATS == 3
+        assert entry["metrics"]["weights.circle_max.self_s"] == {"unit": "s", "values": values, "median": values[2]}
+        assert entry["metrics"]["weights.circle_max.calls"]["median"] == pytest.approx(6040.0)
+        assert entry["count_mismatches"] == []
+    order.clear()
+    traced = bench_pairs.traced_runs({"parent": "drifting", "change": "broken"}, "norm_pool", 7, 32)
+    assert traced["parent"]["count_mismatches"] == ["weights.circle_max.calls"]
+    assert traced["change"]["runs"][1] == {"error": "exit 1"}  # kept, and left out of the values
+    assert traced["change"]["metrics"]["weights.circle_max.self_s"]["values"] == [1.0, 3.0]
+    assert traced["change"]["count_mismatches"] == []

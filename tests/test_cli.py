@@ -1,8 +1,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -192,6 +195,19 @@ def test_resolvent_artifact(tmp_path, series_file):
     assert code == EXIT_OK
     got = load_series(str(out))
     np.testing.assert_allclose(got.coeffs[0].real, -1.0)
+
+
+def test_a_lemma_bounds_artifact_is_the_same_at_one_and_two_blas_threads():
+    # OpenBLAS reads its thread count at start-up, so each count runs in its own process.  At n = 20000 the
+    # tail fit's dot products are long enough that a threaded BLAS sum would split them.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        args = [sys.executable, "-m", "cesaro.cli", "lemma-bounds", "--nu=2", "--nmax", "20000", "--format", "json"]
+        outputs.append(subprocess.run(args, capture_output=True, env=env, timeout=300, check=True).stdout)
+    assert outputs[0] == outputs[1] and b'"tail_slope"' in outputs[0]
 
 
 def test_lemma_bounds_header_and_meta(tmp_path):

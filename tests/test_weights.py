@@ -3,6 +3,7 @@ import sys
 import threading
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -515,6 +516,11 @@ def test_every_sweep_entry_equals_its_single_witness_call():
     assert bits(single([SWEEP_TS[0]], [SWEEP_WEIGHTS[3]])) == bits(table[3:, :1])
 
 
+def _without_settling(monkeypatch):
+    """Make every row take the full polish, as before rows settled at r = 0."""
+    monkeypatch.setattr(weights, "_settled", lambda start, j, *rest: np.zeros(len(j), dtype=bool))
+
+
 def _counted_circle_max(monkeypatch):
     """Record each ``circle_max`` call: (stack, radius) for a grid call, the radii array for a polish call."""
     grid, polish = [], []
@@ -575,6 +581,7 @@ def test_the_grid_pass_evaluates_each_weight_once(monkeypatch):
     original = Weight.__call__
     monkeypatch.setattr(Weight, "__call__", lambda self, r: calls.append(np.shape(r)) or original(self, r))
     pool = _ragged_pool(np.random.default_rng(67), 3)
+    _without_settling(monkeypatch)  # settling has its own tests below
     for v in SWEEP_WEIGHTS:
         calls.clear()
         weighted_sup_norm(pool, v, radii=16, angles=64)
@@ -791,6 +798,7 @@ def test_a_norm_pool_query_polishes_fewer_than_every_row(monkeypatch):
     )]
     want = [_every_row_polished([t], [v], pool, 64, 1024)[0, 0] for t, v, pool in queries]
     _, polish = _counted_circle_max(monkeypatch)
+    _without_settling(monkeypatch)  # the prune alone: settling has its own tests below
     rows = []
     for t, v, pool in queries:
         polish.clear()
@@ -798,6 +806,162 @@ def test_a_norm_pool_query_polishes_fewer_than_every_row(monkeypatch):
         assert len(polish) == 42 and len({len(r) for r in polish}) == 1  # 2 + 40 steps, one radius per row
         rows.append(len(polish[0]))
     assert max(rows) <= 2 * 5 and sum(rows) < 2 * 5 * len(queries)
+
+
+#: The weights whose rows can settle at r = 0, convex and concave on [0, r_1].
+SETTLE_WEIGHTS = [Weight.standard(g) for g in (0.25, 0.5, 1.0, 2.0, 5.0)] + [Weight.log_power(n) for n in (1, 2, 5)]
+R1 = float(radial_grid(2)[1])
+
+
+def _kappa(v):
+    """The slope of v's linear majorant 1 - kappa x on [0, r_1], to 30 digits, independent of the library."""
+    r1 = mpmath.mpf(R1)
+    with mpmath.workdps(30):
+        if v.kind == "standard_gamma":  # convex for gamma >= 1 (chord), concave below (tangent at 0)
+            return min((1 - (1 - r1) ** v.gamma) / r1, mpmath.mpf(v.gamma))
+        return (1 - (1 - mpmath.log(1 - r1)) ** -int(v.label.split(":")[1])) / r1  # convex on [0, r_1]
+
+
+def _settle_stack(v, width, rng):
+    """Rows peaking at r = 0 with |c_1| / (kappa |c_0|) from 0 to 1.02, tails, and rows that peak elsewhere."""
+    kappa = float(_kappa(v))
+    rows = []
+    for q in (0.0, 0.9, 0.97, 0.985, 0.995, 1.02):
+        c0 = rng.uniform(1e-3, 1e3) * np.exp(2j * np.pi * rng.random())
+        row = np.zeros(width, dtype=complex)
+        row[0], row[1 % width] = c0, q * kappa * abs(c0) * np.exp(2j * np.pi * rng.random()) if width > 1 else 0.0
+        if width > 2:  # a tail that moves A(r_1) by a hundredth of the margin or less
+            row[2:] = 1e-4 * abs(c0) * (rng.standard_normal(width - 2) + 1j * rng.standard_normal(width - 2))
+            row[2:] *= 0.5 ** np.arange(width - 2)
+        rows.append(row)
+    rows.append(np.r_[2.5 - 1.0j, np.zeros(width - 1)])  # a constant: settles under every such weight
+    noise = rng.standard_normal((3, width)) + 1j * rng.standard_normal((3, width))
+    return np.vstack(rows + [noise[0], noise[1] * 1e-310, noise[2] * (0.9 ** np.arange(width))])
+
+
+@pytest.mark.parametrize(
+    "width, angles", [(2, 8), (2, 1024), (17, 97), (17, 512), (300, 1024), (300, 4093), (4097, 8), (4097, 1024)]
+)
+def test_a_settled_row_keeps_the_full_polishs_bits(width, angles, monkeypatch):
+    rng = np.random.default_rng(width * 7919 + angles)
+    stacks = {v.label: _settle_stack(v, width, rng) for v in SETTLE_WEIGHTS}
+    got, settled, original = {}, [], weights._settled
+    monkeypatch.setattr(weights, "_settled", lambda *a: settled.append(original(*a)) or settled[-1])
+    for v in SETTLE_WEIGHTS:
+        got[v.label] = weighted_sup_norm(stacks[v.label], v, radii=16, angles=angles).value
+    assert sum(int(np.sum(s)) for s in settled) >= len(SETTLE_WEIGHTS)  # the rule fired, at least on the constants
+    _without_settling(monkeypatch)
+    for v in SETTLE_WEIGHTS:
+        assert bits(weighted_sup_norm(stacks[v.label], v, radii=16, angles=angles).value) == bits(got[v.label])
+
+
+def _all_left_samples(hi):
+    """Every sample of the golden section on [0, hi] whose every step goes left (a constant function)."""
+    samples = []
+    weights._golden_max(lambda r: samples.append(r) or np.zeros_like(r), np.zeros(1), np.array([hi]))
+    return np.concatenate(samples)
+
+
+@pytest.mark.parametrize("hi", [R1, 1e-3, 0.5, 1.0 - 2.0**-20])
+def test_every_golden_sample_of_a_bracket_from_zero_is_at_least_the_floor(hi):
+    floor = weights._GOLDEN_FLOOR * hi
+    left = _all_left_samples(hi)
+    assert np.min(left) >= floor and np.min(left) <= floor * (1.0 + 2.0**-19)  # the all-left path meets it
+    rng = np.random.default_rng(109)
+    paths = {
+        "right": lambda r: r,  # increasing: every step goes right
+        "random": lambda r: rng.random(r.shape),
+        "late-left": lambda r: np.where(r > 0.3 * hi, -r, r),  # right, then left around 0.3 hi
+    }
+    for path in paths.values():
+        samples = []
+        weights._golden_max(lambda r: samples.append(r) or path(r), np.zeros(64), np.full(64, hi))
+        assert np.min(samples) >= floor
+
+
+@pytest.mark.parametrize("angles", [97, 1024])  # 97 is prime: a Bluestein transform
+def test_a_settled_row_stays_at_or_below_its_grid_value_across_its_bracket(angles):
+    rng, rs = np.random.default_rng(113), radial_grid(16)
+    radii = np.geomspace(weights._GOLDEN_FLOOR * R1, R1, 2000)
+    rows, grids, weighted = [], [], []  # every weight's settled rows, their grid values, and v at the radii
+    for v in SETTLE_WEIGHTS:
+        stack = _settle_stack(v, 300, rng)
+        start = weights._seeded(stack, rs, v(rs), angles, weights._upper(stack, rs, angles))
+        vals = weights._grid_profile(start, rs, v(rs), angles) * v(rs)
+        j = np.argmax(vals, axis=1)
+        grid = vals[np.arange(len(j)), j]
+        settled = weights._settled(start, j, grid, v, rs, v(rs), angles)
+        assert settled.sum() >= 2
+        rows.append(stack[settled])
+        grids.append(grid[settled])
+        weighted += [v(radii)] * int(settled.sum())
+    stack, grid, weighted = np.vstack(rows), np.concatenate(grids), np.array(weighted)
+    for k, r in enumerate(radii):  # a sample's value is fl(v(r) M(r)), as the polish computes it
+        assert np.all(weighted[:, k] * circle_max(stack, float(r), angles) <= grid)
+
+
+@pytest.mark.parametrize("width, angles", [(2, 1024), (300, 97), (4097, 4093)])
+@pytest.mark.parametrize("v", SETTLE_WEIGHTS, ids=lambda v: v.label)
+def test_the_settle_rule_is_sound_and_tight_in_exact_arithmetic(v, width, angles):
+    # Rows [c0, s] whose margin x_min D sweeps across the rule's threshold.  In exact rationals, with the
+    # true kappa and the true smallest golden sample: every settled row's sample bound is at most its grid
+    # value (sound), and every row whose bound is below it by 2**-44 relative settles (tight).
+    from fractions import Fraction as Q
+
+    u, rs = Q(2) ** -53, radial_grid(8)  # the coarsest grid: its last radius misses the 1e300 term below
+    kappa, x_min = Q(float(_kappa(v) * (1 - mpmath.mpf(2) ** -60))), Q(float(np.min(_all_left_samples(R1))))
+    relative, absolute = weights._rounding_slack(width, angles)
+    eps = (1 + u) * (1 + Q(2) ** -40) * (1 + Q(relative)) * (1 + 2 * u) - 1
+    step = float(relative + 2.0**-40) / float(x_min)
+    s = float(kappa) - relative * (1.0 + float(kappa) * R1) / R1 - step + step * np.linspace(-0.5, 0.5, 401)
+    stack = np.zeros((len(s) + 5, width), dtype=complex)
+    stack[: len(s), 0], stack[: len(s), 1] = 1.0, s
+    stack[len(s):, 0] = (2.0**600, 1e-300, 1e-310, 5e-324, 1e-300)  # huge, tiny, subnormal
+    stack[-1, -1] = 1e300  # far past r_1's underflow index: only the absolute term on A(r_1) sees it
+    start = weights._seeded(stack, rs, v(rs), angles, weights._upper(stack, rs, angles))
+    vals = weights._grid_profile(start, rs, v(rs), angles) * v(rs)
+    j = np.argmax(vals, axis=1)
+    grid = vals[np.arange(len(j)), j]
+    settled = weights._settled(start, j, grid, v, rs, v(rs), angles)
+    sound = tight = 0
+    for row, a1, g, done, at in zip(stack, start.upper[:, 1], grid, settled, j):
+        c = Q(float(abs(row[0]))) * (1 + 2 * u)
+        total = sum(Q(float(abs(x))) for x in row[row != 0]) * (1 + 2 * u)
+        slope = kappa * c - (Q(float(a1)) - c) / Q(R1)  # A(r_1) <= A+ + 2**-1072 sum |c_n|, the second term below
+        bound = (c - x_min * slope) * (1 + eps) + (1 + eps) * (Q(2) ** -1072 + Q(2) ** -1074) * total
+        bound += (1 + Q(2) ** -40) * (1 + u) * Q(absolute) + Q(2) ** -1075
+        fits = at == 0 and slope > 0 and bound <= Q(float(g))
+        if done:
+            assert fits, (row[:2], float(bound - Q(float(g))))
+            sound += 1
+        elif fits and bound <= Q(float(g)) * (1 - Q(2) ** -44) and abs(row[0]) >= 1e-290:  # no subnormal c0
+            raise AssertionError(f"row {row[:2]} fits by more than 2**-44 and did not settle")
+        tight += not fits
+    assert sound >= 100 and tight >= 100  # both sides of the threshold are swept
+
+
+def test_rows_of_nan_unit_or_table_weights_never_settle():
+    rs, angles = radial_grid(16), 64
+    stack = np.array([[1.0, 0.1, 0.0], [1.0, np.nan, 0.0], [np.nan, 0.0, 0.0], [1.0, 0.0, np.inf], [0.0, 0.0, 0.0]])
+    for v in [Weight.standard(2.0), Weight.log_power(1), Weight.unit(), TABLE_WEIGHT]:
+        with np.errstate(invalid="ignore"):  # inf * 0.0 in the A table
+            start = weights._seeded(stack, rs, v(rs), angles, weights._upper(stack, rs, angles))
+            vals = weights._grid_profile(start, rs, v(rs), angles) * v(rs)
+        j = np.argmax(vals, axis=1)
+        settled = weights._settled(start, j, vals[np.arange(len(j)), j], v, rs, v(rs), angles)
+        assert settled.tolist() == [v.kind in ("standard_gamma", "log_power"), False, False, False, False]
+
+
+def test_the_settle_rule_fires_on_a_check_12_shaped_gamma_two_sweep(monkeypatch):
+    # A guard on the rule's slack: one too loose settles nothing, and every row pays the full polish again.
+    polished, golden = [], weights._golden_max
+    monkeypatch.setattr(weights, "_golden_max", lambda fn, lo, hi: polished.append(len(lo)) or golden(fn, lo, hi))
+    want = operator_norm_witness(SWEEP_TS, Weight.standard(2.0), _check_12_pool(50), radii=64, angles=512).value
+    with_settling = sum(polished)  # 16 of the 200 rows the full polish takes
+    polished.clear()
+    _without_settling(monkeypatch)
+    assert bits(operator_norm_witness(SWEEP_TS, Weight.standard(2.0), _check_12_pool(50), 64, 512).value) == bits(want)
+    assert with_settling <= sum(polished) // 4, (with_settling, sum(polished))
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,13 +11,17 @@ tree that ``git add -A`` would commit (tracked and untracked, not ignored).
 For every workload of ``BENCHMARK.json`` and every seed, ``benchmarks/run.py``
 runs once on each side (one pair) for the spec's ``run_seconds``, one run at
 a time, and the side that goes first alternates from
-pair to pair.  Then each side runs once more with ``--trace 1`` on the first
-seed for its per-layer counts.  Last come the layer timings, in process
-(:data:`LAYER_SCRIPT`), one process per run, with the sides alternating:
-the ``operator_norm_witness`` calls of seed 1's ``norm_pool`` and
-``paper_report`` queries, public inputs, so both sides time the same job;
-the public ``weighted_sup_norm`` of each seed-1 ``norm_pool`` query's
-witnesses and images under its weight, every row polished; the
+pair to pair.  Then each side runs :data:`TRACE_REPEATS` more times with
+``--trace 1`` on the first seed, the sides alternating, for its per-layer
+counts and seconds (:func:`traced_runs`): one traced run's seconds can
+read a layer the wrong way round, so every run and the median are kept,
+and a side's call counts must agree across its runs.  Last come the layer
+timings, in process (:data:`LAYER_SCRIPT`), one process per run, with the
+sides alternating: the ``operator_norm_witness`` calls of seed 1's
+``norm_pool`` and ``paper_report`` queries, public inputs, so both sides
+time the same job; the public ``weighted_sup_norm`` of each seed-1
+``norm_pool`` query's witnesses and images under its weight, every row
+through the grid pass and the polish (or settled at r = 0); the
 ``eigenpair`` calls of seed 1's ``long_series`` queries, and its
 ``resolvent_apply`` and ``range_preimage`` calls, the other two users of the
 shifted kernel; the ``cesaro_coefficients`` calls of seed 1's
@@ -30,16 +34,22 @@ median and quartiles (as ``benchmarks/baseline.py`` computes them), the
 pairs the change wins, the relative change of the medians and a verdict
 (``gain``, ``within bound``, ``beyond bound`` or ``unresolved``; see
 :func:`summarize`); per workload, each side's failed and attempted
-operations; under ``layers``, each side's best-of-k seconds per pass of
-every timed layer, its k runs, and the change's best over the parent's.  It
-also records the versions, ``nproc``, both commits and the seeds.
+operations; under ``traced``, per workload and side, the traced runs with
+each per-layer metric's values and median; under ``layers``, each side's
+best-of-k seconds per pass of every timed layer, its k runs, and the
+change's best over the parent's.  It
+also records the versions, ``nproc``, both commits and the seeds.  The
+script exits 1, after writing the file, when a side's traced counts differ
+between its runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -51,6 +61,8 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 from baseline import environment, quartiles  # noqa: E402
 
 SIDES = ("parent", "change")
+#: Traced runs per side and workload, alternating sides.
+TRACE_REPEATS = 3
 #: The runs behind each layer timing's best, one process per run, alternating sides.
 LAYER_REPEATS = 5
 #: The seed of the workloads whose calls the layer timings measure.
@@ -63,7 +75,7 @@ LAYER_SEED = 1
 #: ``dynamics``) record their arguments, so the inputs are the ones the workloads pass; then the recorded calls are
 #: timed over the whole pass: the witness ratios of the ``norm_pool`` and ``paper_report`` passes
 #: (``operator_norm_witness_s``), the public ``weighted_sup_norm`` of each ``norm_pool`` query's stack of witnesses
-#: and their images under its weight, every row polished, so the polish's per-row cost without the witness pruning
+#: and their images under its weight, every row through the polish or settled, so its per-row cost without the pruning
 #: (``weighted_sup_norm_s``; the stacks are built before the clock starts), ``eigenpair`` (its overflow refusals
 #: included), the resolvents with the range preimages (``shifted_solve_s``), and the forward map's calls of the
 #: ``long_series`` and ``paper_report`` passes (``cesaro_coefficients_s``).
@@ -200,6 +212,37 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     return _run_json(args, checkout, 30 * seconds + 300)
 
 
+def traced_runs(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
+    """Per side, :data:`TRACE_REPEATS` traced runs of ``workload`` (the sides alternating which runs first), summarized.
+
+    A side's entry holds its ``runs`` (result objects), and under
+    ``metrics`` each per-layer metric's unit, values (one per run that
+    reported metrics) and median.  ``count_mismatches`` names every metric
+    counted in calls or items (unit ``count``) whose per-pass values differ
+    between the side's runs beyond float noise: the same program on the same
+    seed must repeat its counts, so a mismatch means the runs did not do the
+    same work.
+    """
+    runs = {side: [] for side in SIDES}
+    for k in range(TRACE_REPEATS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_once(checkouts[side], workload, seed, seconds, 1))
+    out = {}
+    for side, side_runs in runs.items():
+        reported = [run["metrics"] for run in side_runs if "metrics" in run]
+        metrics = {}
+        for name in dict.fromkeys(name for run in reported for name in run):
+            values = [run[name]["value"] for run in reported if name in run]
+            metrics[name] = {"unit": reported[0][name]["unit"], "values": values, "median": statistics.median(values)}
+        mismatches = [
+            name for name, m in metrics.items()
+            if m["unit"] == "count" and any(not math.isclose(x, m["values"][0], rel_tol=1e-9, abs_tol=1e-6)
+                                            for x in m["values"])
+        ]
+        out[side] = {"runs": side_runs, "metrics": metrics, "count_mismatches": mismatches}
+    return out
+
+
 def layer_run(checkout: Path) -> dict:
     """One run of :data:`LAYER_SCRIPT` in ``checkout``: seconds per timed layer, or an ``error`` entry."""
     return _run_json(["-c", LAYER_SCRIPT], checkout, 600)
@@ -332,9 +375,7 @@ def main(argv=None) -> int:
                                  "position": position, "result": result})
                     shown = result.get("metrics", {}).get("wall_ref", {}).get("value", result.get("error"))
                     print(f"{workload} pair {pair} seed {seed} {side}: wall_ref {shown}", file=sys.stderr, flush=True)
-            traced[workload] = {
-                side: run_once(checkouts[side], workload, seeds[0], spec["run_seconds"], 1) for side in SIDES
-            }
+            traced[workload] = traced_runs(checkouts, workload, seeds[0], spec["run_seconds"])
         layers = layer_timings(checkouts)
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     report["summary"] = summarize(runs, spec["end_to_end"])
@@ -352,7 +393,11 @@ def main(argv=None) -> int:
             )
     for name, ratio in layers["change_over_parent"].items():
         print(f"layer {name}: change/parent best {ratio if ratio is None else f'{ratio:.3f}'}")
-    return 0
+    mismatched = [(w, side, entry[side]["count_mismatches"]) for w, entry in traced.items() for side in SIDES]
+    for workload, side, names in mismatched:
+        if names:
+            print(f"error: {workload} {side}: counts differ between traced runs: {', '.join(names)}", file=sys.stderr)
+    return 1 if any(names for _, _, names in mismatched) else 0
 
 
 if __name__ == "__main__":
