@@ -44,18 +44,19 @@ polish would return, bit for bit.  On the ``norm_pool`` benchmark's seeds
 635 in acceptance check 12.
 
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
-bounds take r**n from one rule, which calls ``pow`` only below the radius's
-underflow index, where n log2(r) reaches 20 binades below 2**-1074, and
-writes +0.0 from there on.  ``pow`` returns exactly that +0.0 there, but on
-a slow path, so the cut saves time and changes no bit of any power,
-maximum or estimate.  Subnormal powers are still computed.  The power rows
+bounds take r**n from one rule (:func:`_raised`), which calls ``pow`` only
+below the radius's underflow index, where n log2(r) reaches 20 binades
+below 2**-1074, and writes +0.0 from there on.  ``pow`` returns exactly
+that +0.0 there, but on a slow path, so the cut saves time and changes no
+bit of any power, maximum or estimate.  Subnormal powers are still computed.  The power rows
 of the grid radii, and of the outer radius of the last bracket, are built
 once per process: :func:`_upper` keeps them in one read-only table of at
 most :data:`_POWER_TABLE_BYTES` (4 MiB), and the grid pass's
-``circle_max`` calls read it.  The polish computes each row's extent (its
-last nonzero coefficient) once, and each of its steps powers, scales,
-folds and transforms only each row's live prefix, below both its extent
-and the underflow index.
+``circle_max`` calls read it.  The polish cuts its rows once, after the
+last column in which any of them holds a nonzero coefficient (NaN and inf
+are nonzero, so their columns stay), and hands that plain stack to every
+step's :func:`circle_max`: the columns cut hold only zero products, which
+can change the sign of a zero but never a modulus.
 
 Shapes: a batched call returns its values as one array (the ``value`` of
 one :class:`NormEstimate` for the norm estimates and witness ratios).  Its
@@ -234,27 +235,24 @@ def circle_max(f, r, angles: int):
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
     to the maximum of that row alone).  With a stack, ``r`` is one radius
-    for all rows or one radius per row.  One radius takes its row of
-    powers r**n from :func:`_powers`, which stops at the radius's underflow
-    index, past which ``pow`` returns +0.0 anyway.  Per row, only the row's
-    live prefix (:func:`_row_scaled`) is powered, scaled, folded and
-    transformed: the columns past it hold only zero products, which can
-    change the sign of a zero but never a modulus.  Either way every power
-    and every maximum is the full computation's.
+    for all rows or one radius per row.  The powers r**n come from one
+    rule (:func:`_raised`), which stops at each radius's underflow index,
+    past which ``pow`` returns +0.0 anyway, so every power and every
+    maximum is the full computation's.  One radius reads its row from the
+    table of grid power rows (:func:`_powers`) when that holds it.
     """
     r = np.asarray(r, dtype=float)
     if not np.all((0.0 <= r) & (r < 1.0)):
         raise ValueError(f"radius must lie in [0, 1), got {r}")
     specs.count(angles, 1, "angle count must be >= 1")
     single = isinstance(f, TaylorSeries)
-    rows = f if isinstance(f, _Rows) else None  # the polish hands in its rows with their extents
-    coeffs = _coefficient_stack(f) if rows is None else rows.stack
+    coeffs = _coefficient_stack(f)
     if r.ndim == 0:  # one row of powers, broadcast over the rows
         scaled = coeffs * _powers(r, coeffs.shape[1])
     elif r.shape != coeffs.shape[:1]:
         raise ValueError(f"circle_max takes one radius or one per row, got {r.shape[0]} radii for {len(coeffs)} rows")
     else:
-        scaled = _row_scaled(_Rows.of(coeffs) if rows is None else rows, r)
+        scaled = coeffs * _raised(r, coeffs.shape[1])
     height, width = scaled.shape
     if width > angles:
         folds = -(-width // angles)
@@ -265,27 +263,7 @@ def circle_max(f, r, angles: int):
     return _dropped(peak, single)
 
 
-class _Rows(NamedTuple):
-    """A (batch x coefficients) stack with the columns each row needs at any radius, for :func:`circle_max`.
-
-    ``extent`` is one past the row's last nonzero coefficient (0 for a
-    zero row), and ``tail`` one past its last non-finite one (0 if none):
-    inf or NaN times a power cut to +0.0 is NaN, so those columns are
-    scaled at every radius.
-    """
-
-    stack: np.ndarray
-    extent: np.ndarray
-    tail: np.ndarray
-
-    @classmethod
-    def of(cls, stack: np.ndarray) -> "_Rows":
-        columns = np.arange(1, stack.shape[1] + 1)
-        last = lambda mask: np.max(mask * columns, axis=1, initial=0)
-        return cls(stack, last(stack != 0), last(~np.isfinite(stack)))
-
-
-#: log2 of the bound below which :func:`_powers` writes r**n as +0.0: 20 binades under 2**-1074.
+#: log2 of the bound below which :func:`_raised` writes r**n as +0.0: 20 binades under 2**-1074.
 _UNDERFLOW_LOG2 = -1094.0
 #: Bytes the table of grid power rows may hold (:func:`_powers`): 4 MiB, 66 rows of up to 7943 powers.
 _POWER_TABLE_BYTES = 4 * 2**20
@@ -295,8 +273,8 @@ _power_rows: dict[float, np.ndarray] = {}
 _power_lock = threading.Lock()
 
 
-def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
-    """The powers r**n for n < ``width`` of one radius, as a read-only row.
+def _raised(r: np.ndarray, width: int) -> np.ndarray:
+    """The powers r**n for n < ``width``: one row for one radius, or one row per radius of a 1-d ``r``.
 
     ``np.power`` runs only below the radius's underflow index, the first n
     with n log2(r) <= -1094, and every later power is written as +0.0.
@@ -307,6 +285,17 @@ def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
     subnormal band 2**-1074 <= r**n < 2**-1022 lies below the index and is
     computed as before: a subnormal power times a large coefficient can be a
     normal product.  At r = 0 the index is 1, keeping 0**0 = 1.
+    """
+    log2_r = np.log2(r, out=np.full(r.shape, -np.inf), where=r > 0.0)  # no divide warning at r = 0
+    stop = np.maximum(np.ceil(_UNDERFLOW_LOG2 / log2_r), 1.0)[..., None]
+    n = np.arange(width)
+    powers = np.zeros(r.shape + (width,))
+    np.power(r[..., None], n, out=powers, where=n < stop)
+    return powers
+
+
+def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
+    """The powers r**n for n < ``width`` of one radius (:func:`_raised`), as a read-only row.
 
     A row of the table at least ``width`` wide gives its first ``width``
     powers, the same bits: each power is the same ``pow`` of the same
@@ -319,9 +308,7 @@ def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
     row = _power_rows.get(r)
     if row is not None and len(row) >= width:
         return row[:width]
-    stop = min(width, math.ceil(_UNDERFLOW_LOG2 / math.log2(r))) if r > 0.0 else 1
-    powers = np.zeros(width)
-    powers[:stop] = r ** np.arange(stop)
+    powers = _raised(np.asarray(r), width)
     powers.flags.writeable = False
     if keep:
         with _power_lock:  # another thread may have stored a row since the lookup above
@@ -330,23 +317,6 @@ def _powers(r: float, width: int, keep: bool = False) -> np.ndarray:
             if (stored is None or len(stored) < width) and held + powers.nbytes <= _POWER_TABLE_BYTES:
                 _power_rows[r] = powers
     return powers
-
-
-def _row_scaled(rows: _Rows, r: np.ndarray) -> np.ndarray:
-    """Each row times the powers of its own radius, over the columns before the longest live prefix.
-
-    A row's powers are computed below its extent and its radius's underflow
-    index (as in :func:`_powers`), the same ``np.power`` of the same inputs,
-    and are +0.0 elsewhere.  A row's live prefix ends at that stop, or at
-    its tail if later; every product past a row's prefix is zero.
-    """
-    log2_r = np.log2(r, out=np.full(r.shape, -np.inf), where=r > 0.0)  # no divide warning at r = 0
-    stop = np.minimum(rows.extent, np.maximum(np.ceil(_UNDERFLOW_LOG2 / log2_r), 1))
-    live = int(np.max(np.maximum(stop, rows.tail), initial=0))
-    n = np.arange(live)
-    powers = np.zeros((len(r), live))
-    np.power(r[:, None], n, out=powers, where=n < stop[:, None])
-    return rows.stack[:, :live] * powers
 
 
 def radial_grid(count: int) -> np.ndarray:
@@ -369,11 +339,20 @@ def _grid(radii: int, angles: int) -> np.ndarray:
 
 
 def _coefficient_stack(series) -> np.ndarray:
-    """A series, a list of series or a stack as one zero-padded (batch x coefficients) complex stack."""
+    """A series, a list of series or a stack as one zero-padded (batch x coefficients) complex stack.
+
+    The one rule on what :func:`circle_max` and :func:`weighted_sup_norm`
+    take: an array must be 2-d, and a list must hold only series.
+    """
     if isinstance(series, TaylorSeries):
         return series.coeffs[None, :]
     if isinstance(series, np.ndarray):
+        if series.ndim != 2:
+            raise ValueError(f"a coefficient stack must be 2-d (batch x coefficients), got shape {series.shape}")
         return np.asarray(series, dtype=complex)
+    for g in series:
+        if not isinstance(g, TaylorSeries):
+            raise TypeError(f"a list of series holds only TaylorSeries, got {type(g).__name__}")
     stack = np.zeros((len(series), max((g.degree for g in series), default=0) + 1), dtype=complex)
     for row, g in zip(stack, series):
         row[: len(g.coeffs)] = g.coeffs
@@ -398,7 +377,9 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     :func:`_grid_profile`: it measures only the pairs that can hold a row's
     maximum, at most one stacked ``circle_max`` per radius), which is scaled
     by ``v(r)`` before the argmax and polish (one stacked ``circle_max`` per
-    step over the rows not settled, none when every row is).
+    step over the rows not settled, none when every row is).  The polish
+    cuts those rows once, after the last column in which any of them holds
+    a nonzero coefficient, and every step transforms that plain stack.
     """
     if not isinstance(v, Weight):  # a weight sequence would fail later as "not callable"
         raise TypeError(f"weighted_sup_norm takes one Weight, got {type(v).__name__}")
@@ -412,7 +393,8 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     best = vals[np.arange(len(j)), j]
     polish = ~_settled(f, j, best, v, rs, v_rs, angles)
     if polish.any():
-        rows = _Rows.of(f.stack[polish])  # the extents, once for every polish step
+        rows = f.stack[polish]
+        rows = rows[:, : 1 + np.max(np.flatnonzero(rows.any(axis=0)), initial=0)]  # NaN and inf are nonzero: kept
         weighted = lambda r: v(r) * circle_max(rows, r, angles)
         best[polish] = np.maximum(best[polish], _golden_max(weighted, *_bracket(rs, j[polish])))
     return NormEstimate(_dropped(best, single))
@@ -603,8 +585,8 @@ def _settled(
       whose A is NaN never settles.
     * M^ <= S (1 + rel) + abs for the computed circle maximum, where S =
       sum_n |c_n| p_n over the computed powers p_n (:func:`_rounding_slack`,
-      whose M part this is, at the row's width or the narrower live
-      prefix the polish transforms).  A power is within an ulp of x**n, so
+      whose M part this is, at the row's width or the narrower width the
+      polish cuts its rows to).  A power is within an ulp of x**n, so
       S <= A(x) (1 + 2u) + 2**-1074 sum_n |c_n|.
     * The weight-value slack: the computed v(x) is within 2**-40 of v(x)
       on [0, r1].  ``gamma:g`` is pow at fl(1 - x), with fl(1 - x) within
@@ -749,7 +731,8 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     ``f`` is a :class:`TaylorSeries` (a float) or a stack with coefficients
     on its last axis (one value per row, each equal to that row's own call).
     ``k`` is one index or a sequence of them, which adds a leading axis with
-    one entry per k, each equal to the call for that k alone.
+    one entry per k, each equal to the call for that k alone.  A stack of
+    width 0 has norm 0 in both flavors.
     """
     ks = np.asarray(k)
     if not ks.size or not np.all(ks >= 2):  # NaN fails it too
@@ -759,7 +742,7 @@ def frechet_norm(f, k: int | Sequence[int], flavor: str = "sum"):
     coeffs = f.coeffs if isinstance(f, TaylorSeries) else np.asarray(f)
     ratios = np.reshape(1.0 - 1.0 / ks, ks.shape + (1,) * coeffs.ndim)
     terms = np.abs(coeffs) * ratios ** np.arange(coeffs.shape[-1])
-    norms = np.sum(terms, axis=-1) if flavor == "sum" else np.max(terms, axis=-1)
+    norms = np.sum(terms, axis=-1) if flavor == "sum" else np.max(terms, axis=-1, initial=0.0)
     return _dropped(norms)
 
 

@@ -76,6 +76,34 @@ def test_a_nan_parameter_is_refused_with_the_usual_message(call, message):
         call()
 
 
+# Each entry point that takes a coefficient stack, with an array of the wrong rank or a list item that is no series.
+STACK_SHAPE = "a coefficient stack must be 2-d \\(batch x coefficients\\), got shape "
+STACKS = [
+    ("circle_max 1-d", lambda: cesaro.circle_max(np.ones(4), 0.5, 16), ValueError, STACK_SHAPE + r"\(4,\)"),
+    ("circle_max 1-d per row", lambda: cesaro.circle_max(np.ones(4), np.full(4, 0.5), 16), ValueError,
+     STACK_SHAPE + r"\(4,\)"),
+    ("circle_max 3-d", lambda: cesaro.circle_max(np.ones((2, 3, 4)), 0.5, 16), ValueError,
+     STACK_SHAPE + r"\(2, 3, 4\)"),
+    ("circle_max list", lambda: cesaro.circle_max([F, [1.0, 0.5]], 0.5, 16), TypeError,
+     "a list of series holds only TaylorSeries, got list"),
+    ("weighted_sup_norm 0-d", lambda: cesaro.weighted_sup_norm(np.array(1.0), cesaro.Weight.unit()), ValueError,
+     STACK_SHAPE + r"\(\)"),
+    ("weighted_sup_norm 1-d", lambda: cesaro.weighted_sup_norm(np.ones(4), cesaro.Weight.unit()), ValueError,
+     STACK_SHAPE + r"\(4,\)"),
+    ("weighted_sup_norm 3-d", lambda: cesaro.weighted_sup_norm(np.ones((2, 3, 4)), cesaro.Weight.unit()), ValueError,
+     STACK_SHAPE + r"\(2, 3, 4\)"),
+    ("weighted_sup_norm list", lambda: cesaro.weighted_sup_norm([np.ones(4)], cesaro.Weight.unit()), TypeError,
+     "a list of series holds only TaylorSeries, got ndarray"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in STACKS], ids=[row[0] for row in STACKS])
+def test_a_stack_of_the_wrong_rank_or_items_is_refused_before_any_work(call, error, message):
+    # each failed deep inside: an IndexError, a ValueError from unpacking or broadcasting, an AttributeError
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 # Each entry point that takes a count, an index or a grid size, with a float just above its least value.
 COUNTS = [
     ("power_apply", lambda n: cesaro.power_apply(0.5, F, n), 2.5, "iteration count must be >= 1"),

@@ -282,17 +282,14 @@ def test_the_power_rule_equals_the_full_length_power_bitwise():
                 assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
         for r, width in zip(radii, np.random.default_rng(89).integers(1, 2**12, len(radii))):
             assert bits(weights._powers(r, width)) == bits(float(r) ** np.arange(width)), (r, width)
-        # Per row: the full-width np.power below each row's extent, and +0.0 past it.
-        rng = np.random.default_rng(97)
+        # Per row: one row per radius from the same rule, and one radius alone as its own row.
         for rows, width in ((radii[: len(EDGE_RADII)], 2**17), (radii, 1025), (radii[::7], 4097)):
-            live = np.arange(width) < rng.integers(0, width + 1, len(rows))[:, None]
-            want = np.zeros(live.shape)
-            np.power(rows[:, None], np.arange(width), out=want, where=live)
-            scaled = weights._row_scaled(weights._Rows.of(live.astype(complex)), rows)  # coefficients 1: the powers
-            got = np.zeros(live.shape)
-            got[:, : scaled.shape[1]] = scaled.real
-            assert bits(got) == bits(want) and not np.any(scaled.imag)
+            got = weights._raised(rows, width)
+            assert bits(got) == bits(rows[:, None] ** np.arange(width)), width
+            for r, row in zip(rows[::97], got[::97]):
+                assert bits(weights._raised(np.asarray(r), width)) == bits(row), (r, width)
     assert weights._powers(0.0, 3).tolist() == [1.0, 0.0, 0.0]
+    assert weights._raised(np.zeros(2), 3).tolist() == [[1.0, 0.0, 0.0]] * 2
 
 
 def test_an_empty_stack_has_no_maxima_and_no_estimates():
@@ -318,28 +315,43 @@ def _polish_stack():
     return stack
 
 
+def _padded_polish_stack():
+    """The polish stack zero-padded to 700 columns, and a row whose inf at column 500 is past every other extent."""
+    stack = np.zeros((7, 700), dtype=complex)
+    stack[:6, :400] = _polish_stack()
+    stack[6, :3] = (1.0, -0.5j, 0.25)
+    stack[6, 500] = np.inf
+    return stack
+
+
 @pytest.mark.parametrize("spec", ["unit", "gamma:5", "logpow:2", "table"])
-def test_the_polish_over_live_prefixes_equals_the_per_series_oracle(spec):
+def test_the_polish_over_live_prefixes_equals_the_per_series_oracle(spec, monkeypatch):
     # gamma:5 polishes near r = 0, where a small radius's powers underflow before the extents of rows 3 and 4;
     # under the unit weight the random rows peak at the last grid radius, bracketed by the outer radius.
     v = TABLE_WEIGHT if spec == "table" else Weight.from_spec(spec)
-    stack, rs = _polish_stack(), radial_grid(16)
-    peaks = {int(np.argmax([v(r) * scalar_circle_max(row, r, 64) for r in rs])) for row in stack}
+    stack, rs = _padded_polish_stack(), radial_grid(16)
+    peaks = {int(np.argmax([v(r) * scalar_circle_max(row, r, 64) for r in rs])) for row in stack[:5]}
     assert 0 in peaks and (spec != "unit" or 15 in peaks)  # a bracket at r = 0, and one at the outer radius
-    want = [scalar_weighted_sup_norm(row, v, 16, 64) for row in stack]
-    assert bits(weighted_sup_norm(stack, v, radii=16, angles=64).value) == bits(want)
-    assert np.isnan(want[5]) and not np.any(np.isnan(want[:5]))
+    widths, circle = [], weights.circle_max
+    monkeypatch.setattr(weights, "circle_max", lambda f, r, angles: widths.append(np.shape(f)) or circle(f, r, angles))
+    with np.errstate(invalid="ignore"):  # inf times a power is inf + NaN j
+        want = [scalar_weighted_sup_norm(row, v, 16, 64) for row in stack]
+        assert bits(weighted_sup_norm(stack, v, radii=16, angles=64).value) == bits(want)
+    assert np.isnan(want[5:]).all() and not np.any(np.isnan(want[:5]))
+    # The polish steps take one stack, cut once after the inf's column: the zero columns past it go.
+    polish = widths[-(2 + weights._GOLDEN_STEPS) :]
+    assert len(set(polish)) == 1 and polish[0][1] == 501, widths
 
 
-def test_prepared_rows_give_the_plain_stacks_per_row_maxima():
-    stack = _polish_stack()
-    rows = weights._Rows.of(stack)
-    assert rows.extent.tolist() == [1, 10, 0, 300, 400, 40] and rows.tail.tolist() == [0, 0, 0, 0, 0, 21]
+def test_per_row_radii_give_each_rows_own_maximum():
+    stack = _padded_polish_stack()
     rng = np.random.default_rng(107)
-    for angles in (8, 64, 97, 1024):
-        for radii in (np.zeros(6), np.resize(EDGE_RADII, 6), rng.random(6), rng.random(6) ** 30):
-            want = [scalar_circle_max(row, r, angles) for row, r in zip(stack, radii)]
-            assert bits(circle_max(rows, radii, angles)) == bits(circle_max(stack, radii, angles)) == bits(want)
+    with np.errstate(invalid="ignore"):  # inf times a power is inf + NaN j
+        for angles in (8, 64, 97, 1024):
+            for radii in (np.zeros(7), np.resize(EDGE_RADII, 7), rng.random(7), rng.random(7) ** 30):
+                want = [scalar_circle_max(row, r, angles) for row, r in zip(stack, radii)]
+                got = circle_max(stack, radii, angles)
+                assert bits(got) == bits(want) and not np.isfinite(got[5:]).any()
 
 
 def test_a_non_finite_coefficient_past_the_underflow_index_keeps_its_row_nan():
@@ -991,6 +1003,14 @@ def test_frechet_norm_of_constant():
     for k in (2, 5, 9):
         assert frechet_norm(f, k, "sum") == 1.0
         assert frechet_norm(f, k, "sup") == 1.0
+
+
+@pytest.mark.parametrize("flavor", ["sum", "sup"])
+def test_frechet_norm_of_a_zero_or_one_wide_stack(flavor):
+    # "sup" of no terms is 0, as "sum" is; one column is its own term |c_0| r_k**0 = |c_0|
+    assert frechet_norm(np.zeros((2, 0)), 2, flavor).tolist() == [0.0, 0.0]
+    assert frechet_norm(np.zeros((2, 0)), [2, 5], flavor).tolist() == [[0.0, 0.0]] * 2
+    assert frechet_norm(np.array([[3.0 - 4.0j], [-0.0]]), 3, flavor).tolist() == [5.0, 0.0]
 
 
 def test_frechet_norm_of_z_at_k_two():
