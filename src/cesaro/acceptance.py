@@ -68,6 +68,15 @@ class CheckResult:
         return f"{tag}  {self.name}: {self.detail}"
 
 
+def _worst(*values: float) -> float:
+    """The largest of ``values``, or NaN when one is NaN: a check fails on a NaN measurement.
+
+    Python's ``max`` keeps its first argument against a later NaN, so
+    ``max(0.0, nan)`` is 0.0 and a NaN result would pass its check.
+    """
+    return math.nan if any(math.isnan(x) for x in values) else max(values)
+
+
 # -- 1 & 2: the sup-norm formula and its strict sandwich -----------------------
 
 
@@ -89,8 +98,8 @@ def check_operator_norm_formula(
         est = operator_norm_witness(t, unit, [witness], radii=radii, angles=angles)
         elapsed = time.perf_counter() - start
         target = log_norm_bound(t)
-        worst_rel = max(worst_rel, abs(est.value - target) / target)
-        worst_time = max(worst_time, elapsed)
+        worst_rel = _worst(worst_rel, abs(est.value - target) / target)
+        worst_time = _worst(worst_time, elapsed)
     passed = worst_rel <= rel_tol and worst_time < budget_seconds
     return CheckResult(
         "operator-norm-formula",
@@ -128,7 +137,7 @@ def check_fixed_point(
     worst = 0.0
     for t in t_values:
         g0 = geometric_series(t, truncation)
-        worst = max(worst, max_coeff_diff(apply(CesaroOperator(t), g0), g0))
+        worst = _worst(worst, max_coeff_diff(apply(CesaroOperator(t), g0), g0))
     return CheckResult(
         "geometric-fixed-point",
         worst <= tol,
@@ -152,8 +161,8 @@ def check_inverse_round_trips(
         op, inv = CesaroOperator(t), InverseOperator(t)
         for _ in range(trials):
             f = random_series(truncation, rng)
-            worst = max(worst, max_coeff_diff(apply(op, apply_inverse(inv, f)), f))
-            worst = max(worst, max_coeff_diff(apply_inverse(inv, apply(op, f)), f))
+            worst = _worst(worst, max_coeff_diff(apply(op, apply_inverse(inv, f)), f))
+            worst = _worst(worst, max_coeff_diff(apply_inverse(inv, apply(op, f)), f))
     return CheckResult(
         "inverse-round-trips",
         worst <= tol,
@@ -177,7 +186,7 @@ def check_finite_sections(
     worst = 0.0
     for t in t_values:
         dense = np.sort_complex(np.linalg.eigvals(operator_matrix(t, dense_size)))[::-1]
-        worst = max(worst, float(np.max(np.abs(dense - eigenvalues(dense_size)))))
+        worst = _worst(worst, float(np.max(np.abs(dense - eigenvalues(dense_size)))))
     return CheckResult(
         "finite-section-spectra",
         worst <= dense_tol,
@@ -203,13 +212,13 @@ def check_eigenpairs(
             pair = eigenpair(t, m, truncation)
             scale = float(np.max(np.abs(pair.series.coeffs)))
             residual = max_coeff_diff(apply(op, pair.series), pair.eigenvalue * pair.series)
-            worst_residual = max(worst_residual, residual / scale)
+            worst_residual = _worst(worst_residual, residual / scale)
             closed = np.zeros(truncation + 1, dtype=complex)
             for n in range(m, truncation + 1):
                 closed[n] = float(comb(n, m, exact=True)) * t ** (n - m)
             nonzero = np.abs(closed) > 0
             rel = np.abs(pair.series.coeffs[nonzero] - closed[nonzero]) / np.abs(closed[nonzero])
-            worst_closed = max(worst_closed, float(np.max(rel)))
+            worst_closed = _worst(worst_closed, float(np.max(rel)))
     passed = worst_residual <= residual_tol and worst_closed <= closed_form_tol
     return CheckResult(
         "eigenpairs",
@@ -244,12 +253,12 @@ def check_resolvent(
         section = operator_matrix(t, truncation + 1).astype(complex)
         section[np.diag_indices(truncation + 1)] -= nu
         reference = scipy.linalg.solve_triangular(section, rhs.coeffs, lower=True)
-        worst_formula = max(
+        worst_formula = _worst(
             worst_formula,
             float(np.max(np.abs(a.coeffs - reference)) / np.max(np.abs(reference))),
         )
         back = apply(CesaroOperator(t), a) - TaylorSeries(nu * a.coeffs)
-        worst_residual = max(
+        worst_residual = _worst(
             worst_residual,
             max_coeff_diff(back, rhs) / float(np.max(np.abs(rhs.coeffs))),
         )
@@ -275,8 +284,8 @@ def check_product_bounds(
     worst_slope = 0.0
     for nu in nu_values:
         report = product_bound_scan(nu, n_max)
-        worst_ratio = max(worst_ratio, report.D_hat / report.d_hat)
-        worst_slope = max(worst_slope, abs(report.tail_slope))
+        worst_ratio = _worst(worst_ratio, report.D_hat / report.d_hat)
+        worst_slope = _worst(worst_slope, abs(report.tail_slope))
     telescoped = product_bound_scan(-1.0, n_max)
     tail = telescoped.scaled[telescoped.n_values >= 10]
     telescoping_ok = bool(np.all(tail > 1.0) and np.all(tail <= 1.1 + 1e-12))
@@ -303,7 +312,7 @@ def check_power_boundedness(
     worst = 0.0
     for t in t_values:
         report = power_bound_certificate(t, k=k_values, trials=trials, n_max=n_max, seed=seed)
-        worst = max(worst, float(np.max(report.sup_norm_excess)))
+        worst = _worst(worst, float(np.max(report.sup_norm_excess)))
     return CheckResult(
         "power-boundedness",
         worst <= tol,
@@ -355,7 +364,7 @@ def check_norm_equivalences(
         sup_k = frechet_norm(f, ks, "sup")  # one entry per k
         sum_k = frechet_norm(f, ks, "sum")
         sup_next = frechet_norm(f, ks + 1, "sup")
-        worst = max(worst, float(np.max(sup_k - sum_k)), float(np.max(sum_k - ks * ks * sup_next)))
+        worst = _worst(worst, float(np.max(sup_k - sum_k)), float(np.max(sum_k - ks * ks * sup_next)))
     return CheckResult(
         "norm-family-equivalences",
         worst <= slack,
@@ -424,7 +433,7 @@ def check_c1_log_images(
     for n in n_values:
         image = apply(CesaroOperator(1.0), log_power_series(n, truncation))
         want = -log_power_series(n + 1, truncation + 1).coeffs[1:] / (n + 1.0)
-        worst = max(worst, float(np.max(np.abs(image.coeffs[: len(want)] - want[: len(image.coeffs)]))))
+        worst = _worst(worst, float(np.max(np.abs(image.coeffs[: len(want)] - want[: len(image.coeffs)]))))
     return CheckResult(
         "classical-log-images",
         worst <= tol,
@@ -450,7 +459,7 @@ def check_integral_series_agreement(
         z = 0.9 * math.sqrt(rng.random()) * complex(np.exp(2j * np.pi * rng.random()))
         series_val = evaluate(apply(CesaroOperator(t), f.padded(1024)), z)
         quad_val = apply_integral(CesaroOperator(t), f, z, quad_nodes=quad_nodes)
-        worst = max(worst, abs(series_val - quad_val))
+        worst = _worst(worst, abs(series_val - quad_val))
     return CheckResult(
         "integral-series-agreement",
         worst <= tol,

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import ztbtrs
 
 from . import specs
@@ -108,7 +107,9 @@ def operator_matrix(t: float, size: int) -> np.ndarray:
     CesaroOperator(t)
     specs.count(size, 1, "matrix section needs size >= 1")
     n = np.arange(size)
-    return np.tril(scipy.linalg.toeplitz(float(t) ** n)) / (n[:, None] + 1)  # entry (n, k) is t**(n-k)
+    # Row n is the window of [t**(size-1), ..., t**0, 0, ..., 0] that starts at t**n: t**(n-k) for k <= n, then zeros.
+    band = np.concatenate([float(t) ** n[::-1], np.zeros(size - 1)])
+    return np.lib.stride_tricks.sliding_window_view(band, size)[::-1] / (n[:, None] + 1)
 
 
 def apply(op: CesaroOperator, f: TaylorSeries) -> TaylorSeries:

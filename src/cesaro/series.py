@@ -112,12 +112,20 @@ def evaluate(f: TaylorSeries, z: complex) -> complex:
     """Evaluate ``f`` at a point of the open unit disc by Horner's scheme.
 
     Rejects ``|z| >= 1``: the truncation is only a faithful stand-in for the
-    underlying function inside the disc.
+    underlying function inside the disc.  Runs ``polyval``'s recurrence
+    (``c[-1] + z*0``, then ``c + value*z``) in Python complex arithmetic,
+    which rounds each step as numpy's complex scalars do, so the value is
+    ``np.polynomial.polynomial.polyval(z, f.coeffs)`` bit for bit, without
+    numpy's per-scalar overhead.
     """
     z = complex(z)
     if not abs(z) < 1.0:  # NaN fails it too
         raise ValueError(f"evaluation point must satisfy |z| < 1, got |z| = {abs(z)}")
-    return complex(np.polynomial.polynomial.polyval(z, f.coeffs))
+    *head, last = f.coeffs.tolist()
+    value = last + z * 0
+    for c in reversed(head):
+        value = c + value * z
+    return value
 
 
 def evaluate_many(f: TaylorSeries, zs) -> np.ndarray:

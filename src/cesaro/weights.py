@@ -43,6 +43,18 @@ polish would return, bit for bit.  On the ``norm_pool`` benchmark's seeds
 1-3 that settles 372 of 480, 372 of 486 and 383 of 502 rows, and 498 of
 635 in acceptance check 12.
 
+Constant rows: a row whose only nonzero coefficient is c_0 (:func:`_constant`;
+the witness ``f1``, say) has one circle maximum at every radius.  The grid
+pass transforms it once, at its seed pair, and copies that value into every
+other pair it would measure; the polish samples it as v(x) times that value
+and transforms only the other rows, so a polish of constant rows alone
+calls no FFT.  The weight is still evaluated on every row's radius, and
+every value is the full computation's, bit for bit.  Under the unit weight
+such a row ties at every grid radius, so this saves 63 grid transforms and
+42 polish rows per pass: ``norm_pool`` makes 2939 ``circle_max`` calls a
+pass instead of 4010 (seed 2901), acceptance checks 1 and 2 make 220 and 44
+instead of 535 and 107.
+
 Powers: :func:`circle_max` (one radius or one per row) and the grid pass's
 bounds take r**n from one rule (:func:`_raised`), which calls ``pow`` only
 below the radius's underflow index, where n log2(r) reaches 20 binades
@@ -229,8 +241,14 @@ def circle_max(f, r, angles: int):
     result is |c0| bit for bit (at 8, 9, 64, 97, 1000, 1024, 3072 and 4096
     angles, say), but its Bluestein path for counts with a large prime
     factor rounds, and 4093 angles gave up to 13 ulps above |c0|, within
-    :func:`_rounding_slack`.  By the maximum principle this also samples the
-    compact-set norm sup_{|z| <= r} |f(z)|.
+    :func:`_rounding_slack`.  A row whose only nonzero coefficient is c0
+    (:func:`_constant`) scales to that same vector at every radius, as
+    r**0 = 1 and a ±0 coefficient times a power >= +0 keeps its zero, so
+    its maximum is one value at every radius for a given angle count,
+    Bluestein lengths included (the same input gives the same output).  By
+    the maximum principle this also samples the compact-set norm
+    sup_{|z| <= r} |f(z)|.  An inf or NaN coefficient gives an inf or NaN
+    maximum, without a warning.
 
     ``f`` is a :class:`TaylorSeries` (returns a float) or a zero-padded
     (batch x coefficients) stack (returns one maximum per row, each equal
@@ -248,18 +266,22 @@ def circle_max(f, r, angles: int):
     single = isinstance(f, TaylorSeries)
     coeffs = _coefficient_stack(f)
     if r.ndim == 0:  # one row of powers, broadcast over the rows
-        scaled = coeffs * _powers(r, coeffs.shape[1])
+        powers = _powers(r, coeffs.shape[1])
     elif r.shape != coeffs.shape[:1]:
         raise ValueError(f"circle_max takes one radius or one per row, got {r.shape[0]} radii for {len(coeffs)} rows")
     else:
-        scaled = coeffs * _raised(r, coeffs.shape[1])
-    height, width = scaled.shape
-    if width > angles:
-        folds = -(-width // angles)
-        buf = np.zeros((height, folds * angles), dtype=complex)
-        buf[:, :width] = scaled
-        scaled = buf.reshape(height, folds, angles).sum(axis=1)
-    peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
+        powers = _raised(r, coeffs.shape[1])
+    height, width = coeffs.shape
+    # An inf coefficient gives NaN or inf, without a warning: inf times a +0.0 power, or times a power's zero
+    # imaginary part, is NaN, and so are inf - inf in the transform's sums (Bluestein's chirp products among them).
+    with np.errstate(invalid="ignore"):
+        scaled = coeffs * powers
+        if width > angles:
+            folds = -(-width // angles)
+            buf = np.zeros((height, folds * angles), dtype=complex)
+            buf[:, :width] = scaled
+            scaled = buf.reshape(height, folds, angles).sum(axis=1)
+        peak = np.max(np.abs(np.fft.fft(scaled, n=angles, axis=-1)), axis=-1)
     return _dropped(peak, single)
 
 
@@ -369,6 +391,10 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     r = 0 and whose bracket [0, r_1] provably holds no sample above its grid
     value (:func:`_settled`: ``gamma:`` and ``logpow:`` weights only) keeps
     that value without a polish step, the polish's own result bit for bit.
+    A row holding only c_0 (:func:`_constant`) has one circle maximum at
+    every radius: the grid pass transforms it once, at its seed, and the
+    polish samples it as v(x) times that maximum, with v evaluated as for
+    every other row, so its values are the transformed ones bit for bit.
 
     ``f`` is a :class:`TaylorSeries`, a list of series or a (batch x
     coefficients) stack, and ``v`` one :class:`Weight`; the
@@ -377,9 +403,10 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     :func:`_grid_profile`: it measures only the pairs that can hold a row's
     maximum, at most one stacked ``circle_max`` per radius), which is scaled
     by ``v(r)`` before the argmax and polish (one stacked ``circle_max`` per
-    step over the rows not settled, none when every row is).  The polish
-    cuts those rows once, after the last column in which any of them holds
-    a nonzero coefficient, and every step transforms that plain stack.
+    step over the rows neither settled nor constant, none when no row is
+    left).  The polish cuts those rows once, after the last column in which
+    any of them holds a nonzero coefficient, and every step transforms that
+    plain stack.
     """
     if not isinstance(v, Weight):  # a weight sequence would fail later as "not callable"
         raise TypeError(f"weighted_sup_norm takes one Weight, got {type(v).__name__}")
@@ -393,9 +420,17 @@ def weighted_sup_norm(f, v: Weight, radii: int = DEFAULT_RADII, angles: int = DE
     best = vals[np.arange(len(j)), j]
     polish = ~_settled(f, j, best, v, rs, v_rs, angles)
     if polish.any():
-        rows = f.stack[polish]
+        peaks = np.max(f.profile[polish], axis=1)  # a constant row's circle maximum at every radius: its seed's
+        moving = ~f.constant[polish]
+        moving = slice(None) if moving.all() else moving  # a view, not a copy, when no constant row is polished
+        rows = f.stack[polish][moving]
         rows = rows[:, : 1 + np.max(np.flatnonzero(rows.any(axis=0)), initial=0)]  # NaN and inf are nonzero: kept
-        weighted = lambda r: v(r) * circle_max(rows, r, angles)
+
+        def weighted(r):
+            if len(rows):
+                peaks[moving] = circle_max(rows, r[moving], angles)
+            return v(r) * peaks
+
         best[polish] = np.maximum(best[polish], _golden_max(weighted, *_bracket(rs, j[polish])))
     return NormEstimate(_dropped(best, single))
 
@@ -450,14 +485,35 @@ def _rounding_slack(width: int, angles: int) -> tuple[float, float]:
 
 
 class _GridStart(NamedTuple):
-    """A stack after the grid pass's seed stage (:func:`_seeded`): its ``upper`` table and the profile of its seeds."""
+    """A stack after the grid pass's seed stage (:func:`_seeded`).
+
+    Holds its ``upper`` table, the profile of its seeds and its
+    ``constant`` rows (:func:`_constant`).
+    """
 
     stack: np.ndarray
     upper: np.ndarray
     profile: np.ndarray
+    constant: np.ndarray
 
     def rows(self, keep: np.ndarray) -> "_GridStart":
-        return _GridStart(self.stack[keep], self.upper[keep], self.profile[keep])
+        return _GridStart(self.stack[keep], self.upper[keep], self.profile[keep], self.constant[keep])
+
+
+def _constant(stack: np.ndarray) -> np.ndarray:
+    """The rows whose only nonzero coefficient is c_0: for a given angle count, one circle maximum at every radius.
+
+    r**0 = 1 at every radius, 0**0 included, and a ±0 coefficient times a
+    power >= +0 is a zero whose sign does not depend on the power, so such
+    a row scales to the same vector at every radius, and :func:`circle_max`
+    transforms the same input to the same bits (Bluestein lengths
+    included).  At a narrower width, the polish's cut, or folded
+    differently, its transform input differs at most in the sign of an
+    exact zero, which changes no nonzero sum or product, and so no modulus.
+    NaN and inf are nonzero, so a row holding one past c_0 is not
+    constant; an all-zero row is.
+    """
+    return ~stack[:, 1:].any(axis=1)
 
 
 def _grid_profile(start: _GridStart, rs: np.ndarray, v: np.ndarray, angles: int) -> np.ndarray:
@@ -472,14 +528,21 @@ def _grid_profile(start: _GridStart, rs: np.ndarray, v: np.ndarray, angles: int)
     is measured.  Ties are measured, so the argmax and maximum equal those
     of the full grid bit for bit (rounding is monotone: M <= upper gives
     fl(v M) <= fl(v upper)).  One stacked ``circle_max`` per radius with
-    pairs to measure, in each of the two stages.  The profile is completed
-    in a copy, so ``start`` can be continued again.
+    pairs to measure, in each of the two stages.  A constant row
+    (:func:`_constant`) is measured at its seed alone: its other pairs to
+    measure take a copy of that value.  The profile is completed in a copy,
+    so ``start`` can be continued again.
     """
-    stack, upper, seeded = start
+    stack, upper, seeded, constant = start
     profile = seeded.copy()
     # "not below" keeps ties, and keeps every pair of a row holding a NaN
     survivors = ~(upper * v < np.max(profile * v, axis=1, keepdims=True))
-    _measure(stack, rs, angles, survivors & (profile == -np.inf), profile)
+    todo = survivors & (profile == -np.inf)
+    copied = todo & constant[:, None]
+    if copied.any():  # the seed's maximum, the only entry of its row in seeded, holds at every radius
+        profile[copied] = np.broadcast_to(np.max(seeded, axis=1, keepdims=True), profile.shape)[copied]
+        todo &= ~copied
+    _measure(stack, rs, angles, todo, profile)
     return profile
 
 
@@ -492,8 +555,9 @@ def _upper(stack: np.ndarray, rs: np.ndarray, angles: int) -> np.ndarray:
     rows, width = stack.shape
     magnitudes = np.abs(stack)
     upper = np.empty((rows, len(rs)))
-    for col, r in enumerate(rs):  # one radius at a time: the table holds at most _POWER_TABLE_BYTES (4 MiB)
-        upper[:, col] = magnitudes @ _powers(r, width, keep=True)  # the powers circle_max reads for r
+    with np.errstate(invalid="ignore"):  # inf times a +0.0 power is NaN: the row's bound is NaN
+        for col, r in enumerate(rs):  # one radius at a time: the table holds at most _POWER_TABLE_BYTES (4 MiB)
+            upper[:, col] = magnitudes @ _powers(r, width, keep=True)  # the powers circle_max reads for r
     relative, absolute = _rounding_slack(width, angles)
     return upper * (1.0 + relative) + absolute
 
@@ -506,7 +570,8 @@ def _seeded(stack: np.ndarray, rs: np.ndarray, v: np.ndarray, angles: int, upper
     """
     seeds = np.zeros(upper.shape, dtype=bool)
     seeds[np.arange(len(stack)), np.argmax(upper * v, axis=1)] = True
-    return _GridStart(stack, upper, _measure(stack, rs, angles, seeds, np.full(upper.shape, -np.inf)))
+    profile = _measure(stack, rs, angles, seeds, np.full(upper.shape, -np.inf))
+    return _GridStart(stack, upper, profile, _constant(stack))
 
 
 def _measure(stack: np.ndarray, rs: np.ndarray, angles: int, todo: np.ndarray, profile: np.ndarray) -> np.ndarray:
@@ -621,7 +686,8 @@ def _settled(
     floor = _GOLDEN_FLOOR * r1
     magnitudes = np.abs(start.stack[rows])
     c, total = magnitudes[:, 0], np.sum(magnitudes, axis=1)
-    slope = kappa * c - (start.upper[rows, 1] - c) / r1
+    with np.errstate(invalid="ignore"):  # inf - inf where c_0 is inf: a NaN slope, so the row is polished
+        slope = kappa * c - (start.upper[rows, 1] - c) / r1
     relative, absolute = _rounding_slack(magnitudes.shape[1], angles)
     eps, delta = relative + 2.0**-40 + 2.0**-48, 2.0 * (absolute + 2.0**-1072 * (1.0 + total))
     bound = (c - floor * slope) * (1.0 + eps) + delta

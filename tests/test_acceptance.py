@@ -5,6 +5,14 @@ stated scales and tolerances), prints its pass/fail line, and asserts the
 verdict.  Run with ``pytest tests/test_acceptance.py -s`` to see every line.
 """
 
+import dataclasses
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from cesaro import acceptance
 from cesaro.acceptance import (
     check_c1_log_images,
     check_eigenpairs,
@@ -87,3 +95,44 @@ def test_criterion_14_c1_log_images():
 
 def test_criterion_15_integral_series_agreement():
     _verdict(check_integral_series_agreement())
+
+
+
+NAN = math.nan
+
+
+#: Per check that folds its measurements: the call it measures, and a stand-in that makes that measurement NaN.
+NAN_MEASUREMENTS = [
+    (check_operator_norm_formula, "operator_norm_witness", lambda real: lambda *a, **kw: SimpleNamespace(value=NAN)),
+    (check_fixed_point, "max_coeff_diff", lambda real: lambda f, g: NAN),
+    (check_inverse_round_trips, "max_coeff_diff", lambda real: lambda f, g: NAN),
+    (check_finite_sections, "np.linalg.eigvals", lambda real: lambda a: np.full(len(a), complex(NAN, NAN))),
+    (check_eigenpairs, "max_coeff_diff", lambda real: lambda f, g: NAN),
+    (check_resolvent, "max_coeff_diff", lambda real: lambda f, g: NAN),
+    (
+        check_product_bounds,
+        "product_bound_scan",
+        lambda real: lambda nu, n: dataclasses.replace(real(nu, n), tail_slope=NAN),
+    ),
+    (
+        check_power_boundedness,
+        "power_bound_certificate",
+        lambda real: lambda *a, **kw: SimpleNamespace(sup_norm_excess=np.full(3, NAN)),
+    ),
+    (check_norm_equivalences, "frechet_norm", lambda real: lambda f, k, flavor: np.full(len(k), NAN)),
+    (
+        check_c1_log_images,
+        "apply",
+        lambda real: lambda op, f: SimpleNamespace(coeffs=np.full(len(f.coeffs), complex(NAN, NAN))),
+    ),
+    (check_integral_series_agreement, "apply_integral", lambda real: lambda *a, **kw: complex(NAN, NAN)),
+]
+
+
+@pytest.mark.parametrize("check, name, stand_in", NAN_MEASUREMENTS, ids=[c.__name__ for c, _, _ in NAN_MEASUREMENTS])
+def test_a_nan_measurement_fails_its_check(check, name, stand_in, monkeypatch):
+    owner, attr = (np.linalg, "eigvals") if name == "np.linalg.eigvals" else (acceptance, name)
+    monkeypatch.setattr(owner, attr, stand_in(getattr(owner, attr)))
+    result = check()
+    assert result.passed is False, result.detail
+    assert "nan" in result.detail, result.detail  # the fold keeps the NaN, and the detail prints it

@@ -181,6 +181,17 @@ def test_matrix_section_equals_elementwise_powers_bitwise():
             assert got.tobytes() == elementwise_operator_matrix(t, size).tobytes()
 
 
+def test_matrix_section_equals_the_toeplitz_route_bitwise_as_a_fresh_array():
+    # The windows of one band give the lower-triangular Toeplitz section; the division leaves a fresh array.
+    for t in (0.0, 0.3, 0.98, 1.0):
+        for size in (1, 2, 64, 513):
+            n = np.arange(size)
+            got = operator_matrix(t, size)
+            assert got.tobytes() == (np.tril(scipy.linalg.toeplitz(float(t) ** n)) / (n[:, None] + 1)).tobytes()
+            assert got.shape == (size, size) and got.dtype == np.float64
+            assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+
+
 # --- integral form ---------------------------------------------------------------------
 
 

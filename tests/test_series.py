@@ -71,6 +71,20 @@ def test_evaluate_geometric_matches_closed_form():
     assert abs(evaluate(f, z) - 4.0 / 3.0) < 1e-12
 
 
+def test_evaluate_equals_polyval_bitwise():
+    # The same Horner recurrence in Python complex arithmetic: degrees 0-1100, magnitudes 1e-300 to 1e300, |z| < 0.99.
+    rng = np.random.default_rng(151)
+    for _ in range(600):
+        degree, scale = int(rng.integers(0, 1101)), 10.0 ** rng.uniform(-300.0, 300.0)
+        f = TaylorSeries((rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)) * scale)
+        z = 0.99 * np.sqrt(rng.random()) * complex(np.exp(2j * np.pi * rng.random()))
+        with np.errstate(over="ignore", invalid="ignore"):  # a large series may overflow, in both routes alike
+            want = complex(np.polynomial.polynomial.polyval(z, f.coeffs))
+        got = evaluate(f, z)
+        assert type(got) is complex
+        assert np.array([got]).view(np.uint64).tolist() == np.array([want]).view(np.uint64).tolist(), (degree, z)
+
+
 def test_evaluate_rejects_points_outside_disc():
     f = TaylorSeries([1, 1])
     with pytest.raises(ValueError):

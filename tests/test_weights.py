@@ -820,6 +820,72 @@ def test_a_norm_pool_query_polishes_fewer_than_every_row(monkeypatch):
     assert max(rows) <= 2 * 5 and sum(rows) < 2 * 5 * len(queries)
 
 
+def _constant_row_stack(width, rng):
+    """Rows holding only c_0 (+1, -3.5 + 2j, -0.0 padding, NaN, inf, all zero), then rows that are not constant."""
+    stack = np.zeros((10, width), dtype=complex)
+    stack[:6, 0] = (1.0, -3.5 + 2.0j, complex(2.0, -0.0), np.nan, np.inf, 0.0)
+    stack[2, 1:] = complex(-0.0, -0.0)
+    if width > 1:
+        stack[6] = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * 0.9 ** np.arange(width)
+        stack[7, :2] = (3.0, 0.1)  # peaks at r = 0 under the decreasing weights
+        stack[8, min(width, 3) - 1] = 1.0  # a row whose only nonzero lies past c_0
+        stack[9, width - 1] = 0.5j  # the polish's cut keeps every column
+    return stack
+
+
+#: The weight kinds a constant row meets: one that ties at every radius, two gammas, a log weight and a table.
+CONSTANT_ROW_WEIGHTS = [Weight.unit(), Weight.standard(0.5), Weight.standard(2.0), Weight.log_power(1), TABLE_WEIGHT]
+
+
+@pytest.mark.parametrize("width", [1, 2, 300, 5000])
+@pytest.mark.parametrize("angles", [8, 97, 1024, 4093])
+def test_a_constant_row_is_transformed_once_and_keeps_the_full_paths_bits(width, angles, monkeypatch):
+    # A row holding only c_0 scales to one vector at every radius: it is transformed at its seed alone, and the
+    # polish samples it as v(x) times that maximum.  The full path (no row constant) gives the same bits, also
+    # where the polish cuts the stack narrower than the grid's folded one, and at the Bluestein counts 97 and 4093.
+    stack = _constant_row_stack(width, np.random.default_rng(width + angles))
+    constant = int(np.sum(~stack[:, 1:].any(axis=1)))
+    assert constant == (10 if width == 1 else 6)
+    transformed, circle = [], weights.circle_max
+    monkeypatch.setattr(
+        weights,
+        "circle_max",
+        lambda f, r, n: transformed.append(int(np.sum(~f[:, 1:].any(axis=1)))) or circle(f, r, n),
+    )
+    got = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN and inf coefficients give NaN and inf, not warnings
+        for v in CONSTANT_ROW_WEIGHTS:
+            for rows in (stack, stack[:6]):  # with rows to transform in the polish, and with none
+                transformed.clear()
+                got[v.label, len(rows)] = weighted_sup_norm(rows, v, radii=16, angles=angles).value
+                assert sum(transformed) == min(len(rows), constant)  # each constant row once, at its seed
+        monkeypatch.setattr(weights, "_constant", lambda stack: np.zeros(len(stack), dtype=bool))
+        for v in CONSTANT_ROW_WEIGHTS:
+            for rows in (stack, stack[:6]):
+                transformed.clear()
+                assert bits(weighted_sup_norm(rows, v, radii=16, angles=angles).value) == bits(got[v.label, len(rows)])
+                assert sum(transformed) > min(len(rows), constant)
+    # Under the unit weight every sample of a constant row is its one circle maximum: NaN for a NaN c_0.
+    with np.errstate(invalid="ignore"):
+        assert bits(got["unit", 6]) == bits(circle_max(stack[:6], 0.5, angles))
+    assert np.isnan(got["unit", 6][3]) and got["unit", 6][5] == 0.0
+
+
+def test_the_norm_checks_transform_their_constant_witness_once_per_t(monkeypatch):
+    # Check 1 polishes f1 and its image at each of 5 t, check 2 at 5 t in one pass.  f1 holds only c_0, so it is
+    # transformed at its seed alone: 44 calls per pass (2 seeds, the image's 1 grid radius, 2 + 40 polish steps),
+    # where f1's 63 more grid radii and its 42 polish steps used to make 107.
+    calls, circle = [], weights.circle_max
+    monkeypatch.setattr(weights, "circle_max", lambda f, r, n: calls.append(f) or circle(f, r, n))
+    checks = ((acceptance.check_operator_norm_formula, 220, 5), (acceptance.check_norm_sandwich, 44, 1))
+    for check, count, passes in checks:
+        calls.clear()
+        assert check().passed
+        assert len(calls) == count
+        assert sum(int(np.sum(~f[:, 1:].any(axis=1))) for f in calls) == passes  # f1, once per pass
+
+
 #: The weights whose rows can settle at r = 0, convex and concave on [0, r_1].
 SETTLE_WEIGHTS = [Weight.standard(g) for g in (0.25, 0.5, 1.0, 2.0, 5.0)] + [Weight.log_power(n) for n in (1, 2, 5)]
 R1 = float(radial_grid(2)[1])
